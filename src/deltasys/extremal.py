@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
 
 from .errors import BudgetExceeded, ParameterError
 from .hypergraph import Edge, Hypergraph, mask_of
@@ -271,6 +271,9 @@ def stability_scan(h: Hypergraph, epsilon: float,
     star's size, checked exactly. With delta, also reports whether the
     missed count stays within delta * n^(k-1).
     """
+    for name, value in (("epsilon", epsilon), ("delta", delta)):
+        if value is not None and not isfinite(value):
+            raise ParameterError(f"{name} must be a finite number, got {value}")
     eps = Fraction(epsilon)
     if not 0 <= eps < 1:
         raise ParameterError(f"epsilon must be in [0, 1), got {epsilon}")

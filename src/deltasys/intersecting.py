@@ -114,122 +114,170 @@ def is_d_simplex(edges: Sequence[Iterable[int]], d: int | None = None) -> bool:
 
 
 def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
-                       counter: NodeCounter,
-                       require: int | None = None) -> tuple[int, ...] | None:
+                            counter: NodeCounter,
+                            require: int | None = None) -> tuple[int, ...] | None:
     """Indices of a t-subfamily, d-wise intersecting, empty common intersection.
 
-    Scans in index order, so with no `require` the witness is the first in
-    lexicographic order over the caller's edge list.
+    `vmasks` are the members as vertex bitmasks over 1..n. Each family F is
+    reached exactly once, through its core. The core starts at F's lowest
+    member; then, while the core has a common vertex, the lowest such vertex
+    v picks the lowest member of F missing v, and every lower member missing
+    v is dropped from the candidates. Once the core has no common vertex,
+    the rest of F is a plain compatibility search over the candidates left,
+    in index order. Compatibility is pairwise intersection for d = 2; for
+    larger d a pick keeps only the members that meet each (d-1)-fold meet it
+    closes. While at least three picks remain, a greedy colouring of the
+    candidates' intersection graph bounds how many of them fit together.
+
+    One node is one tick of `counter`: the root, which also rules out a
+    vertex in every member, one core step or one compatibility step.
+
+    With `require=r` the family must contain member r, and the core starts
+    at r; any such witness is returned. Without `require`, and on FOUND only,
+    the witness is rebuilt into the first in lexicographic order over the
+    caller's list by fixing one member at a time, at most t*m further
+    searches.
     """
     m = len(vmasks)
     if m < t:
         return None
-    all_vertices = (1 << n) - 1
-    avoid = [0] * (n + 1)
-    for j, vm in enumerate(vmasks):
-        for v in range(1, n + 1):
-            if not (vm >> (v - 1)) & 1:
-                avoid[v] |= 1 << j
+    full = (1 << m) - 1
+    holders: dict[int, int] = {}
+    meeting: dict[int, int] = {}
 
-    def common_prune(common: int, cand: int) -> bool:
-        # a vertex in every remaining candidate and in the running common
-        # intersection survives to the end, so the family stays trivial
-        cm = common
-        while cm:
-            v = (cm & -cm).bit_length()
-            cm &= cm - 1
-            if cand & avoid[v] == 0:
-                return True
-        return False
+    def members_with(bit: int) -> int:
+        # members containing the vertex `bit`, built on first use
+        out = holders.get(bit)
+        if out is None:
+            out = 0
+            for j, vm in enumerate(vmasks):
+                if vm & bit:
+                    out |= 1 << j
+            holders[bit] = out
+        return out
 
-    chosen: list[int] = []
+    def meets(x: int) -> int:
+        # members meeting the vertex set x
+        out = meeting.get(x)
+        if out is None:
+            out = 0
+            rest = x
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                out |= members_with(bit)
+            meeting[x] = out
+        return out
 
     if d == 2:
-        inter = [0] * m
-        for i in range(m):
-            for j in range(i + 1, m):
-                if vmasks[i] & vmasks[j]:
-                    inter[i] |= 1 << j
-                    inter[j] |= 1 << i
+        def compat(chosen: tuple[int, ...], j: int) -> int:
+            return meets(vmasks[j])
+    else:
+        def compat(chosen: tuple[int, ...], j: int) -> int:
+            # members meeting j's meet with each min(|chosen|, d-2) chosen ones
+            vm = vmasks[j]
+            out = full
+            for sub in combinations(chosen, min(len(chosen), d - 2)):
+                x = vm
+                for i in sub:
+                    x &= vmasks[i]
+                out &= meets(x)
+            return out
 
-        def dfs2(common: int, cand: int) -> bool:
-            counter.tick()
-            if len(chosen) == t:
-                return common == 0
-            if cand.bit_count() < t - len(chosen):
-                return False
-            if common and common_prune(common, cand):
-                return False
-            rest = cand
+    def step(chosen: tuple[int, ...], common: int, cand: int) -> tuple[int, ...] | None:
+        counter.tick()
+        need = t - len(chosen)
+        if not need:
+            return None if common else chosen
+        if cand.bit_count() < need:
+            return None
+        if common:
+            # a core vertex that every candidate contains stays common
+            rest = common
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if not cand & ~members_with(bit):
+                    return None
+            miss = cand & ~members_with(common & -common)
+            rest = miss
             while rest:
                 low = rest & -rest
-                j = low.bit_length() - 1
-                rest &= rest - 1
-                chosen.append(j)
-                above = ~((1 << (j + 1)) - 1)
-                if dfs2(common & vmasks[j], cand & inter[j] & above):
-                    return True
-                chosen.pop()
-                cand &= ~low
-                if cand.bit_count() < t - len(chosen):
-                    return False
-            return False
-
-        if require is not None:
-            chosen.append(require)
-            start_cand = inter[require]
-            ok = dfs2(vmasks[require], start_cand)
-        else:
-            ok = dfs2(all_vertices, (1 << m) - 1)
-        return tuple(sorted(chosen)) if ok else None
-
-    # general d: candidate compatibility depends on (d-1)-subsets of the
-    # current selection, so no pairwise mask shortcut applies
-    def compatible(j: int) -> bool:
-        if len(chosen) < d - 1:
-            return True
-        vm = vmasks[j]
-        for sub in combinations(chosen, d - 1):
-            inter = vm
-            for i in sub:
-                inter &= vmasks[i]
-                if not inter:
+                rest ^= low
+                left = cand & ~(miss & (low - 1))
+                if left.bit_count() < need:
+                    return None
+                b = low.bit_length() - 1
+                hit = step(chosen + (b,), common & vmasks[b],
+                           left & ~low & compat(chosen, b))
+                if hit:
+                    return hit
+            return None
+        if need >= 3:
+            # the picks left are pairwise intersecting, so at most one per
+            # colour class of pairwise disjoint candidates
+            colours = 0
+            left = cand
+            while left:
+                colours += 1
+                if colours == need:
                     break
-            if not inter:
-                return False
-        return True
-
-    def dfsd(common: int, cand: int) -> bool:
-        counter.tick()
-        if len(chosen) == t:
-            return common == 0
-        if cand.bit_count() < t - len(chosen):
-            return False
-        if common and common_prune(common, cand):
-            return False
+                q = left
+                while q:
+                    low = q & -q
+                    left ^= low
+                    q &= ~meets(vmasks[low.bit_length() - 1])
+            else:
+                return None
         rest = cand
         while rest:
             low = rest & -rest
+            rest ^= low
             j = low.bit_length() - 1
-            rest &= rest - 1
-            cand &= ~low
-            if not compatible(j):
-                continue
-            chosen.append(j)
-            above = ~((1 << (j + 1)) - 1)
-            if dfsd(common & vmasks[j], cand & above):
-                return True
-            chosen.pop()
-            if cand.bit_count() < t - len(chosen):
-                return False
-        return False
+            hit = step(chosen + (j,), 0, rest & compat(chosen, j))
+            if hit:
+                return hit
+            if rest.bit_count() < need:
+                return None
+        return None
 
     if require is not None:
-        chosen.append(require)
-        ok = dfsd(vmasks[require], ((1 << m) - 1) & ~(1 << require))
-    else:
-        ok = dfsd(all_vertices, (1 << m) - 1)
-    return tuple(sorted(chosen)) if ok else None
+        hit = step((require,), vmasks[require],
+                   full & ~(1 << require) & compat((), require))
+        return tuple(sorted(hit)) if hit else None
+
+    counter.tick()
+    total = -1
+    for vm in vmasks:
+        total &= vm
+    if total:
+        return None
+    # the existence search fixes the lowest member; on FOUND, each later
+    # position of the witness drops to the first member that still completes
+    # a family, which gives the lexicographically first one
+    prefix: tuple[int, ...] = ()
+    witness: list[int] | None = None
+    cand, common = full, -1
+    for pos in range(t):
+        rest = cand if witness is None else cand & ((1 << witness[pos]) - 1)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            above = cand & ~((low << 1) - 1)
+            if above.bit_count() < t - pos - 1:
+                break
+            b = low.bit_length() - 1
+            hit = step(prefix + (b,), common & vmasks[b], above & compat(prefix, b))
+            if hit:
+                witness = sorted(hit)
+                break
+        if witness is None:
+            return None
+        b = witness[pos]
+        cand &= ~((2 << b) - 1) & compat(prefix, b)
+        common &= vmasks[b]
+        prefix += (b,)
+    return prefix
 
 
 def find_nontrivial_subfamily(h: Hypergraph, t: int, d: int,

@@ -230,3 +230,23 @@ def test_acceptance_10_cli_thread_count_determinism(tmp_path, capsys):
             "\ncriterion 10: PASS - identical reports for thread counts "
             "1, 2 and 8 across four commands with fixed seeds"
         )
+
+
+def test_acceptance_11_exhaustive_mode_on_the_larger_grid():
+    # cx(21,6) took 46,972,928 nodes with the previous search kernel; the
+    # core-then-clique kernel must need at least ten times fewer
+    started = time.perf_counter()
+    nodes = {}
+    for n, m in ((21, 5), (21, 6), (27, 5)):
+        rep = build_counterexample(n, m, seed=0)
+        ver = verify_counterexample(rep.system, m, mode="exhaustive")
+        assert ver.verdict == "verified", (n, m)
+        assert not ver.budget_exhausted
+        nodes[n, m] = ver.nodes
+    assert nodes[21, 6] < 4_697_293
+    elapsed = time.perf_counter() - started
+    print(
+        f"criterion 11: PASS - exhaustive search verifies cx(21,5), cx(21,6) "
+        f"and cx(27,5) in {sum(nodes.values())} nodes "
+        f"({nodes[21, 6]} for cx(21,6), {elapsed:.2f}s)"
+    )

@@ -381,6 +381,17 @@ class TestStabilityScan:
         assert code == 1
         assert report_of(out)["verdict"] == "outside-delta"
 
+    def test_non_finite_delta_or_epsilon_is_an_input_error(self, tmp_path, capsys):
+        hpath = tmp_path / "star6.txt"
+        save_hypergraph(build_star(6, 3), hpath)
+        for flags in (["--epsilon", "0", "--delta", "inf"],
+                      ["--epsilon", "0", "--delta", "nan"],
+                      ["--epsilon", "inf"],
+                      ["--epsilon", "nan"]):
+            code, out = run_cli(["stability-scan", str(hpath)] + flags, capsys)
+            assert code == 3, flags
+            assert out == ""
+
 
 class TestHomogeneousExtract:
     def test_certificate_artifact(self, tmp_path, capsys):

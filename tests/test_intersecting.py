@@ -20,6 +20,8 @@ from deltasys import (
     km_codegree_bound,
     max_codegree2,
 )
+from deltasys.intersecting import nontrivial_search_masks
+from deltasys.search import NodeCounter
 from conftest import random_hypergraph
 
 
@@ -129,6 +131,16 @@ class TestSimplex:
                     assert is_d_simplex(sub, d) == fw.nontrivial
 
 
+def first_nontrivial(edges, t, d, containing=None):
+    """Brute-force oracle: the first nontrivial t-subset in combinations order."""
+    for sub in combinations(edges, t):
+        if containing is not None and containing not in sub:
+            continue
+        if check_nontrivial(sub, d).nontrivial:
+            return sub
+    return None
+
+
 class TestSubfamilySearch:
     def test_finds_lex_first_triangle(self):
         h = Hypergraph(6, 3, [(1, 2, 3), (1, 2, 4), (3, 4, 5), (1, 2, 5), (2, 3, 6)])
@@ -141,23 +153,49 @@ class TestSubfamilySearch:
         assert out.status is SearchStatus.NONE
 
     def test_against_exhaustive_enumeration(self):
-        rng = random.Random(123)
-        for _ in range(25):
-            h = random_hypergraph(rng, n=rng.randint(5, 8), k=3, max_edges=12)
-            for t, d in ((3, 2), (4, 2), (4, 3)):
-                if len(h.edges) < t:
-                    continue
-                naive = any(
-                    check_nontrivial(sub, d).nontrivial
-                    for sub in combinations(h.edges, t)
-                )
-                out = find_nontrivial_subfamily(h, t, d)
-                assert out.found == naive, (h.edges, t, d)
-                if out.found:
-                    fw = check_nontrivial(out.witness, d)
-                    assert fw.nontrivial
-                    assert len(out.witness) == t
-                    assert set(out.witness) <= set(h.edges)
+        # 420 seeded instances, 350 with d in {2, 3} and 70 with d = 4, less
+        # the few too small for t. The oracle's combinations order is lex
+        # order over h.edges, so it also pins the lex-first witness; the
+        # require= path is checked for existence and a valid witness.
+        rng = random.Random(2020)
+        found = {True: 0, False: 0}
+        for i in range(420):
+            d = 4 if i % 6 == 5 else 2 + i % 2
+            n = rng.randint(5, 8)
+            t = rng.randint(d + 1, d + 3)
+            pool = list(combinations(range(1, n + 1), rng.randint(d, min(4, n - 1))))
+            if len(pool) < t:
+                continue
+            h = Hypergraph(n, len(pool[0]), rng.sample(pool, rng.randint(t, min(len(pool), 12))))
+            expected = first_nontrivial(h.edges, t, d)
+            out = find_nontrivial_subfamily(h, t, d)
+            assert out.witness == expected, (h.edges, t, d)
+            assert out.status is (SearchStatus.FOUND if expected else SearchStatus.NONE)
+            found[expected is not None] += 1
+            r = rng.randrange(len(h.edges))
+            hit = nontrivial_search_masks(h.edge_masks, h.n, t, d, NodeCounter(10**6),
+                                          require=r)
+            expected = first_nontrivial(h.edges, t, d, containing=h.edges[r])
+            assert (hit is None) == (expected is None), (h.edges, t, d, r)
+            if hit is not None:
+                assert r in hit and len(set(hit)) == t
+                assert check_nontrivial([h.edges[j] for j in hit], d).nontrivial
+        assert sum(found.values()) >= 400 and min(found.values()) >= 100, found
+
+    def test_whole_templates_are_found(self):
+        # the family is the only candidate set, so the colouring bound is
+        # tight: one colour class per member still to pick
+        for h in (h0_family(), h1_family(), h2_family(), h3_family(), h4_family(), h5_family()):
+            out = find_nontrivial_subfamily(h, len(h.edges), 2)
+            assert out.witness == h.edges
+            assert find_nontrivial_subfamily(h, len(h.edges) + 1, 2).status is SearchStatus.NONE
+
+    def test_star_costs_one_node(self):
+        # the root's common-vertex check settles a star without branching
+        h = build_star(7, 3)
+        counter = NodeCounter(10)
+        assert nontrivial_search_masks(h.edge_masks, h.n, 3, 2, counter) is None
+        assert counter.nodes == 1
 
     def test_budget_exhaustion(self):
         h = Hypergraph(9, 3, list(combinations(range(1, 9), 3))[:30])
