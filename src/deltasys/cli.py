@@ -440,10 +440,11 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print(f"deltasys: error: --threads must be at least 1, got {args.threads}",
-              file=sys.stderr)
-        return EXIT_INPUT
+    for flag, value in (("threads", args.threads), ("budget", args.budget)):
+        if value is not None and value < 1:
+            print(f"deltasys: error: --{flag} must be at least 1, got {value}",
+                  file=sys.stderr)
+            return EXIT_INPUT
     try:
         return args.func(args)
     except ConstructionError as exc:

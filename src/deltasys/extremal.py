@@ -7,6 +7,13 @@ the search canonical; the star through vertex 1 seeds the incumbent when it
 is itself configuration-free. All maximum families through the forced edge
 are collected.
 
+Configurations of exactly d+1 members (d-simplices, avd-systems, and
+nontrivial-intersecting with t = d+1) are listed once, before the search,
+as a conflict table of candidate index sets. The search then carries a live
+set of candidates that still complete no conflict set, and bounds each
+branch by |chosen| + |live|. Larger nontrivial-intersecting configurations
+are tested member by member with the subfamily kernel instead.
+
 `stability_scan` measures how close a near-maximum family is to a star:
 the best vertex, its degree, and how many members miss it.
 """
@@ -23,7 +30,7 @@ from .errors import BudgetExceeded, ParameterError
 from .hypergraph import Edge, Hypergraph, mask_of
 from .intersecting import nontrivial_search_masks
 from .search import NodeCounter, default_budget
-from .sunflowers import cluster_search_masks
+from .sunflowers import cluster_member_sets
 
 CONFIG_KINDS = ("nontrivial-intersecting", "d-simplex", "avd-system")
 
@@ -109,37 +116,43 @@ class ExtremalResult:
         }
 
 
-def _simplex_with_new(masks: list[int], chosen: list[int], new: int, d: int,
-                      counter: NodeCounter) -> bool:
-    """Does some d-simplex use the new edge and d others already chosen?"""
-    if len(chosen) < d:
-        return False
-    nm = masks[new]
-    for sub in combinations(chosen, d):
-        counter.tick()
-        ms = [masks[i] for i in sub]
-        total = nm
-        for m in ms:
-            total &= m
-        if total:
-            continue
-        # total empty; need every d-subset to intersect
-        ok = True
-        group = ms + [nm]
-        for skip in range(d + 1):
-            inter = -1
-            for j, m in enumerate(group):
-                if j == skip:
-                    continue
-                inter = m if inter == -1 else inter & m
-                if not inter:
-                    break
-            if not inter:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+def _simplex_sets(masks: list[int], d: int) -> list[int]:
+    """Every d-simplex among the members, as a bitmask over `masks` positions.
+
+    Members are added in index order while their meet stays nonempty; the
+    (d+1)-th must empty the meet while every meet that leaves one member
+    out stays nonempty.
+    """
+    found: list[int] = []
+
+    def rec(start: int, bits: int, meet: int, without: list[int]):
+        # without[j]: meet of the members picked so far, all but the j-th
+        last = len(without) == d
+        for i in range(start, len(masks)):
+            m = masks[i]
+            if last:
+                if not meet & m and all(w & m for w in without):
+                    found.append(bits | 1 << i)
+            elif meet & m:
+                rec(i + 1, bits | 1 << i, meet & m,
+                    [w & m for w in without] + [meet])
+
+    rec(0, 0, -1, [])
+    return found
+
+
+def conflict_sets(masks: list[int], config: ForbiddenConfig) -> list[int] | None:
+    """The conflict table: every forbidden subfamily of the members.
+
+    Each entry is a bitmask over `masks` positions. None when the
+    configuration has more than d+1 members (nontrivial-intersecting with
+    t > d+1), which the table does not cover.
+    """
+    if config.kind == "avd-system":
+        return list(cluster_member_sets(masks, config.part_sizes, config.d))
+    if config.kind == "d-simplex" or config.t == config.d + 1:
+        return _simplex_sets(masks, config.d)
+    return None
 
 
 def max_avoiding(n: int, k: int, config: ForbiddenConfig,
@@ -149,6 +162,19 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     Exact and deterministic. Results carry every maximum family through the
     forced first edge 1..k; with an exhausted budget `exact` is False and
     max_size is only a lower bound.
+
+    When the configuration has exactly d+1 members (every d-simplex and
+    avd-system, and nontrivial-intersecting with t = d+1), each one is
+    listed up front in a conflict table of candidate index sets. The search
+    keeps a live set: candidates after the current one that complete no
+    conflict set with the members chosen so far. Adding a member removes
+    every candidate it would complete a conflict set with, so a live
+    candidate can always be added and |chosen| + |live| bounds the branch;
+    since only branches strictly below the incumbent are cut, every maximum
+    family is still reached. One node is one branch; building the table is
+    not counted. For t > d+1 the live set is every later candidate, and
+    adding one first runs `nontrivial_search_masks` for a configuration
+    through it, whose nodes count as well.
     """
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -158,51 +184,37 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     start = time.perf_counter()
     cand = list(combinations(range(1, n + 1), k))
     masks = [mask_of(e) for e in cand]
+    total = len(cand)
     counter = NodeCounter(budget if budget is not None else default_budget())
 
-    if config.kind == "d-simplex":
-        t_eq, d_eq = config.d + 1, config.d
-    elif config.kind == "nontrivial-intersecting":
-        t_eq, d_eq = config.t, config.d
-    else:
-        t_eq = d_eq = None
+    conflicts = conflict_sets(masks, config)
+    # kills[e][rest]: once e and every member of rest are chosen, each of
+    # these later candidates would complete a conflict set
+    kills: list[dict[int, int]] = [{} for _ in range(total)]
+    for s in conflicts or ():
+        c = s.bit_length() - 1
+        e = (s ^ 1 << c).bit_length() - 1
+        rest = s ^ 1 << c ^ 1 << e
+        kills[e][rest] = kills[e].get(rest, 0) | 1 << c
+
+    def killed(pos: int, chosen_mask: int) -> int:
+        dead = 0
+        for rest, kill in kills[pos].items():
+            if chosen_mask & rest == rest:
+                dead |= kill
+        return dead
 
     def creates(chosen: list[int], new: int) -> bool:
         sel = chosen + [new]
-        if config.kind == "avd-system":
-            if len(sel) < config.d + 1:
-                return False
-            hit = cluster_search_masks([masks[i] for i in sel], k,
-                                       config.part_sizes, config.d, counter,
-                                       require=len(sel) - 1)
-            return hit is not None
-        if len(sel) < t_eq:
+        if len(sel) < config.t:
             return False
-        if t_eq == d_eq + 1 and d_eq >= 1:
-            return _simplex_with_new(masks, chosen, new, d_eq, counter)
-        hit = nontrivial_search_masks([masks[i] for i in sel], n, t_eq, d_eq,
-                                      counter, require=len(sel) - 1)
+        hit = nontrivial_search_masks([masks[i] for i in sel], n, config.t,
+                                      config.d, counter, require=len(sel) - 1)
         return hit is not None
-
-    def family_free(idx: list[int]) -> bool:
-        sel_masks = [masks[i] for i in idx]
-        if config.kind == "avd-system":
-            return cluster_search_masks(sel_masks, k, config.part_sizes,
-                                        config.d, counter) is None
-        if d_eq >= 2:
-            return nontrivial_search_masks(sel_masks, n, t_eq, d_eq,
-                                           counter) is None
-        # 1-simplex: two disjoint members
-        for a, b in combinations(sel_masks, 2):
-            counter.tick()
-            if not a & b:
-                return False
-        return True
 
     best = 0
     found: dict[frozenset[int], tuple[Edge, ...]] = {}
     chosen: list[int] = []
-    total = len(cand)
     exact = True
 
     def record():
@@ -214,26 +226,40 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
         if size == best:
             found.setdefault(frozenset(chosen), tuple(cand[i] for i in chosen))
 
-    def dfs(pos: int):
+    def dfs(live: int, chosen_mask: int):
         counter.tick()
-        if pos == total:
+        if len(chosen) + live.bit_count() < best:
+            return
+        if not live:
             record()
             return
-        if len(chosen) + (total - pos) < best:
-            return
-        if not creates(chosen, pos):
+        low = live & -live
+        pos = low.bit_length() - 1
+        rest = live ^ low
+        if conflicts is not None:
             chosen.append(pos)
-            dfs(pos + 1)
+            dfs(rest & ~killed(pos, chosen_mask), chosen_mask | low)
             chosen.pop()
-        dfs(pos + 1)
+        elif not creates(chosen, pos):
+            chosen.append(pos)
+            dfs(rest, chosen_mask | low)
+            chosen.pop()
+        dfs(rest, chosen_mask)
 
     try:
         star_idx = [i for i, e in enumerate(cand) if e[0] == 1]
-        if family_free(star_idx):
+        if conflicts is not None:
+            star = sum(1 << i for i in star_idx)
+            star_free = not any(s & star == s for s in conflicts)
+        else:
+            star_free = nontrivial_search_masks(
+                [masks[i] for i in star_idx], n, config.t, config.d,
+                counter) is None
+        if star_free:
             best = len(star_idx)
             found[frozenset(star_idx)] = tuple(cand[i] for i in star_idx)
         chosen.append(0)
-        dfs(1)
+        dfs(((1 << total) - 2) & ~killed(0, 0), 1)
     except BudgetExceeded:
         exact = False
     families = tuple(sorted(found.values()))

@@ -319,6 +319,40 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def cluster_member_sets(masks: Sequence[int], part_sizes: Sequence[int],
+                        d: int) -> set[int]:
+    """Member sets of every disjoint cluster, as bitmasks over `masks` positions.
+
+    A member set is a host plus d petals. Hosts, partitions and group-size
+    compositions run as in `cluster_search_masks`; the petals of each group
+    are every choice of members whose residues are disjoint from all others.
+    """
+    p = len(part_sizes)
+    found: set[int] = set()
+    for hi, host_mask in enumerate(masks):
+        for blocks in _host_partitions(vertices_of(host_mask), part_sizes):
+            centers = [host_mask & ~mask_of(b) for b in blocks]
+            cands = [[(j, m & ~host_mask) for j, m in enumerate(masks)
+                      if j != hi and m & host_mask == cm] for cm in centers]
+            for sizes in _compositions(d, p):
+
+                def pick(gi: int, start: int, need: int, used: int, bits: int):
+                    if need == 0:
+                        gi += 1
+                        if gi == p:
+                            found.add(bits)
+                            return
+                        start, need = 0, sizes[gi]
+                    lst = cands[gi]
+                    for pos in range(start, len(lst) - need + 1):
+                        j, res = lst[pos]
+                        if not res & used:
+                            pick(gi, pos + 1, need - 1, used | res, bits | 1 << j)
+
+                pick(0, 0, sizes[0], 0, 1 << hi)
+    return found
+
+
 def cluster_search_masks(masks: Sequence[int], k: int, part_sizes: Sequence[int],
                          d: int, counter: NodeCounter,
                          require: int | None = None) -> tuple[int, tuple, tuple[tuple[int, ...], ...]] | None:

@@ -1,9 +1,10 @@
-"""Acceptance checks: the ten headline behaviors, each with its stated budget.
+"""Acceptance checks: the headline behaviors, each with its stated budget.
 
 Every test prints exactly one PASS line once its assertions hold, so a -s run
 reads as a checklist.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -250,3 +251,31 @@ def test_acceptance_11_exhaustive_mode_on_the_larger_grid():
         f"and cx(27,5) in {sum(nodes.values())} nodes "
         f"({nodes[21, 6]} for cx(21,6), {elapsed:.2f}s)"
     )
+
+
+def test_acceptance_12_triangle_free_value_at_n8_and_pinned_families(capsys):
+    started = time.perf_counter()
+    code, out = run_cli(["extremal", "--n", "8", "--k", "3", "--config", "d-simplex",
+                         "--wise", "2"], capsys)
+    res = json.loads(out)["result"]
+    assert code == 0 and res["exact"]
+    assert res["max_size"] == 21
+    assert res["families"]
+    for fam in res["families"]:
+        assert len(set.intersection(*(set(e) for e in fam))) == 1, fam
+    # the families of the benchmark's simplex-7-3 and avd-6-3 jobs, as the
+    # search reported them before the conflict table
+    simplex = max_avoiding(7, 3, ForbiddenConfig("d-simplex", d=2))
+    assert simplex.families == tuple(
+        tuple(e for e in combinations(range(1, 8), 3) if v in e) for v in (1, 2, 3))
+    avd = max_avoiding(6, 3, ForbiddenConfig("avd-system", part_sizes=(2, 1), d=2))
+    assert avd.max_size == 10 and len(avd.families) == 512
+    digest = hashlib.sha256(json.dumps(avd.to_json()["families"]).encode()).hexdigest()
+    assert digest == "95374b4af1833c007e2c633df35fd99625db14e01f731b20e03c36d3e6639496"
+    elapsed = time.perf_counter() - started
+    with capsys.disabled():
+        print(
+            f"\ncriterion 12: PASS - no-triangle maximum 21 at n=8 with stars only "
+            f"({res['nodes']} nodes), simplex-7-3 and avd-6-3 families unchanged "
+            f"({elapsed:.2f}s)"
+        )

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, report schema, artifacts."""
 
+import argparse
 import json
 import random
 
@@ -14,6 +15,7 @@ from deltasys import (
     save_hypergraph,
     serialize_hypergraph,
 )
+from deltasys.cli import _build_parser
 from conftest import random_semi_cluster, run_cli
 
 REPORT_KEYS = {"schema", "command", "params", "checks", "result", "verdict", "timing"}
@@ -473,6 +475,39 @@ class TestGlobalFlags:
     def test_no_arguments(self, capsys):
         code, _ = run_cli([], capsys)
         assert code == 3
+
+    def test_budget_below_one_is_an_input_error_for_every_command(
+            self, star9, tmp_path, capsys):
+        semi, _ = random_semi_cluster(random.Random(1000), (2, 1), (2, 5))
+        witness = tmp_path / "semi.json"
+        witness.write_text(json.dumps(semi.to_json()))
+        argvs = {
+            "shadow": [star9, "--order", "1"],
+            "weight-check": [star9],
+            "find-sunflower": [star9, "--center", "1", "--size", "3"],
+            "find-avd": [star9, "--a", "2,1", "--d", "2"],
+            "complete-semi": [str(witness), "--b", "1,1"],
+            "find-nontrivial": [star9, "--size", "3", "--wise", "2"],
+            "check-intersecting": [star9, "--wise", "2"],
+            "classify-km": [star9],
+            "build-steiner": ["--n", "7", "--lambda", "1"],
+            "build-counterexample": ["--n", "9", "--m", "4"],
+            "verify-counterexample": [star9, "--m", "4"],
+            "extremal": ["--n", "5", "--k", "3", "--config", "d-simplex", "--wise", "2"],
+            "stability-scan": [star9, "--epsilon", "0.0"],
+            "homogeneous-extract": [star9, "--size", "2"],
+        }
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        takes_budget = {name for name, p in sub.choices.items()
+                        if "--budget" in p._option_string_actions}
+        assert set(argvs) == takes_budget
+        for name, tail in argvs.items():
+            code, out = run_cli([name] + tail + ["--budget", "1"], capsys)
+            assert code != 3 and out, name
+            for bad in ("0", "-5"):
+                code, out = run_cli([name] + tail + ["--budget", bad], capsys)
+                assert (code, out) == (3, ""), (name, bad)
 
     def test_non_integer_budget(self, star5, capsys):
         code, _ = run_cli(["shadow", star5, "--order", "1", "--budget", "soon"], capsys)

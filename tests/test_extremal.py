@@ -1,6 +1,6 @@
 """Exact extremal search against brute-force oracles, plus stability checks."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -8,12 +8,19 @@ import pytest
 from deltasys import (
     ForbiddenConfig,
     Hypergraph,
+    NodeCounter,
     ParameterError,
+    SunflowerCluster,
     build_star,
+    check_cluster,
     check_nontrivial,
+    mask_of,
     max_avoiding,
     stability_scan,
+    vertices_of,
 )
+from deltasys.extremal import conflict_sets
+from deltasys.sunflowers import cluster_search_masks
 
 
 def brute_force_max_n5():
@@ -163,6 +170,103 @@ class TestAgainstBruteForce:
         assert js["exact"] is True
         assert js["n"] == 5 and js["k"] == 3
         assert len(js["families"]) == len(res.families)
+
+
+def forms_config(edges, config):
+    """Does this subfamily, all of it, form the configuration? Plain checks."""
+    if config.kind != "avd-system":
+        t = config.d + 1 if config.kind == "d-simplex" else config.t
+        if len(edges) != t:
+            return False
+        if config.d == 1:
+            return not set(edges[0]) & set(edges[1])
+        return check_nontrivial(edges, config.d).nontrivial
+    if len(edges) != config.d + 1:
+        return False
+    cuts = [sum(config.part_sizes[:i]) for i in range(len(config.part_sizes) + 1)]
+    for host in edges:
+        petals = [e for e in edges if e != host]
+        for order in permutations(host):
+            blocks = [tuple(sorted(order[a:b])) for a, b in zip(cuts, cuts[1:])]
+            centers = [set(host) - set(b) for b in blocks]
+            groups = [[e for e in petals if set(e) & set(host) == c] for c in centers]
+            if sum(map(len, groups)) == len(petals) and all(groups) and check_cluster(
+                    SunflowerCluster(host, tuple(blocks), tuple(map(tuple, groups))),
+                    config.d).ok:
+                return True
+    return False
+
+
+def brute_force_families(n, k, config):
+    """Every largest configuration-free family through the forced edge 1..k.
+
+    Sweeps all 2^(N-1) families of the N candidates that hold candidate 0,
+    vectorized, against every forbidden subfamily found by `forms_config`.
+    """
+    cand = list(combinations(range(1, n + 1), k))
+    t = config.t or config.d + 1
+    forbidden = [sum(1 << i for i in idx)
+                 for idx in combinations(range(len(cand)), t)
+                 if forms_config([cand[i] for i in idx], config)]
+    fams = (np.arange(1 << (len(cand) - 1), dtype=np.int64) << 1) | 1
+    valid = np.ones(fams.shape, dtype=bool)
+    for f in forbidden:
+        valid &= (fams & f) != f
+    sizes = np.zeros(fams.shape, dtype=np.int64)
+    for i in range(len(cand)):
+        sizes += (fams >> i) & 1
+    best = int(sizes[valid].max())
+    winners = fams[valid & (sizes == best)]
+    return best, tuple(sorted(tuple(cand[i] for i in range(len(cand)) if int(f) >> i & 1)
+                              for f in winners))
+
+
+SIMPLEX = {d: ForbiddenConfig("d-simplex", d=d) for d in (1, 2, 3)}
+NONTRIVIAL = tuple(ForbiddenConfig("nontrivial-intersecting", t=t, d=d)
+                   for t, d in ((3, 2), (4, 3), (4, 2)))
+AVD = {k: tuple(ForbiddenConfig("avd-system", part_sizes=a, d=d) for a, d in shapes)
+       for k, shapes in ((2, (((1, 1), 2), ((1, 1), 3))),
+                         (3, (((2, 1), 2), ((2, 1), 3), ((1, 1, 1), 3))))}
+DIFFERENTIAL = [(k, n, config)
+                for k, top in ((2, 6), (3, 5))
+                for n in range(k + 1, top + 1)
+                for config in (SIMPLEX[1], SIMPLEX[2]) + NONTRIVIAL + AVD[k]]
+TABLE_KINDS = [(3, c) for c in tuple(SIMPLEX.values()) + AVD[3]] + [(2, c) for c in AVD[2]]
+
+
+def describe(value):
+    return value.describe() if isinstance(value, ForbiddenConfig) else str(value)
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("k,n,config", DIFFERENTIAL, ids=describe)
+    def test_against_all_families_through_the_forced_edge(self, k, n, config):
+        best, families = brute_force_families(n, k, config)
+        res = max_avoiding(n, k, config)
+        assert res.exact
+        assert res.max_size == best
+        assert res.families == families
+
+    @pytest.mark.parametrize("k,config", TABLE_KINDS, ids=describe)
+    def test_conflict_table_matches_the_kernels(self, k, config):
+        for n in range(k, 7):
+            masks = [mask_of(e) for e in combinations(range(1, n + 1), k)]
+            table = set(conflict_sets(masks, config))
+            for idx in combinations(range(len(masks)), config.d + 1):
+                sub = [masks[i] for i in idx]
+                if config.kind == "avd-system":
+                    hit = cluster_search_masks(sub, k, config.part_sizes, config.d,
+                                               NodeCounter(10**6)) is not None
+                elif config.d == 1:
+                    hit = not sub[0] & sub[1]
+                else:
+                    hit = check_nontrivial(list(map(vertices_of, sub)), config.d).nontrivial
+                assert (sum(1 << i for i in idx) in table) == hit, (n, idx)
+
+    def test_larger_configurations_have_no_table(self):
+        masks = [mask_of(e) for e in combinations(range(1, 6), 3)]
+        config = ForbiddenConfig("nontrivial-intersecting", t=4, d=2)
+        assert conflict_sets(masks, config) is None
 
 
 class TestStability:
