@@ -17,17 +17,16 @@ from .homogeneous import (HomogeneousCertificate, HomogeneousCheck,
                           extract_homogeneous, homogeneous_size_bound,
                           is_homogeneous)
 from .hypergraph import (Edge, Hypergraph, codegree, codegree_histogram,
-                         edge_weight, kruskal_katona_x, mask_of,
-                         max_codegree2, shadow, vertex_tuple, vertices_of,
+                         edge_weight, mask_of, max_codegree2, meet, shadow,
+                         subset_degrees, vertex_tuple, vertices_of,
                          weight_identity)
 from .intersecting import (FamilyWitness, KMFamily, TEMPLATE_TAGS,
                            check_km_codegree_bounds, check_nontrivial,
                            classify_intersecting, find_nontrivial_subfamily,
                            is_d_simplex, is_dwise_intersecting,
                            km_codegree_bound)
-from .patterns import (IntersectionPattern, Partition,
-                       intersection_structure, project, rank,
-                       validate_vertex_partition)
+from .patterns import (IntersectionPattern, intersection_structure, project,
+                       rank, validate_vertex_partition)
 from .search import (NodeCounter, SearchOutcome, SearchStatus,
                      default_budget)
 from .sunflowers import (ClusterCheck, Sunflower, SunflowerCheck,

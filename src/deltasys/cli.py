@@ -141,9 +141,7 @@ def cmd_find_avd(args) -> int:
     if out.found:
         result["witness"] = out.witness.to_json()
         artifact = json.dumps(result["witness"], indent=2, sort_keys=True) + "\n"
-    verdict = {"found": "found", "none": "none",
-               "budget-exhausted": "budget-exhausted"}[out.status.value]
-    _emit(args, [], result, verdict, started, artifact=artifact)
+    _emit(args, [], result, out.status.value, started, artifact=artifact)
     return _STATUS_EXIT[out.status]
 
 

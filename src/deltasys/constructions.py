@@ -11,14 +11,14 @@ recomputes all of that from scratch, by counting or by exhaustive search.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .errors import (AdmissibilityError, ConstructionError, ParameterError)
-from .hypergraph import Edge, Hypergraph, codegree_histogram, max_codegree2
-from .intersecting import km_codegree_bound
+from .hypergraph import (Edge, Hypergraph, codegree_histogram, max_codegree2,
+                         subset_degrees)
+from .intersecting import find_nontrivial_subfamily, km_codegree_bound
 from .search import SearchOutcome, SearchStatus
 
 
@@ -175,11 +175,9 @@ def _backtrack_triples(n: int, lam: int, rng: random.Random,
 
 
 def _check_pair_exact(h: Hypergraph, lam: int) -> bool:
-    cnt: Counter[tuple[int, int]] = Counter()
-    for e in h.edges:
-        for p in combinations(e, 2):
-            cnt[p] += 1
-    return (len(cnt) == comb(h.n, 2) and all(c == lam for c in cnt.values()))
+    """Does every vertex pair lie in exactly lam edges?"""
+    table = subset_degrees(h, 2)
+    return len(table) == comb(h.n, 2) and all(c == lam for c in table.values())
 
 
 def build_triple_system(spec: DesignSpec, seed: int = 0) -> Hypergraph:
@@ -317,12 +315,8 @@ class ConstructionReport:
 
 def _codegree_m_triangles(h: Hypergraph, m: int) -> tuple[bool, str | None]:
     """Do the pairs of codegree exactly m form disjoint triangles covering 1..n?"""
-    cnt: Counter[tuple[int, int]] = Counter()
-    for e in h.edges:
-        for p in combinations(e, 2):
-            cnt[p] += 1
     adj: dict[int, set[int]] = {v: set() for v in range(1, h.n + 1)}
-    for (u, v), c in cnt.items():
+    for (u, v), c in subset_degrees(h, 2).items():
         if c == m:
             adj[u].add(v)
             adj[v].add(u)
@@ -418,8 +412,6 @@ def verify_counterexample(h: Hypergraph, m: int, mode: str = "both",
     or failed check refutes. Budget exhaustion falls back to the counting
     verdict.
     """
-    from .intersecting import find_nontrivial_subfamily
-
     if m < 4:
         raise ParameterError(f"m must be at least 4, got {m}")
     if mode not in ("degree-argument", "exhaustive", "both"):

@@ -1,10 +1,14 @@
-"""k-uniform hypergraphs on {1..n} with bitmask edges, shadows, and exact edge weights."""
+"""k-uniform hypergraphs on {1..n}: bitmask edges and their meets, shadows,
+subset degrees, and exact edge weights."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from math import sqrt
+from math import comb
+from operator import and_
 from typing import Iterable, Iterator
 
 from .errors import ParameterError, UniformityError
@@ -40,6 +44,14 @@ def vertices_of(mask: int) -> Edge:
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
+
+
+def meet(masks: Iterable[int]) -> int:
+    """Bitwise AND of the masks: the vertices they all share.
+
+    The meet of no masks is -1, every bit set, so it meets everything.
+    """
+    return reduce(and_, masks, -1)
 
 
 class Hypergraph:
@@ -124,49 +136,48 @@ def shadow(h: Hypergraph, i: int) -> set[Edge]:
     return out
 
 
+def subset_degrees(h: Hypergraph, size: int) -> Counter[Edge]:
+    """Map each size-subset lying in some edge to the number of edges containing it.
+
+    One pass over the edges. Subsets in no edge are absent, so `.get(s, 0)`
+    gives the codegree of any sorted vertex tuple s of that size. size ranges
+    over 0..k; size 0 maps the empty tuple to |H| when h has edges.
+    """
+    if not 0 <= size <= h.k:
+        raise ParameterError(f"subset size must lie in 0..{h.k}, got {size}")
+    return Counter(s for e in h.edges for s in combinations(e, size))
+
+
 def codegree(h: Hypergraph, vertices: Iterable[int]) -> int:
     """Number of edges containing every vertex of the given set.
 
     The empty set has codegree |H|; sets too large to fit in an edge get 0.
+    A single query rescans the edges; `subset_degrees` tabulates a whole size.
     """
     m = mask_of(vertex_tuple(vertices))
     return sum(1 for em in h.edge_masks if em & m == m)
 
 
 def max_codegree2(h: Hypergraph) -> int:
-    """Maximum codegree over vertex pairs; defined for 3-graphs only."""
+    """Maximum codegree over vertex pairs, 0 without edges; defined for 3-graphs only."""
     if h.k != 3:
         raise UniformityError(f"pair-codegree maximum is defined for k=3 only, got k={h.k}")
-    best = 0
-    counts: dict[tuple[int, int], int] = {}
-    for e in h.edges:
-        for p in combinations(e, 2):
-            c = counts.get(p, 0) + 1
-            counts[p] = c
-            if c > best:
-                best = c
-    return best
+    return max(subset_degrees(h, 2).values(), default=0)
 
 
 def codegree_histogram(h: Hypergraph) -> dict[int, int]:
     """Map codegree value -> number of vertex pairs attaining it (k=3 only).
 
-    Pairs covered by no edge are counted under 0.
+    Pairs covered by no edge, C(n, 2) minus the pairs in the table, are
+    counted under 0.
     """
     if h.k != 3:
         raise UniformityError(f"pair-codegree histogram is defined for k=3 only, got k={h.k}")
-    counts: dict[tuple[int, int], int] = {}
-    for e in h.edges:
-        for p in combinations(e, 2):
-            counts[p] = counts.get(p, 0) + 1
-    hist: dict[int, int] = {}
-    covered = 0
-    for c in counts.values():
-        hist[c] = hist.get(c, 0) + 1
-        covered += 1
-    total_pairs = h.n * (h.n - 1) // 2
-    if total_pairs > covered:
-        hist[0] = hist.get(0, 0) + (total_pairs - covered)
+    table = subset_degrees(h, 2)
+    hist = dict(Counter(table.values()))
+    uncovered = comb(h.n, 2) - len(table)
+    if uncovered:
+        hist[0] = uncovered
     return hist
 
 
@@ -174,7 +185,8 @@ def edge_weight(h: Hypergraph, edge: Iterable[int]) -> Fraction:
     """Sum of 1/deg over the (k-1)-subsets of an edge, as an exact rational.
 
     deg counts the edges of h containing the subset; the edge itself always
-    contributes, so every denominator is at least 1.
+    contributes, so every denominator is at least 1. A single query rescans
+    the edges for each subset; `weight_identity` sums every edge in one pass.
     """
     e = vertex_tuple(edge)
     if e not in h._edge_set:
@@ -190,19 +202,12 @@ def weight_identity(h: Hypergraph) -> tuple[Fraction, int]:
 
     The two components are equal for every hypergraph: grouping the sum by
     (k-1)-subset, each subset covered by the hypergraph contributes exactly 1.
+    The (k-1)-subset degrees are tabulated once, so the sum costs O(|E|k)
+    lookups; the shadow is counted separately with `shadow(h, 1)`.
     """
-    total = sum((edge_weight(h, e) for e in h.edges), Fraction(0))
+    deg = subset_degrees(h, h.k - 1)
+    total = sum((Fraction(1, deg[s]) for e in h.edges for s in combinations(e, h.k - 1)),
+                Fraction(0))
     if h.k == 1:
         return total, (1 if h.edges else 0)
     return total, len(shadow(h, 1))
-
-
-def kruskal_katona_x(edge_count: int) -> float:
-    """Real x with x(x-1)/2 = edge_count.
-
-    For a 3-graph with edge_count edges the pair shadow has at least x
-    elements; the quadratic is solved in closed form.
-    """
-    if edge_count < 0:
-        raise ParameterError("edge count must be nonnegative")
-    return (1.0 + sqrt(1.0 + 8.0 * edge_count)) / 2.0

@@ -14,13 +14,13 @@ codegree forced by each non-star template.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, ClassificationError, ParameterError
-from .hypergraph import Edge, Hypergraph, mask_of, vertex_tuple, vertices_of
+from .hypergraph import (Edge, Hypergraph, mask_of, max_codegree2, meet,
+                         subset_degrees, vertex_tuple, vertices_of)
 from .search import NodeCounter, SearchOutcome, SearchStatus, default_budget
 
 
@@ -33,24 +33,6 @@ def _normalized_family(edges: Sequence[Iterable[int]]) -> list[Edge]:
     if len(set(fam)) != len(fam):
         raise ParameterError("family members must be pairwise distinct")
     return fam
-
-
-def is_dwise_intersecting(edges: Sequence[Iterable[int]], d: int) -> bool:
-    """Every min(d, |family|)-subset shares a vertex."""
-    if d < 2:
-        raise ParameterError(f"intersection order d must be at least 2, got {d}")
-    fam = _normalized_family(edges)
-    masks = [mask_of(e) for e in fam]
-    t = min(d, len(masks))
-    for sub in combinations(masks, t):
-        inter = sub[0]
-        for m in sub[1:]:
-            inter &= m
-            if not inter:
-                break
-        if not inter:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -66,27 +48,27 @@ class FamilyWitness:
 
 
 def check_nontrivial(edges: Sequence[Iterable[int]], d: int) -> FamilyWitness:
-    """d-wise intersecting with empty common intersection, with a named violator if not."""
+    """d-wise intersecting with empty common intersection, with a named violator if not.
+
+    The violator is the first min(d, |family|)-subset, in combinations order
+    over the sorted members, whose meet is empty.
+    """
     if d < 2:
         raise ParameterError(f"intersection order d must be at least 2, got {d}")
     fam = _normalized_family(edges)
     masks = [mask_of(e) for e in fam]
-    t = min(d, len(masks))
-    violating = None
-    for sub in combinations(range(len(masks)), t):
-        inter = masks[sub[0]]
-        for i in sub[1:]:
-            inter &= masks[i]
-        if not inter:
-            violating = tuple(fam[i] for i in sub)
-            break
-    total = masks[0]
-    for m in masks[1:]:
-        total &= m
-    common = vertices_of(total)
+    t = min(d, len(fam))
+    violating = next((sub for sub, ms in zip(combinations(fam, t), combinations(masks, t))
+                      if not meet(ms)), None)
+    common = vertices_of(meet(masks))
     intersecting = violating is None
     return FamilyWitness(tuple(sorted(fam)), d, intersecting, common,
                          intersecting and not common, violating)
+
+
+def is_dwise_intersecting(edges: Sequence[Iterable[int]], d: int) -> bool:
+    """Every min(d, |family|)-subset shares a vertex."""
+    return check_nontrivial(edges, d).intersecting
 
 
 def is_d_simplex(edges: Sequence[Iterable[int]], d: int | None = None) -> bool:
@@ -99,18 +81,7 @@ def is_d_simplex(edges: Sequence[Iterable[int]], d: int | None = None) -> bool:
     if len(fam) != d + 1:
         raise ParameterError(f"a {d}-simplex has {d + 1} sets, got {len(fam)}")
     masks = [mask_of(e) for e in fam]
-    total = masks[0]
-    for m in masks[1:]:
-        total &= m
-    if total:
-        return False
-    for sub in combinations(masks, d):
-        inter = sub[0]
-        for m in sub[1:]:
-            inter &= m
-        if not inter:
-            return False
-    return True
+    return not meet(masks) and all(meet(sub) for sub in combinations(masks, d))
 
 
 def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
@@ -247,10 +218,7 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
         return tuple(sorted(hit)) if hit else None
 
     counter.tick()
-    total = -1
-    for vm in vmasks:
-        total &= vm
-    if total:
+    if meet(vmasks):
         return None
     # the existence search fixes the lowest member; on FOUND, each later
     # position of the witness drops to the first member that still completes
@@ -390,9 +358,7 @@ def _pad_mapping(mapping: dict[int, int], tag: str, n: int) -> dict[int, int] | 
 
 
 def _match_ekr(h: Hypergraph) -> KMFamily | None:
-    total = h.edge_masks[0]
-    for m in h.edge_masks[1:]:
-        total &= m
+    total = meet(h.edge_masks)
     if not total:
         return None
     v = (total & -total).bit_length()
@@ -479,11 +445,7 @@ def _finish_h2(h: Hypergraph, x: int, y: int, z: int, t: int,
 def _anchored_candidates(h: Hypergraph) -> list[tuple[int, int]]:
     """Vertex pairs contained in all but at most six members, lex order."""
     size = len(h)
-    counts: Counter[tuple[int, int]] = Counter()
-    for e in h.edges:
-        for pair in combinations(e, 2):
-            counts[pair] += 1
-    return sorted(p for p, c in counts.items() if c >= size - 6)
+    return sorted(p for p, c in subset_degrees(h, 2).items() if c >= size - 6)
 
 
 def _match_anchored(h: Hypergraph, tag: str) -> KMFamily | None:
@@ -536,8 +498,6 @@ def classify_intersecting(h: Hypergraph) -> KMFamily:
         fam = _match_anchored(h, tag)
         if fam is not None:
             return fam
-    from .hypergraph import max_codegree2
-
     raise ClassificationError(
         "family fits no template",
         diagnostics={"n": h.n, "size": len(h),
@@ -559,8 +519,6 @@ def km_codegree_bound(tag: str, size: int) -> int:
 
 def check_km_codegree_bounds(h: Hypergraph, km: KMFamily) -> bool:
     """Verify the template's forced lower bound on the maximum pair codegree."""
-    from .hypergraph import max_codegree2
-
     if not km.contains_family(h):
         raise ParameterError("family is not contained in the given template")
     bound = km_codegree_bound(km.tag, len(h))

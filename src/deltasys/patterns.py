@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -123,30 +123,3 @@ def rank(pattern: IntersectionPattern) -> int:
                 continue
             return size
     raise AssertionError("unreachable: the full ground set always qualifies")
-
-
-@dataclass(frozen=True)
-class Partition:
-    """An ordered partition of a host edge into nonempty blocks."""
-
-    host: Edge
-    blocks: tuple[Edge, ...]
-
-    def __post_init__(self):
-        host = vertex_tuple(self.host)
-        object.__setattr__(self, "host", host)
-        blocks = tuple(vertex_tuple(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if not blocks:
-            raise ParameterError("a partition needs at least one block")
-        seen: list[int] = []
-        for b in blocks:
-            if not b:
-                raise ParameterError("partition blocks must be nonempty")
-            seen.extend(b)
-        if len(seen) != len(set(seen)) or set(seen) != set(host):
-            raise ParameterError("blocks must be disjoint and cover the host exactly")
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)

@@ -279,3 +279,36 @@ def test_acceptance_12_triangle_free_value_at_n8_and_pinned_families(capsys):
             f"({res['nodes']} nodes), simplex-7-3 and avd-6-3 families unchanged "
             f"({elapsed:.2f}s)"
         )
+
+
+def test_acceptance_13_codegree_reports_and_one_pass_weight_check(tmp_path, capsys):
+    # values read from the reports before the codegree and weight sums moved
+    # onto one subset-degree table
+    started = time.perf_counter()
+    code, out = run_cli(["build-counterexample", "--n", "15", "--m", "5"], capsys)
+    res = json.loads(out)["result"]
+    assert code == 0
+    assert res["max_codegree"] == 5
+    assert res["codegree_histogram"] == {"4": 90, "5": 15}
+    assert res["codegree_m_pairs_are_disjoint_triangles"]
+    digest = hashlib.sha256(json.dumps(res, sort_keys=True).encode()).hexdigest()
+    assert digest == "6cd632adc1e505913cb5475500c8007506c3eb81ec1a55bd82c3a58bb92b87d4"
+    # 4000 of the 4-subsets of 1..30, drawn as the benchmark's weight-4g job
+    # draws them at seed 0
+    rng = random.Random(14)
+    edges = sorted(rng.sample(list(combinations(range(1, 31), 4)), 4000))
+    path = tmp_path / "graph-4g.txt"
+    path.write_text("30 4\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges))
+    weighed = time.perf_counter()
+    code, out = run_cli(["weight-check", str(path)], capsys)
+    seconds = time.perf_counter() - weighed
+    res = json.loads(out)["result"]
+    assert code == 0
+    assert res == {"edges": 4000, "shadow_size": 4006, "weight_sum": "4006"}
+    assert seconds < 1.0, seconds
+    elapsed = time.perf_counter() - started
+    with capsys.disabled():
+        print(
+            f"\ncriterion 13: PASS - cx(15,5) report unchanged, weight-check on "
+            f"4000 4-sets in {seconds:.2f}s < 1s ({elapsed:.2f}s)"
+        )

@@ -15,9 +15,9 @@ from deltasys import (
     codegree,
     codegree_histogram,
     edge_weight,
-    kruskal_katona_x,
     max_codegree2,
     shadow,
+    subset_degrees,
     weight_identity,
 )
 from conftest import random_hypergraph
@@ -149,6 +149,24 @@ class TestCodegree:
             hist = codegree_histogram(h)
             assert sum(hist.values()) == h.n * (h.n - 1) // 2
 
+    def test_subset_degrees_match_codegree_on_every_subset(self):
+        # the one-pass table against the per-query rescan, for every vertex
+        # subset of every size the table accepts, absent subsets included
+        rng = random.Random(4181)
+        for _ in range(25):
+            h = random_hypergraph(rng, n=rng.randint(4, 8))
+            for s in range(h.k + 1):
+                table = subset_degrees(h, s)
+                for sub in combinations(range(1, h.n + 1), s):
+                    assert table.get(sub, 0) == codegree(h, sub), (h.edges, sub)
+
+    def test_subset_degrees_size_out_of_range(self):
+        h = build_star(5, 3)
+        with pytest.raises(ParameterError):
+            subset_degrees(h, 4)
+        with pytest.raises(ParameterError):
+            subset_degrees(h, -1)
+
 
 class TestWeights:
     def test_edge_weight_two_overlapping_triples(self):
@@ -174,24 +192,17 @@ class TestWeights:
             assert isinstance(total, Fraction)
             assert total == cover
 
+    def test_identity_sum_matches_per_edge_weights(self):
+        # the tabulated sum against edge_weight, which rescans for codegrees
+        rng = random.Random(77)
+        for _ in range(40):
+            h = random_hypergraph(rng, k=rng.choice((1, 2, 3, 4)))
+            assert weight_identity(h)[0] == sum(edge_weight(h, e) for e in h.edges)
+
     def test_identity_singleton_edges(self):
         # k=1: every edge weighs 1/|H| and the empty set is the one subset
         assert weight_identity(Hypergraph(3, 1, [(1,), (3,)])) == (1, 1)
         assert weight_identity(Hypergraph(3, 1, [])) == (0, 0)
-
-
-class TestShadowThreshold:
-    def test_recovers_exact_binomials(self):
-        for x in range(2, 40):
-            e = x * (x - 1) // 2
-            assert abs(kruskal_katona_x(e) - x) < 1e-9
-
-    def test_inverse_property(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            e = rng.randint(0, 10**6)
-            x = kruskal_katona_x(e)
-            assert abs(x * (x - 1) / 2 - e) < 1e-6 * max(1, e)
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,6 +19,7 @@ from deltasys import (
     is_dwise_intersecting,
     km_codegree_bound,
     max_codegree2,
+    meet,
 )
 from deltasys.intersecting import nontrivial_search_masks
 from deltasys.search import NodeCounter
@@ -79,6 +80,11 @@ class TestDWise:
             is_dwise_intersecting([(1, 2), (2, 3)], 1)
         with pytest.raises(ParameterError):
             is_dwise_intersecting([], 2)
+
+    def test_meet(self):
+        assert meet([]) == -1
+        assert meet([0b0111, 0b1110]) == 0b0110
+        assert meet(iter([0b01, 0b10])) == 0
 
 
 class TestNontrivialWitness:

@@ -6,7 +6,6 @@ from deltasys import (
     Hypergraph,
     IntersectionPattern,
     ParameterError,
-    Partition,
     build_star,
     intersection_structure,
     project,
@@ -63,14 +62,6 @@ class TestPartitionHelpers:
     def test_project_rejects_uncovered_vertices(self):
         with pytest.raises(ParameterError):
             project((1, 9), [(1, 2), (3, 4)], n=4)
-
-    def test_partition_shape(self):
-        p = Partition((1, 2, 3), ((1, 2), (3,)))
-        assert p.sizes == (2, 1)
-        with pytest.raises(ParameterError):
-            Partition((1, 2, 3), ((1, 2),))  # does not cover the host
-        with pytest.raises(ParameterError):
-            Partition((1, 2, 3), ((1, 2), (2, 3)))
 
 
 class TestPattern:
