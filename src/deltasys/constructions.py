@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import (AdmissibilityError, ConstructionError, ParameterError)
-from .hypergraph import (Edge, Hypergraph, codegree_histogram, max_codegree2,
+from .hypergraph import (Edge, Hypergraph, _pair_histogram, _pair_table,
                          subset_degrees)
 from .intersecting import find_nontrivial_subfamily, km_codegree_bound
 from .search import SearchOutcome, SearchStatus
@@ -313,10 +313,14 @@ class ConstructionReport:
         }
 
 
-def _codegree_m_triangles(h: Hypergraph, m: int) -> tuple[bool, str | None]:
-    """Do the pairs of codegree exactly m form disjoint triangles covering 1..n?"""
+def _codegree_m_triangles(h: Hypergraph, pairs: dict[Edge, int],
+                          m: int) -> tuple[bool, str | None]:
+    """Do the pairs of codegree exactly m form disjoint triangles covering 1..n?
+
+    `pairs` is the pair-degree table of h.
+    """
     adj: dict[int, set[int]] = {v: set() for v in range(1, h.n + 1)}
-    for (u, v), c in subset_degrees(h, 2).items():
+    for (u, v), c in pairs.items():
         if c == m:
             adj[u].add(v)
             adj[v].add(u)
@@ -347,9 +351,10 @@ def build_counterexample(n: int, m: int, seed: int = 0) -> ConstructionReport:
         raise ConstructionError(
             f"complement of the triple system on {n} vertices has no perfect matching")
     system = Hypergraph(n, 3, list(base.edges) + list(matching))
-    tri_ok, _ = _codegree_m_triangles(system, m)
+    pairs = subset_degrees(system, 2)
+    tri_ok, _ = _codegree_m_triangles(system, pairs, m)
     return ConstructionReport(system, m, len(base), matching,
-                              max_codegree2(system), codegree_histogram(system),
+                              max(pairs.values(), default=0), _pair_histogram(pairs, n),
                               tri_ok)
 
 
@@ -383,11 +388,12 @@ class VerificationReport:
 
 def _degree_checks(h: Hypergraph, m: int) -> list[Check]:
     t = 3 * m + 1
-    delta2 = max_codegree2(h)
+    pairs = _pair_table(h, "maximum")
+    delta2 = max(pairs.values(), default=0)
     checks = [Check("max-codegree", delta2 == m,
                     f"maximum pair codegree equals {m}",
                     f"measured {delta2}")]
-    tri_ok, why = _codegree_m_triangles(h, m)
+    tri_ok, why = _codegree_m_triangles(h, pairs, m)
     checks.append(Check("codegree-triangles", tri_ok,
                         f"pairs of codegree {m} form disjoint triangles covering "
                         f"all {h.n} vertices", why))

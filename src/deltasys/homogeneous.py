@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ParameterError
-from .hypergraph import Edge, Hypergraph, shadow
-from .patterns import (IntersectionPattern, intersection_structure, project,
-                       rank, validate_vertex_partition)
-from .sunflowers import find_sunflower
+from .hypergraph import Edge, Hypergraph, mask_of, shadow, vertices_of
+from .patterns import IntersectionPattern, rank, validate_vertex_partition
+from .sunflowers import sunflower_search_masks
 
 # (edge, center, petals): the edge's sunflower witness for one intersection
 SunflowerWitness = tuple[Edge, Edge, tuple[Edge, ...]]
@@ -58,9 +58,54 @@ class HomogeneousCheck:
     detail: str | None = None
 
 
-def _edge_pattern(sub: Hypergraph, edge: Edge,
-                  parts: tuple[Edge, ...]) -> frozenset[frozenset[int]]:
-    return frozenset(project(s, parts) for s in intersection_structure(sub, edge))
+class _MaskIndex:
+    """Bitmask view of one subgraph under one vertex partition.
+
+    `meets[i]` holds the masks of edge i's intersections with the other
+    edges, the set `intersection_structure` lists; a meet is projected to
+    part indices through the part masks, as `project` does. The candidates
+    through a center, (edge, residue) pairs in edge order, are built on
+    first use and shared by every edge that needs that center.
+    """
+
+    __slots__ = ("edges", "masks", "part_masks", "meets", "_cands")
+
+    def __init__(self, edges: Sequence[Edge], masks: Sequence[int],
+                 parts: Sequence[Edge]):
+        self.edges = edges
+        self.masks = masks
+        self.part_masks = tuple(mask_of(p) for p in parts)
+        self.meets: list[set[int]] = []
+        for m in masks:
+            # m & m = m is the only meet equal to m: edges are distinct k-sets
+            mine = {m & other for other in masks}
+            mine.discard(m)
+            self.meets.append(mine)
+        self._cands: dict[int, list[tuple[Edge, int]]] = {}
+
+    def project(self, mask: int) -> frozenset[int]:
+        """The 1-based indices of the parts the vertex mask meets."""
+        return frozenset(i for i, pm in enumerate(self.part_masks, start=1) if mask & pm)
+
+    def pattern(self, i: int) -> frozenset[frozenset[int]]:
+        return frozenset(self.project(x) for x in self.meets[i])
+
+    def centers(self, i: int) -> list[tuple[Edge, int]]:
+        """Edge i's intersections as (vertex tuple, mask), in vertex-tuple order."""
+        return sorted((vertices_of(x), x) for x in self.meets[i])
+
+    def petals(self, i: int, center: int, s: int) -> tuple[Edge, ...] | None:
+        """The lex-first s-petal sunflower through edge i at the center mask."""
+        cands = self._cands.get(center)
+        if cands is None:
+            cands = [(e, m & ~center) for e, m in zip(self.edges, self.masks)
+                     if m & center == center]
+            self._cands[center] = cands
+        # edge i stays among the candidates; its residue is in `used`
+        chosen = sunflower_search_masks(cands, s - 1, self.masks[i] & ~center)
+        if chosen is None:
+            return None
+        return tuple(sorted([self.edges[i]] + chosen))
 
 
 def is_homogeneous(h: Hypergraph, s: int, parts) -> HomogeneousCheck:
@@ -72,16 +117,16 @@ def is_homogeneous(h: Hypergraph, s: int, parts) -> HomogeneousCheck:
     norm = validate_vertex_partition(h.n, parts)
     if len(norm) != h.k:
         raise ParameterError(f"need exactly {h.k} parts, got {len(norm)}")
-    for e in h.edges:
-        if len(project(e, norm)) != h.k:
+    idx = _MaskIndex(h.edges, h.edge_masks, norm)
+    for e, m in zip(h.edges, h.edge_masks):
+        if len(idx.project(m)) != h.k:
             return HomogeneousCheck(False, failure="not-k-partite",
                                     detail=f"edge {e} does not meet every part exactly once")
-    patterns = {e: _edge_pattern(h, e, norm) for e in h.edges}
-    common = patterns[h.edges[0]]
-    for e in h.edges[1:]:
-        if patterns[e] != common:
+    common = idx.pattern(0)
+    for i in range(1, len(h)):
+        if idx.pattern(i) != common:
             return HomogeneousCheck(False, failure="pattern-mismatch",
-                                    detail=f"edge {e} projects to a different pattern "
+                                    detail=f"edge {h.edges[i]} projects to a different pattern "
                                            f"than edge {h.edges[0]}")
     pattern = IntersectionPattern.of(h.k, common)
     if not pattern.is_closed:
@@ -93,15 +138,15 @@ def is_homogeneous(h: Hypergraph, s: int, parts) -> HomogeneousCheck:
                         detail=f"{a} and {b} are in the pattern but their "
                                f"intersection {tuple(sorted(set(a) & set(b)))} is not")
     witnesses: list[SunflowerWitness] = []
-    for e in h.edges:
-        for center in sorted(intersection_structure(h, e)):
-            flower = find_sunflower(h, center, s, require_edge=e)
-            if flower is None:
+    for i, e in enumerate(h.edges):
+        for center, cm in idx.centers(i):
+            petals = idx.petals(i, cm, s)
+            if petals is None:
                 return HomogeneousCheck(
                     False, failure="missing-sunflower",
                     detail=f"no {s}-petal sunflower with center {center} "
                            f"through edge {e}")
-            witnesses.append((e, center, flower.petals))
+            witnesses.append((e, center, petals))
     cert = HomogeneousCertificate(h, norm, pattern, s, tuple(witnesses))
     return HomogeneousCheck(True, certificate=cert)
 
@@ -123,31 +168,41 @@ def _rainbow(edge: Edge, assign: dict[int, int], k: int) -> bool:
 
 
 def _climb_partition(h: Hypergraph, rng: random.Random) -> dict[int, int]:
-    """Random part assignment improved by single-vertex moves, best gain first."""
+    """Random part assignment improved by single-vertex moves, best gain first.
+
+    A vertex's edges are kept as the tuples of their other vertices. Such
+    an edge is rainbow exactly when the others take k-1 distinct parts and
+    the vertex takes the one part left, so one pass over the tuples counts
+    the rainbow edges for every part the vertex could take.
+    """
     assign = {v: rng.randrange(h.k) for v in range(1, h.n + 1)}
-    by_vertex: dict[int, list[Edge]] = {v: [] for v in range(1, h.n + 1)}
+    others: dict[int, list[Edge]] = {v: [] for v in range(1, h.n + 1)}
     for e in h.edges:
         for v in e:
-            by_vertex[v].append(e)
+            others[v].append(tuple(u for u in e if u != v))
+    part_sum = h.k * (h.k - 1) // 2
 
-    def local(v: int) -> int:
-        return sum(1 for e in by_vertex[v] if _rainbow(e, assign, h.k))
+    def rainbow_by_part(v: int) -> list[int]:
+        counts = [0] * h.k
+        for rest in others[v]:
+            taken = {assign[u] for u in rest}
+            if len(taken) == h.k - 1:
+                counts[part_sum - sum(taken)] += 1
+        return counts
 
     while True:
         best_gain = 0
         best_move: tuple[int, int] | None = None
         for v in range(1, h.n + 1):
             cur = assign[v]
-            before = local(v)
+            counts = rainbow_by_part(v)
             for p in range(h.k):
                 if p == cur:
                     continue
-                assign[v] = p
-                gain = local(v) - before
+                gain = counts[p] - counts[cur]
                 if gain > best_gain:
                     best_gain = gain
                     best_move = (v, p)
-            assign[v] = cur
         if best_move is None:
             return assign
         assign[best_move[0]] = best_move[1]
@@ -164,6 +219,11 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
     all restarts wins (larger subgraph first, earlier restart on ties); a
     single edge with its tailor-made partition is the fallback, so the
     result is never empty. Deterministic for fixed seed and restarts.
+
+    Each refinement step builds one bitmask index of the current edges; it
+    gives the patterns, the intersections and the sunflower witnesses, the
+    last through the mask kernel `sunflower_search_masks` that
+    `find_sunflower` also runs. `is_homogeneous` rechecks the final subgraph.
     """
     if s < 2:
         raise ParameterError(f"petal count s must be at least 2, got {s}")
@@ -171,6 +231,7 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
         raise ParameterError("hypergraph must be nonempty")
     if restarts < 0:
         raise ParameterError(f"restarts must be nonnegative, got {restarts}")
+    mask = dict(zip(h.edges, h.edge_masks))
     best: tuple[int, HomogeneousCertificate] | None = None
     for r in range(restarts):
         rng = random.Random(seed * 1_000_003 + r)
@@ -179,11 +240,10 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
                       for i in range(h.k))
         edges = [e for e in h.edges if _rainbow(e, assign, h.k)]
         while edges:
-            sub = h.restrict(edges)
-            pats = {e: _edge_pattern(sub, e, parts) for e in edges}
+            idx = _MaskIndex(edges, [mask[e] for e in edges], parts)
             groups: dict[frozenset, list[Edge]] = {}
-            for e in edges:
-                groups.setdefault(pats[e], []).append(e)
+            for i, e in enumerate(edges):
+                groups.setdefault(idx.pattern(i), []).append(e)
             if len(groups) > 1:
                 # keep the biggest pattern class; tie-break on the pattern itself
                 size = max(len(g) for g in groups.values())
@@ -195,14 +255,9 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
             if not pattern.is_closed:
                 edges = edges[:-1]
                 continue
-            bad = None
-            for e in edges:
-                for center in sorted(intersection_structure(sub, e)):
-                    if find_sunflower(sub, center, s, require_edge=e) is None:
-                        bad = e
-                        break
-                if bad is not None:
-                    break
+            bad = next((e for i, e in enumerate(edges)
+                        if any(idx.petals(i, cm, s) is None for _, cm in idx.centers(i))),
+                       None)
             if bad is not None:
                 edges = [e for e in edges if e != bad]
                 continue

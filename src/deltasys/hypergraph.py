@@ -158,11 +158,25 @@ def codegree(h: Hypergraph, vertices: Iterable[int]) -> int:
     return sum(1 for em in h.edge_masks if em & m == m)
 
 
+def _pair_table(h: Hypergraph, what: str) -> Counter[Edge]:
+    """The pair-degree table of a 3-graph; `what` names the caller's statistic."""
+    if h.k != 3:
+        raise UniformityError(f"pair-codegree {what} is defined for k=3 only, got k={h.k}")
+    return subset_degrees(h, 2)
+
+
+def _pair_histogram(table: Counter[Edge], n: int) -> dict[int, int]:
+    """Codegree histogram of a pair table on n vertices; uncovered pairs under 0."""
+    hist = dict(Counter(table.values()))
+    uncovered = comb(n, 2) - len(table)
+    if uncovered:
+        hist[0] = uncovered
+    return hist
+
+
 def max_codegree2(h: Hypergraph) -> int:
     """Maximum codegree over vertex pairs, 0 without edges; defined for 3-graphs only."""
-    if h.k != 3:
-        raise UniformityError(f"pair-codegree maximum is defined for k=3 only, got k={h.k}")
-    return max(subset_degrees(h, 2).values(), default=0)
+    return max(_pair_table(h, "maximum").values(), default=0)
 
 
 def codegree_histogram(h: Hypergraph) -> dict[int, int]:
@@ -171,14 +185,7 @@ def codegree_histogram(h: Hypergraph) -> dict[int, int]:
     Pairs covered by no edge, C(n, 2) minus the pairs in the table, are
     counted under 0.
     """
-    if h.k != 3:
-        raise UniformityError(f"pair-codegree histogram is defined for k=3 only, got k={h.k}")
-    table = subset_degrees(h, 2)
-    hist = dict(Counter(table.values()))
-    uncovered = comb(h.n, 2) - len(table)
-    if uncovered:
-        hist[0] = uncovered
-    return hist
+    return _pair_histogram(_pair_table(h, "histogram"), h.n)
 
 
 def edge_weight(h: Hypergraph, edge: Iterable[int]) -> Fraction:

@@ -51,16 +51,20 @@ def check_nontrivial(edges: Sequence[Iterable[int]], d: int) -> FamilyWitness:
     """d-wise intersecting with empty common intersection, with a named violator if not.
 
     The violator is the first min(d, |family|)-subset, in combinations order
-    over the sorted members, whose meet is empty.
+    over the members as given, whose meet is empty. A family with a common
+    vertex has none, so only a family whose total meet is empty walks the
+    subsets.
     """
     if d < 2:
         raise ParameterError(f"intersection order d must be at least 2, got {d}")
     fam = _normalized_family(edges)
     masks = [mask_of(e) for e in fam]
+    total = meet(masks)
     t = min(d, len(fam))
-    violating = next((sub for sub, ms in zip(combinations(fam, t), combinations(masks, t))
-                      if not meet(ms)), None)
-    common = vertices_of(meet(masks))
+    violating = None if total else next(
+        (sub for sub, ms in zip(combinations(fam, t), combinations(masks, t)) if not meet(ms)),
+        None)
+    common = vertices_of(total)
     intersecting = violating is None
     return FamilyWitness(tuple(sorted(fam)), d, intersecting, common,
                          intersecting and not common, violating)

@@ -55,37 +55,20 @@ def is_sunflower(edges: Sequence[Iterable[int]]) -> bool:
     return check_sunflower(edges).ok
 
 
-def find_sunflower(h: Hypergraph, center: Iterable[int], s: int,
-                   require_edge: Iterable[int] | None = None) -> Sunflower | None:
-    """Exact search for s edges containing `center` with pairwise-disjoint residues.
+def sunflower_search_masks(cands: Sequence[tuple[Edge, int]], need: int,
+                           used: int = 0) -> list[Edge] | None:
+    """Lex-first `need` candidates with residues pairwise disjoint and disjoint from `used`.
 
-    Disjoint residues force every pairwise intersection to equal the center
-    exactly. The search is a complete depth-first scan over candidates in
-    lexicographic edge order, so the returned witness is deterministic. With
-    `require_edge`, that edge is forced into the sunflower.
+    `cands` holds (edge, residue mask) pairs in the caller's order; the
+    depth-first scan follows that order, so the first hit is deterministic.
+    A candidate whose residue meets `used` is never taken, so a required
+    edge already charged to `used` may stay in the list. Returns the chosen
+    edges in scan order, or None when no such choice exists.
     """
-    if s < 2:
-        raise ParameterError(f"sunflower size must be at least 2, got {s}")
-    c = vertex_tuple(center)
-    cm = mask_of(c)
-    cands: list[tuple[Edge, int]] = []
-    for e, m in zip(h.edges, h.edge_masks):
-        if m & cm == cm:
-            cands.append((e, m & ~cm))
     chosen: list[Edge] = []
-    used = 0
-    if require_edge is not None:
-        req = vertex_tuple(require_edge)
-        if req not in h:
-            raise ParameterError(f"required edge {req} is not in the hypergraph")
-        if mask_of(req) & cm != cm:
-            raise ParameterError(f"required edge {req} does not contain the center {c}")
-        cands = [(e, r) for e, r in cands if e != req]
-        chosen.append(req)
-        used = mask_of(req) & ~cm
 
     def rec(start: int, used: int) -> bool:
-        remaining = s - len(chosen)
+        remaining = need - len(chosen)
         if remaining == 0:
             return True
         for pos in range(start, len(cands)):
@@ -100,9 +83,39 @@ def find_sunflower(h: Hypergraph, center: Iterable[int], s: int,
             chosen.pop()
         return False
 
-    if not rec(0, used):
+    return chosen if rec(0, used) else None
+
+
+def find_sunflower(h: Hypergraph, center: Iterable[int], s: int,
+                   require_edge: Iterable[int] | None = None) -> Sunflower | None:
+    """Exact search for s edges containing `center` with pairwise-disjoint residues.
+
+    Disjoint residues force every pairwise intersection to equal the center
+    exactly. The candidates are the edges through the center in lexicographic
+    order, and `sunflower_search_masks` scans them completely depth first, so
+    the returned witness is deterministic. With `require_edge`, that edge is
+    forced into the sunflower.
+    """
+    if s < 2:
+        raise ParameterError(f"sunflower size must be at least 2, got {s}")
+    c = vertex_tuple(center)
+    cm = mask_of(c)
+    cands = [(e, m & ~cm) for e, m in zip(h.edges, h.edge_masks) if m & cm == cm]
+    forced: list[Edge] = []
+    used = 0
+    if require_edge is not None:
+        req = vertex_tuple(require_edge)
+        if req not in h:
+            raise ParameterError(f"required edge {req} is not in the hypergraph")
+        if mask_of(req) & cm != cm:
+            raise ParameterError(f"required edge {req} does not contain the center {c}")
+        cands = [(e, r) for e, r in cands if e != req]
+        forced.append(req)
+        used = mask_of(req) & ~cm
+    chosen = sunflower_search_masks(cands, s - len(forced), used)
+    if chosen is None:
         return None
-    return Sunflower(c, tuple(sorted(chosen)))
+    return Sunflower(c, tuple(sorted(forced + chosen)))
 
 
 @dataclass(frozen=True)

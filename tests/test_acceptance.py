@@ -312,3 +312,30 @@ def test_acceptance_13_codegree_reports_and_one_pass_weight_check(tmp_path, caps
             f"\ncriterion 13: PASS - cx(15,5) report unchanged, weight-check on "
             f"4000 4-sets in {seconds:.2f}s < 1s ({elapsed:.2f}s)"
         )
+
+
+def test_acceptance_14_homogeneous_extract_pinned_and_fast(tmp_path, capsys):
+    # 1500 of the 3-subsets of 1..30, drawn as the benchmark's graph-3g
+    # input at seed 0; the digest is of the certificate reported before
+    # patterns, centers and witnesses moved onto one bitmask index
+    rng = random.Random(13)
+    edges = sorted(rng.sample(list(combinations(range(1, 31), 3)), 1500))
+    path = tmp_path / "graph-3g.txt"
+    path.write_text("30 3\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges))
+    started = time.perf_counter()
+    code, out = run_cli(["homogeneous-extract", str(path), "--size", "2",
+                         "--restarts", "2", "--seed", "0"], capsys)
+    seconds = time.perf_counter() - started
+    res = json.loads(out)["result"]
+    assert code == 0
+    cert = res["certificate"]
+    assert res["size"] == len(cert["edges"]) == 442
+    assert len(cert["witnesses"]) == 3094
+    digest = hashlib.sha256(json.dumps(cert, sort_keys=True).encode()).hexdigest()
+    assert digest == "dfe171d902023cac64ade9d555c6e816e3bb7349c6c6bd653ac03f026b414170"
+    assert seconds < 1.0, seconds
+    with capsys.disabled():
+        print(
+            f"\ncriterion 14: PASS - homogeneous-extract on 1500 3-sets keeps its "
+            f"442-edge certificate with 3094 witnesses, in {seconds:.2f}s < 1s"
+        )

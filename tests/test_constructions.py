@@ -18,8 +18,10 @@ from deltasys import (
     complement_triples,
     find_perfect_matching,
     max_codegree2,
+    subset_degrees,
     verify_counterexample,
 )
+from deltasys import constructions, hypergraph
 
 
 def pair_degrees(h):
@@ -123,6 +125,21 @@ class TestCounterexampleConstruction:
         # matching edges are the complement part: disjoint, covering [9]
         used = [v for e in rep.matching for v in e]
         assert sorted(used) == list(range(1, 10))
+
+    def test_pair_table_of_the_family_is_built_once(self, monkeypatch):
+        tabulated = []
+
+        def counted(h, size):
+            tabulated.append((len(h), size))
+            return subset_degrees(h, size)
+
+        monkeypatch.setattr(constructions, "subset_degrees", counted)
+        monkeypatch.setattr(hypergraph, "subset_degrees", counted)
+        rep = build_counterexample(9, 4, seed=0)
+        assert tabulated.count((rep.size, 2)) == 1
+        tabulated.clear()
+        verify_counterexample(rep.system, 4, mode="degree-argument")
+        assert tabulated == [(rep.size, 2)]
 
     def test_codegree_m_pairs_form_triangles(self):
         rep = build_counterexample(9, 4, seed=0)

@@ -10,10 +10,15 @@ from deltasys import (
     build_star,
     extract_homogeneous,
     find_cluster,
+    find_sunflower,
     homogeneous_size_bound,
+    intersection_structure,
     is_homogeneous,
+    mask_of,
+    project,
     rank,
 )
+from deltasys.homogeneous import _MaskIndex, _climb_partition
 from conftest import random_hypergraph
 
 
@@ -198,3 +203,74 @@ class TestExtraction:
             extract_homogeneous(h, 1)
         with pytest.raises(ParameterError):
             extract_homogeneous(Hypergraph(4, 3, []), 2)
+
+
+def random_partition(rng, n, k):
+    """k parts covering 1..n, some possibly empty."""
+    parts = [[] for _ in range(k)]
+    for v in range(1, n + 1):
+        parts[rng.randrange(k)].append(v)
+    return tuple(tuple(p) for p in parts)
+
+
+def recount_climb(h, rng):
+    """The hill climb as first written: every trial part recounts the
+    vertex's rainbow edges from scratch."""
+    assign = {v: rng.randrange(h.k) for v in range(1, h.n + 1)}
+    by_vertex = {v: [e for e in h.edges if v in e] for v in range(1, h.n + 1)}
+
+    def local(v):
+        return sum(1 for e in by_vertex[v] if len({assign[u] for u in e}) == h.k)
+
+    while True:
+        best_gain = 0
+        best_move = None
+        for v in range(1, h.n + 1):
+            cur = assign[v]
+            before = local(v)
+            for p in range(h.k):
+                if p == cur:
+                    continue
+                assign[v] = p
+                gain = local(v) - before
+                if gain > best_gain:
+                    best_gain = gain
+                    best_move = (v, p)
+            assign[v] = cur
+        if best_move is None:
+            return assign
+        assign[best_move[0]] = best_move[1]
+
+
+class TestMaskIndex:
+    """The index against the vertex-tuple functions it stands in for."""
+
+    def test_patterns_centers_and_witnesses_match_the_reference(self):
+        rng = random.Random(5150)
+        checked = 0
+        for k in (2, 3, 4):
+            for s in (2, 3):
+                for _ in range(8):
+                    h = random_hypergraph(rng, n=rng.randint(k + 1, 11), k=k, max_edges=30)
+                    parts = random_partition(rng, h.n, k)
+                    idx = _MaskIndex(h.edges, h.edge_masks, parts)
+                    for i, e in enumerate(h.edges):
+                        assert idx.project(h.edge_masks[i]) == project(e, parts)
+                        inters = intersection_structure(h, e)
+                        assert idx.pattern(i) == frozenset(project(x, parts) for x in inters)
+                        centers = idx.centers(i)
+                        assert [c for c, _ in centers] == sorted(inters)
+                        for center, cm in centers:
+                            assert cm == mask_of(center)
+                            flower = find_sunflower(h, center, s, require_edge=e)
+                            expected = None if flower is None else flower.petals
+                            assert idx.petals(i, cm, s) == expected, (h.edges, e, center, s)
+                            checked += 1
+        assert checked > 1000
+
+    def test_climb_matches_the_recount_rule(self):
+        rng = random.Random(8080)
+        for trial in range(30):
+            k = (2, 3, 4)[trial % 3]
+            h = random_hypergraph(rng, n=rng.randint(k + 1, 14), k=k, max_edges=60)
+            assert _climb_partition(h, random.Random(trial)) == recount_climb(h, random.Random(trial))

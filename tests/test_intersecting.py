@@ -7,6 +7,7 @@ import pytest
 
 from deltasys import (
     ClassificationError,
+    FamilyWitness,
     Hypergraph,
     ParameterError,
     SearchStatus,
@@ -18,9 +19,12 @@ from deltasys import (
     is_d_simplex,
     is_dwise_intersecting,
     km_codegree_bound,
+    mask_of,
     max_codegree2,
     meet,
+    vertices_of,
 )
+from deltasys import intersecting
 from deltasys.intersecting import nontrivial_search_masks
 from deltasys.search import NodeCounter
 from conftest import random_hypergraph
@@ -102,6 +106,44 @@ class TestNontrivialWitness:
         fw = check_nontrivial([(1, 2, 3), (4, 5, 6), (1, 4, 7)], 2)
         assert not fw.intersecting
         assert fw.violating == ((1, 2, 3), (4, 5, 6))
+
+    def test_star_is_answered_by_one_meet(self, monkeypatch):
+        # the 171-edge star of 3-sets on 20 points has C(171, 3) = 818,805
+        # triples; its common vertex answers every one of them at once
+        star = build_star(20, 3).edges
+        assert len(star) == 171
+        calls = []
+
+        def counted(masks):
+            calls.append(1)
+            return meet(masks)
+
+        monkeypatch.setattr(intersecting, "meet", counted)
+        fw = check_nontrivial(star, 3)
+        assert len(calls) == 1
+        assert fw == FamilyWitness(tuple(sorted(star)), 3, True, (1,), False, None)
+
+    def test_agrees_with_the_full_walk(self):
+        def full_walk(fam, d):
+            masks = [mask_of(e) for e in fam]
+            t = min(d, len(fam))
+            violating = next((sub for sub, ms in zip(combinations(fam, t), combinations(masks, t))
+                              if not meet(ms)), None)
+            common = vertices_of(meet(masks))
+            return FamilyWitness(tuple(sorted(fam)), d, violating is None, common,
+                                 violating is None and not common, violating)
+
+        rng = random.Random(31337)
+        for trial in range(300):
+            n = rng.randint(3, 9)
+            pool = list(combinations(range(1, n + 1), rng.randint(1, min(4, n))))
+            if trial % 2:
+                # stars and near-stars exercise the common-vertex shortcut
+                hub = rng.randint(1, n)
+                pool = [e for e in pool if hub in e] or pool
+            fam = rng.sample(pool, rng.randint(1, min(len(pool), 10)))
+            for d in (2, 3, 4):
+                assert check_nontrivial(fam, d) == full_walk(fam, d), (fam, d)
 
 
 class TestSimplex:
