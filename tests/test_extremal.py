@@ -1,5 +1,7 @@
 """Exact extremal search against brute-force oracles, plus stability checks."""
 
+import hashlib
+import json
 from itertools import combinations, permutations
 
 import numpy as np
@@ -223,7 +225,7 @@ def brute_force_families(n, k, config):
 
 SIMPLEX = {d: ForbiddenConfig("d-simplex", d=d) for d in (1, 2, 3)}
 NONTRIVIAL = tuple(ForbiddenConfig("nontrivial-intersecting", t=t, d=d)
-                   for t, d in ((3, 2), (4, 3), (4, 2)))
+                   for t, d in ((3, 2), (4, 3), (4, 2), (5, 2), (5, 3)))
 AVD = {k: tuple(ForbiddenConfig("avd-system", part_sizes=a, d=d) for a, d in shapes)
        for k, shapes in ((2, (((1, 1), 2), ((1, 1), 3))),
                          (3, (((2, 1), 2), ((2, 1), 3), ((1, 1, 1), 3))))}
@@ -267,6 +269,24 @@ class TestDifferential:
         masks = [mask_of(e) for e in combinations(range(1, 6), 3)]
         config = ForbiddenConfig("nontrivial-intersecting", t=4, d=2)
         assert conflict_sets(masks, config) is None
+
+
+class TestPinnedFamilies:
+    # digests of the labelled families that the per-branch kernel search
+    # reported for these larger configurations before every kind moved onto
+    # the live-set search
+    @pytest.mark.parametrize("n,k,t,d,size,count,digest", [
+        (6, 3, 6, 2, 10, 129, "19c117fe227499f7bb3fe0e11c0187df092605d3caca04f88e27becfb0a41241"),
+        (6, 3, 5, 2, 10, 3, "60573623dbd609feb2687cacddf2e1326237e3e841d4f26dc47f53d995368564"),
+        (7, 3, 4, 2, 15, 3, "52a9cdc1697a727daf2afbff5d61b6dc8158dc2995f20ccdbdb739bfee0e5c5a"),
+    ])
+    def test_families_are_unchanged(self, n, k, t, d, size, count, digest):
+        res = max_avoiding(n, k, ForbiddenConfig("nontrivial-intersecting", t=t, d=d))
+        assert res.exact
+        assert res.max_size == size
+        assert len(res.families) == count
+        families = json.dumps(res.to_json()["families"]).encode()
+        assert hashlib.sha256(families).hexdigest() == digest
 
 
 class TestStability:
