@@ -7,12 +7,12 @@ the search canonical; the star through vertex 1 seeds the incumbent when it
 is itself configuration-free. All maximum families through the forced edge
 are collected.
 
+Every kind runs one search. It carries a live set of candidates that
+complete no forbidden subfamily with the members chosen so far, drops the
+ones each new member kills, and bounds each branch by |chosen| + |live|.
 Configurations of exactly d+1 members (d-simplices, avd-systems, and
-nontrivial-intersecting with t = d+1) are listed once, before the search,
-as a conflict table of candidate index sets. The search then carries a live
-set of candidates that still complete no conflict set, and bounds each
-branch by |chosen| + |live|. Larger nontrivial-intersecting configurations
-are tested member by member with the subfamily kernel instead.
+nontrivial-intersecting with t = d+1) read the kills from a conflict table
+listed once before the search; larger ones find them with the subfamily kernel.
 
 `stability_scan` measures how close a near-maximum family is to a star:
 the best vertex, its degree, and how many members miss it.
@@ -163,18 +163,21 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     forced first edge 1..k; with an exhausted budget `exact` is False and
     max_size is only a lower bound.
 
-    When the configuration has exactly d+1 members (every d-simplex and
-    avd-system, and nontrivial-intersecting with t = d+1), each one is
-    listed up front in a conflict table of candidate index sets. The search
-    keeps a live set: candidates after the current one that complete no
-    conflict set with the members chosen so far. Adding a member removes
-    every candidate it would complete a conflict set with, so a live
-    candidate can always be added and |chosen| + |live| bounds the branch;
-    since only branches strictly below the incumbent are cut, every maximum
-    family is still reached. One node is one branch; building the table is
-    not counted. For t > d+1 the live set is every later candidate, and
-    adding one first runs `nontrivial_search_masks` for a configuration
-    through it, whose nodes count as well.
+    The search keeps a live set: candidates after the current one that
+    complete no forbidden subfamily with the members chosen so far. Each
+    node takes the lowest live candidate, dropping every candidate the new
+    member kills, or leaves it out. A live candidate can always be added, so
+    |chosen| + |live| bounds the branch; since only branches strictly below
+    the incumbent are cut, every maximum family is still reached. With
+    exactly d+1 members (every d-simplex and avd-system, and
+    nontrivial-intersecting with t = d+1) the kills are read from a conflict
+    table listed up front; one node is one branch, and building the table is
+    not counted. For t > d+1, once |chosen| + 1 reaches t, a live x dies when
+    `nontrivial_search_masks` finds a configuration through x in chosen + [x].
+    Older ones were ruled out when their members were taken, so a new one
+    holds x and the newest member; a forbidden family stays forbidden in every
+    superset, so x stays dead. One node is one branch plus every kernel node
+    of these kill checks.
     """
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -197,20 +200,22 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
         rest = s ^ 1 << c ^ 1 << e
         kills[e][rest] = kills[e].get(rest, 0) | 1 << c
 
-    def killed(pos: int, chosen_mask: int) -> int:
+    def killed(chosen_mask: int, live: int) -> int:
+        # the live candidates that complete a forbidden subfamily with chosen
         dead = 0
-        for rest, kill in kills[pos].items():
-            if chosen_mask & rest == rest:
-                dead |= kill
+        if conflicts is not None:
+            for rest, kill in kills[chosen[-1]].items():
+                if chosen_mask & rest == rest:
+                    dead |= kill
+        elif len(chosen) + 1 >= config.t:
+            sel = [masks[i] for i in chosen]
+            while live:
+                low = live & -live
+                live ^= low
+                if nontrivial_search_masks(sel + [masks[low.bit_length() - 1]], n, config.t,
+                                           config.d, counter, require=len(sel)) is not None:
+                    dead |= low
         return dead
-
-    def creates(chosen: list[int], new: int) -> bool:
-        sel = chosen + [new]
-        if len(sel) < config.t:
-            return False
-        hit = nontrivial_search_masks([masks[i] for i in sel], n, config.t,
-                                      config.d, counter, require=len(sel) - 1)
-        return hit is not None
 
     best = 0
     found: dict[frozenset[int], tuple[Edge, ...]] = {}
@@ -236,30 +241,22 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
         low = live & -live
         pos = low.bit_length() - 1
         rest = live ^ low
-        if conflicts is not None:
-            chosen.append(pos)
-            dfs(rest & ~killed(pos, chosen_mask), chosen_mask | low)
-            chosen.pop()
-        elif not creates(chosen, pos):
-            chosen.append(pos)
-            dfs(rest, chosen_mask | low)
-            chosen.pop()
+        chosen.append(pos)
+        dfs(rest & ~killed(chosen_mask | low, rest), chosen_mask | low)
+        chosen.pop()
         dfs(rest, chosen_mask)
 
     try:
+        # without a table the star is free: a family with no common vertex
+        # never lies inside it
         star_idx = [i for i, e in enumerate(cand) if e[0] == 1]
-        if conflicts is not None:
-            star = sum(1 << i for i in star_idx)
-            star_free = not any(s & star == s for s in conflicts)
-        else:
-            star_free = nontrivial_search_masks(
-                [masks[i] for i in star_idx], n, config.t, config.d,
-                counter) is None
-        if star_free:
+        star = sum(1 << i for i in star_idx)
+        if not any(s & star == s for s in conflicts or ()):
             best = len(star_idx)
             found[frozenset(star_idx)] = tuple(cand[i] for i in star_idx)
         chosen.append(0)
-        dfs(((1 << total) - 2) & ~killed(0, 0), 1)
+        live = (1 << total) - 2
+        dfs(live & ~killed(1, live), 1)
     except BudgetExceeded:
         exact = False
     families = tuple(sorted(found.values()))

@@ -52,8 +52,9 @@ def check_nontrivial(edges: Sequence[Iterable[int]], d: int) -> FamilyWitness:
 
     The violator is the first min(d, |family|)-subset, in combinations order
     over the members as given, whose meet is empty. A family with a common
-    vertex has none, so only a family whose total meet is empty walks the
-    subsets.
+    vertex has none, so only a family whose total meet is empty walks: each
+    prefix of all but the last member, in combinations order, completes with
+    the lowest later member that misses every vertex of the prefix's meet.
     """
     if d < 2:
         raise ParameterError(f"intersection order d must be at least 2, got {d}")
@@ -61,9 +62,21 @@ def check_nontrivial(edges: Sequence[Iterable[int]], d: int) -> FamilyWitness:
     masks = [mask_of(e) for e in fam]
     total = meet(masks)
     t = min(d, len(fam))
-    violating = None if total else next(
-        (sub for sub, ms in zip(combinations(fam, t), combinations(masks, t)) if not meet(ms)),
-        None)
+    violating = None
+    if not total:
+        # holders[v]: the members holding vertex v, over member positions
+        holders: dict[int, int] = {}
+        for i, e in enumerate(fam):
+            for v in e:
+                holders[v] = holders.get(v, 0) | 1 << i
+        for prefix in combinations(range(len(fam)), t - 1):
+            later = (1 << len(fam)) - (2 << prefix[-1])
+            for v in vertices_of(meet(masks[i] for i in prefix)):
+                later &= ~holders[v]
+            if later:
+                last = (later & -later).bit_length() - 1
+                violating = tuple(fam[i] for i in prefix + (last,))
+                break
     common = vertices_of(total)
     intersecting = violating is None
     return FamilyWitness(tuple(sorted(fam)), d, intersecting, common,

@@ -338,15 +338,19 @@ class TestExtremal:
         assert rep["verdict"] == "exact"
         assert rep["result"]["max_size"] == 6
 
-    def test_budget_exit(self, capsys):
+    @pytest.mark.parametrize("size", ["3", "5"])
+    def test_budget_exit(self, size, capsys):
         code, out = run_cli(
             ["extremal", "--n", "6", "--k", "3", "--config",
-             "nontrivial-intersecting", "--size", "3", "--wise", "2",
+             "nontrivial-intersecting", "--size", size, "--wise", "2",
              "--budget", "30"],
             capsys,
         )
         assert code == 2
-        assert report_of(out)["verdict"] == "budget-exhausted"
+        rep = report_of(out)
+        assert rep["verdict"] == "budget-exhausted"
+        # the star through vertex 1 is the lower bound
+        assert rep["result"]["max_size"] == 10
 
     def test_missing_config_parameters(self, capsys):
         code, _ = run_cli(

@@ -160,10 +160,12 @@ class TestAgainstBruteForce:
             h = Hypergraph(6, 3, fam)
             assert not find_cluster(h, (2, 1), 2).found
 
-    def test_budget_interrupts_cleanly(self):
-        res = max_avoiding(6, 3, ForbiddenConfig("nontrivial-intersecting", t=3, d=2), budget=40)
+    # with t = 5 the budget runs out inside the subfamily search of a kill check
+    @pytest.mark.parametrize("t", [3, 5])
+    def test_budget_interrupts_cleanly(self, t):
+        res = max_avoiding(6, 3, ForbiddenConfig("nontrivial-intersecting", t=t, d=2), budget=40)
         assert not res.exact
-        assert 0 < res.max_size <= 10
+        assert res.max_size == 10
 
     def test_result_json(self):
         res = max_avoiding(5, 3, ForbiddenConfig("d-simplex", d=2))

@@ -1,6 +1,7 @@
 """d-wise intersecting families, simplexes, subfamily search, classification."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -144,6 +145,49 @@ class TestNontrivialWitness:
             fam = rng.sample(pool, rng.randint(1, min(len(pool), 10)))
             for d in (2, 3, 4):
                 assert check_nontrivial(fam, d) == full_walk(fam, d), (fam, d)
+
+
+def full_walk(fam, d):
+    """check_nontrivial by meeting every min(d, |family|)-subset in turn."""
+    masks = [mask_of(e) for e in fam]
+    t = min(d, len(fam))
+    violating = next((sub for sub, ms in zip(combinations(fam, t), combinations(masks, t))
+                      if not meet(ms)), None)
+    common = vertices_of(meet(masks))
+    return FamilyWitness(tuple(sorted(fam)), d, violating is None, common,
+                         violating is None and not common, violating)
+
+
+class TestPrefixWalk:
+    def test_agrees_with_the_full_walk_near_nontrivial_families(self):
+        # sets holding at least d of a (d+1)-set core are d-wise intersecting
+        # with no common vertex; a few stray sets put the first violator
+        # anywhere in the order
+        rng = random.Random(2718)
+        for trial in range(3000):
+            d = rng.choice((2, 3, 4))
+            n = rng.randint(d + 2, 9)
+            k = rng.randint(d, min(n - 1, d + 2))
+            core = set(rng.sample(range(1, n + 1), d + 1))
+            pool = list(combinations(range(1, n + 1), k))
+            near = [e for e in pool if len(core.intersection(e)) >= d]
+            fam = rng.sample(near, rng.randint(1, min(len(near), 12)))
+            stray = [e for e in pool if e not in fam]
+            for _ in range(min(len(stray), rng.choice((0, 0, 1, 2)))):
+                fam.insert(rng.randint(0, len(fam)), stray.pop(rng.randrange(len(stray))))
+            assert check_nontrivial(fam, d) == full_walk(fam, d), (fam, d)
+
+    def test_225_member_family_is_fast(self):
+        # the 4-sets on 60 points holding at least three of 1..4: 3-wise
+        # intersecting, no common vertex, 1,873,200 triples for a full walk
+        fam = [e for e in combinations(range(1, 61), 4) if len({1, 2, 3, 4}.intersection(e)) >= 3]
+        assert len(fam) == 225
+        started = time.perf_counter()
+        fw = check_nontrivial(fam, 3)
+        seconds = time.perf_counter() - started
+        assert fw.intersecting and fw.nontrivial and fw.violating is None
+        assert not check_nontrivial(fam, 4).intersecting
+        assert seconds < 0.5, seconds
 
 
 class TestSimplex:
