@@ -275,12 +275,16 @@ class TestDifferential:
 
 class TestPinnedFamilies:
     # digests of the labelled families that the per-branch kernel search
-    # reported for these larger configurations before every kind moved onto
-    # the live-set search
+    # reported for the first three larger configurations before every kind
+    # moved onto the live-set search, and that the live-set search with one
+    # kernel call per live candidate reported for the last three
     @pytest.mark.parametrize("n,k,t,d,size,count,digest", [
         (6, 3, 6, 2, 10, 129, "19c117fe227499f7bb3fe0e11c0187df092605d3caca04f88e27becfb0a41241"),
         (6, 3, 5, 2, 10, 3, "60573623dbd609feb2687cacddf2e1326237e3e841d4f26dc47f53d995368564"),
         (7, 3, 4, 2, 15, 3, "52a9cdc1697a727daf2afbff5d61b6dc8158dc2995f20ccdbdb739bfee0e5c5a"),
+        (7, 3, 5, 2, 15, 3, "52a9cdc1697a727daf2afbff5d61b6dc8158dc2995f20ccdbdb739bfee0e5c5a"),
+        (7, 4, 4, 2, 20, 4, "03745e224094340f429cda9b8e350c86dbd155fd28c18699217a2742ba72a5af"),
+        (7, 4, 5, 2, 20, 4, "03745e224094340f429cda9b8e350c86dbd155fd28c18699217a2742ba72a5af"),
     ])
     def test_families_are_unchanged(self, n, k, t, d, size, count, digest):
         res = max_avoiding(n, k, ForbiddenConfig("nontrivial-intersecting", t=t, d=d))
