@@ -12,7 +12,8 @@ complete no forbidden subfamily with the members chosen so far, drops the
 ones each new member kills, and bounds each branch by |chosen| + |live|.
 Configurations of exactly d+1 members (d-simplices, avd-systems, and
 nontrivial-intersecting with t = d+1) read the kills from a conflict table
-listed once before the search; larger ones find them with the subfamily kernel.
+listed once before the search; larger ones find them with one bitmask walk
+per new member, over the chosen subfamilies through it.
 
 `stability_scan` measures how close a near-maximum family is to a star:
 the best vertex, its degree, and how many members miss it.
@@ -27,8 +28,7 @@ from itertools import combinations
 from math import comb, isfinite
 
 from .errors import BudgetExceeded, ParameterError
-from .hypergraph import Edge, Hypergraph, mask_of
-from .intersecting import nontrivial_search_masks
+from .hypergraph import Edge, Hypergraph, mask_of, vertices_of
 from .search import NodeCounter, default_budget
 from .sunflowers import cluster_member_sets
 
@@ -155,6 +155,77 @@ def conflict_sets(masks: list[int], config: ForbiddenConfig) -> list[int] | None
     return None
 
 
+class _Meeting(dict):
+    """meeting[x]: the candidates meeting the vertex set x, built on first use."""
+
+    def __init__(self, masks: list[int]):
+        super().__init__()
+        # holders[v]: the candidates holding vertex v
+        self.holders = {v: sum(1 << i for i, m in enumerate(masks) if m >> (v - 1) & 1)
+                        for v in range(1, max(masks).bit_length() + 1)}
+
+    def __missing__(self, x: int) -> int:
+        out = 0
+        for v in vertices_of(x):
+            out |= self.holders[v]
+        self[x] = out
+        return out
+
+
+def _nontrivial_kills(masks: list[int], chosen: int, newest: int, live: int, t: int,
+                      d: int, meeting: _Meeting, counter: NodeCounter) -> int:
+    """The live candidates x that complete a forbidden t-family through x and `newest`.
+
+    `chosen` is a bitmask over candidate positions that holds `newest`. The
+    walk builds each d-wise intersecting (t-1)-subfamily S of the chosen
+    members through `newest`, picking the others in index order. It keeps
+    `fits`, the candidates meeting every (d-1)-fold meet of S: each pick
+    comes from it, and a full S kills every target in it that misses the
+    meet of S. The targets are the live candidates not yet dead that S can
+    still kill: they lie in `fits` and hold no common vertex of S that every
+    member left to pick also holds. A pick that leaves no target is skipped,
+    and a branch ends when no target is left or too few members are left to
+    pick. One node is one tick of `counter`, one member added to S.
+    """
+    dead = 0
+
+    def narrow(fits: int, picked: list[int], s: int) -> int:
+        # s closes a (d-1)-fold meet with every d-2 members already picked
+        for sub in combinations(picked, d - 2):
+            x = masks[s]
+            for i in sub:
+                x &= masks[i]
+            fits &= meeting[x]
+        return fits
+
+    holders = meeting.holders
+
+    def grow(picked: list[int], common: int, fits: int, pool: int, targets: int):
+        nonlocal dead
+        counter.tick()
+        need = t - 1 - len(picked)
+        if not need:
+            dead |= targets & ~meeting[common]
+            return
+        pool &= fits
+        # a common vertex that every member left to pick holds stays common
+        for v in vertices_of(common):
+            if not pool & ~holders[v]:
+                targets &= ~holders[v]
+        while pool.bit_count() >= need and targets & ~dead:
+            low = pool & -pool
+            pool ^= low
+            s = low.bit_length() - 1
+            more = narrow(fits, picked, s)
+            aim = targets & more & ~dead
+            if aim:
+                grow(picked + [s], common & masks[s], more, pool, aim)
+
+    fits = narrow(-1, [], newest)
+    grow([newest], masks[newest], fits, chosen & ~(1 << newest), live & fits)
+    return dead
+
+
 def max_avoiding(n: int, k: int, config: ForbiddenConfig,
                  budget: int | None = None) -> ExtremalResult:
     """Largest families of k-subsets of 1..n with no forbidden subfamily.
@@ -173,11 +244,12 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     nontrivial-intersecting with t = d+1) the kills are read from a conflict
     table listed up front; one node is one branch, and building the table is
     not counted. For t > d+1, once |chosen| + 1 reaches t, a live x dies when
-    `nontrivial_search_masks` finds a configuration through x in chosen + [x].
-    Older ones were ruled out when their members were taken, so a new one
-    holds x and the newest member; a forbidden family stays forbidden in every
-    superset, so x stays dead. One node is one branch plus every kernel node
-    of these kill checks.
+    chosen + [x] holds a configuration through x. Older ones were ruled out
+    when their members were taken, so a new one holds x and the newest
+    member; a forbidden family stays forbidden in every superset, so x stays
+    dead. `_nontrivial_kills` finds the dead for every live candidate at once
+    in one walk over the chosen subfamilies through the newest member. One
+    node is one branch or one step of that walk.
     """
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -200,6 +272,8 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
         rest = s ^ 1 << c ^ 1 << e
         kills[e][rest] = kills[e].get(rest, 0) | 1 << c
 
+    meeting = _Meeting(masks)
+
     def killed(chosen_mask: int, live: int) -> int:
         # the live candidates that complete a forbidden subfamily with chosen
         dead = 0
@@ -208,13 +282,8 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
                 if chosen_mask & rest == rest:
                     dead |= kill
         elif len(chosen) + 1 >= config.t:
-            sel = [masks[i] for i in chosen]
-            while live:
-                low = live & -live
-                live ^= low
-                if nontrivial_search_masks(sel + [masks[low.bit_length() - 1]], n, config.t,
-                                           config.d, counter, require=len(sel)) is not None:
-                    dead |= low
+            dead = _nontrivial_kills(masks, chosen_mask, chosen[-1], live, config.t,
+                                     config.d, meeting, counter)
         return dead
 
     best = 0

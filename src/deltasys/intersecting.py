@@ -102,8 +102,7 @@ def is_d_simplex(edges: Sequence[Iterable[int]], d: int | None = None) -> bool:
 
 
 def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
-                            counter: NodeCounter,
-                            require: int | None = None) -> tuple[int, ...] | None:
+                            counter: NodeCounter) -> tuple[int, ...] | None:
     """Indices of a t-subfamily, d-wise intersecting, empty common intersection.
 
     `vmasks` are the members as vertex bitmasks over 1..n. Each family F is
@@ -120,11 +119,9 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
     One node is one tick of `counter`: the root, which also rules out a
     vertex in every member, one core step or one compatibility step.
 
-    With `require=r` the family must contain member r, and the core starts
-    at r; any such witness is returned. Without `require`, and on FOUND only,
-    the witness is rebuilt into the first in lexicographic order over the
-    caller's list by fixing one member at a time, at most t*m further
-    searches.
+    On FOUND only, the witness is rebuilt into the first in lexicographic
+    order over the caller's list by fixing one member at a time, at most t*m
+    further searches.
     """
     m = len(vmasks)
     if m < t:
@@ -228,11 +225,6 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
             if rest.bit_count() < need:
                 return None
         return None
-
-    if require is not None:
-        hit = step((require,), vmasks[require],
-                   full & ~(1 << require) & compat((), require))
-        return tuple(sorted(hit)) if hit else None
 
     counter.tick()
     if meet(vmasks):

@@ -365,3 +365,49 @@ def test_acceptance_15_paper_bound_at_k4_by_one_live_set_search(capsys):
             f"only ({res['nodes']} nodes), 15 at n=7, k=3 with 4 members "
             f"({small.nodes} nodes) ({elapsed:.2f}s)"
         )
+
+
+def test_acceptance_16_paper_case_by_one_kill_walk_per_branch(capsys):
+    # no 4 pairwise-intersecting triples without a common vertex on 8 points:
+    # C(7, 2) = 21, stars only; one kernel call per live candidate took
+    # 1.2M nodes and about 7 s here
+    started = time.perf_counter()
+    code, out = run_cli(["extremal", "--n", "8", "--k", "3", "--config",
+                         "nontrivial-intersecting", "--size", "4", "--wise", "2",
+                         "--budget", "400000"], capsys)
+    elapsed = time.perf_counter() - started
+    res = json.loads(out)["result"]
+    assert code == 0 and res["exact"]
+    assert res["max_size"] == 21
+    assert elapsed < 2.0, elapsed
+    # six members on 7 points: budget-exhausted with one kernel call per
+    # live candidate
+    six = max_avoiding(7, 3, ForbiddenConfig("nontrivial-intersecting", t=6, d=2),
+                       budget=3_000_000)
+    assert six.exact and six.max_size == 15
+    for fam in res["families"] + [list(f) for f in six.families]:
+        assert fam and len(set.intersection(*(set(e) for e in fam))) == 1, fam
+    with capsys.disabled():
+        print(
+            f"\ncriterion 16: PASS - maximum 21 = C(7,2) at n=8, k=3 with 4 members "
+            f"({res['nodes']} nodes, {elapsed:.2f}s), 15 at n=7 with 6 members "
+            f"({six.nodes} nodes)"
+        )
+
+
+def test_acceptance_17_paper_bound_at_n8_k4():
+    # the paper's case at k = 4: no 5 pairwise-intersecting 4-sets without a
+    # common vertex on 8 points caps the family at C(7, 3) = 35; one kernel
+    # call per live candidate did not finish within this budget
+    started = time.perf_counter()
+    res = max_avoiding(8, 4, ForbiddenConfig("nontrivial-intersecting", t=5, d=2),
+                       budget=3_000_000)
+    elapsed = time.perf_counter() - started
+    assert res.exact and res.max_size == 35
+    assert res.families
+    for fam in res.families:
+        assert len(set.intersection(*(set(e) for e in fam))) == 1, fam
+    print(
+        f"criterion 17: PASS - maximum 35 = C(7,3) at n=8, k=4 with 5 members "
+        f"and stars only ({res.nodes} nodes, {elapsed:.2f}s)"
+    )

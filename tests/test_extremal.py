@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from itertools import combinations, permutations
 
 import numpy as np
@@ -21,7 +22,7 @@ from deltasys import (
     stability_scan,
     vertices_of,
 )
-from deltasys.extremal import conflict_sets
+from deltasys.extremal import _Meeting, _nontrivial_kills, conflict_sets
 from deltasys.sunflowers import cluster_search_masks
 
 
@@ -160,7 +161,7 @@ class TestAgainstBruteForce:
             h = Hypergraph(6, 3, fam)
             assert not find_cluster(h, (2, 1), 2).found
 
-    # with t = 5 the budget runs out inside the subfamily search of a kill check
+    # with t = 5 the budget runs out inside the walk of a kill check
     @pytest.mark.parametrize("t", [3, 5])
     def test_budget_interrupts_cleanly(self, t):
         res = max_avoiding(6, 3, ForbiddenConfig("nontrivial-intersecting", t=t, d=2), budget=40)
@@ -271,6 +272,43 @@ class TestDifferential:
         masks = [mask_of(e) for e in combinations(range(1, 6), 3)]
         config = ForbiddenConfig("nontrivial-intersecting", t=4, d=2)
         assert conflict_sets(masks, config) is None
+
+
+def brute_force_kills(cand, chosen, newest, live, t, d):
+    """x is dead iff some (t-1)-subset of chosen holding newest, plus x, is forbidden."""
+    others = [i for i in chosen if i != newest]
+    dead = 0
+    for x in live:
+        if any(check_nontrivial([cand[i] for i in (newest,) + rest + (x,)], d).nontrivial
+               for rest in combinations(others, t - 2)):
+            dead |= 1 << x
+    return dead
+
+
+class TestKillEnumeration:
+    def test_against_every_subfamily_through_the_newest_member(self):
+        # 300 seeded chosen/live states with k in {2, 3, 4}, d in {2, 3} and
+        # t from d+2 to d+4; the newest member is any chosen one
+        rng = random.Random(2026)
+        killing = 0
+        for i in range(300):
+            k, d = 2 + i % 3, 2 + i // 3 % 2
+            t = d + 2 + i // 6 % 3
+            n = rng.randint(max(k + 2, 5), 7)
+            cand = list(combinations(range(1, n + 1), k))
+            masks = [mask_of(e) for e in cand]
+            chosen = rng.sample(range(len(cand)), rng.randint(t - 1, min(9, len(cand) - 1)))
+            rest = [x for x in range(len(cand)) if x not in chosen]
+            live = rng.sample(rest, rng.randint(1, min(12, len(rest))))
+            newest = rng.choice(chosen)
+            counter = NodeCounter(10**9)
+            dead = _nontrivial_kills(masks, sum(1 << j for j in chosen), newest,
+                                     sum(1 << x for x in live), t, d, _Meeting(masks), counter)
+            assert dead == brute_force_kills(cand, chosen, newest, live, t, d), \
+                (n, k, t, d, chosen, newest, live)
+            assert counter.nodes >= 1
+            killing += dead != 0
+        assert 60 <= killing <= 240, killing
 
 
 class TestPinnedFamilies:
