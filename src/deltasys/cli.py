@@ -6,11 +6,15 @@ through its exit code: 0 for found/verified/built, 1 for a negative result
 exhausted node budget, 3 for bad input (file format, parameters,
 admissibility, unusable flags).
 
---output stores the command's primary artifact: constructed hypergraphs as
-text files, search witnesses and certificates as JSON, and the full report
-for purely informational commands. --threads is accepted and validated for
-interface stability; execution is sequential either way, which keeps
-reports bit-identical across thread counts.
+A report, and every JSON artifact, is written by `_json`: one line per
+top-level key in sorted order, each value compact on its line, so a report
+with long lists stays small and is cheap to write; `python -m json.tool`
+pretty-prints one. --output stores the command's primary artifact:
+constructed hypergraphs as text files, search witnesses and certificates
+as JSON, and the full report for purely informational commands. An
+artifact is serialized only when --output is given. --threads is accepted
+and validated for interface stability; execution is sequential either
+way, which keeps reports bit-identical across thread counts.
 """
 
 from __future__ import annotations
@@ -22,15 +26,16 @@ import time
 
 from .constructions import (DesignSpec, build_counterexample,
                             build_triple_system, verify_counterexample)
-from .errors import ClassificationError, ConstructionError, ParameterError
+from .errors import (BudgetExceeded, ClassificationError, ConstructionError,
+                     ParameterError)
 from .extremal import (CONFIG_KINDS, ForbiddenConfig, max_avoiding,
                        stability_scan)
 from .hgio import load_hypergraph, serialize_hypergraph
 from .homogeneous import extract_homogeneous, homogeneous_size_bound
-from .hypergraph import shadow, weight_identity
+from .hypergraph import Hypergraph, shadow, weight_identity
 from .intersecting import (check_km_codegree_bounds, check_nontrivial,
                            classify_intersecting, find_nontrivial_subfamily)
-from .search import SearchStatus
+from .search import NodeCounter, SearchStatus, default_budget
 from .sunflowers import (SunflowerCluster, complete_cluster, find_cluster,
                          find_sunflower)
 
@@ -74,8 +79,18 @@ def _check(name: str, ok: bool, claim: str, **extra) -> dict:
     return entry
 
 
+def _json(obj: dict) -> str:
+    """`obj` as JSON text: `{`, one `"key": value` line per key in sorted
+    order, then `}`. Each value is written compactly by the C encoder."""
+    lines = [f"  {json.dumps(key)}: {json.dumps(obj[key], sort_keys=True)}"
+             for key in sorted(obj)]
+    return "{\n" + ",\n".join(lines) + "\n}"
+
+
 def _emit(args, checks: list[dict], result: dict, verdict: str,
-          started: float, artifact: str | None = None) -> None:
+          started: float, artifact: dict | Hypergraph | None = None) -> None:
+    """Print the report; with --output, also write the artifact (a JSON
+    object or a hypergraph), or the report itself when there is none."""
     report = {
         "schema": 1,
         "command": args.command,
@@ -85,10 +100,15 @@ def _emit(args, checks: list[dict], result: dict, verdict: str,
         "verdict": verdict,
         "timing": {"seconds": round(time.perf_counter() - started, 6)},
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _json(report)
     print(text)
     if args.output:
-        payload = artifact if artifact is not None else text + "\n"
+        if artifact is None:
+            payload = text + "\n"
+        elif isinstance(artifact, Hypergraph):
+            payload = serialize_hypergraph(artifact)
+        else:
+            payload = _json(artifact) + "\n"
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
 
@@ -127,8 +147,7 @@ def cmd_find_sunflower(args) -> int:
         return EXIT_NEGATIVE
     result = {"witness": {"center": list(flower.center),
                           "petals": [list(p) for p in flower.petals]}}
-    _emit(args, [], result, "found", started,
-          artifact=json.dumps(result["witness"], indent=2, sort_keys=True) + "\n")
+    _emit(args, [], result, "found", started, artifact=result["witness"])
     return EXIT_OK
 
 
@@ -137,11 +156,10 @@ def cmd_find_avd(args) -> int:
     h = load_hypergraph(args.input)
     out = find_cluster(h, args.a, args.d, budget=args.budget)
     result: dict = {"status": out.status.value, "nodes": out.nodes}
-    artifact = None
     if out.found:
         result["witness"] = out.witness.to_json()
-        artifact = json.dumps(result["witness"], indent=2, sort_keys=True) + "\n"
-    _emit(args, [], result, out.status.value, started, artifact=artifact)
+    _emit(args, [], result, out.status.value, started,
+          artifact=result.get("witness"))
     return _STATUS_EXIT[out.status]
 
 
@@ -162,8 +180,7 @@ def cmd_complete_semi(args) -> int:
                      "disjoint outside the host")]
     result = {"witness": completed.to_json(),
               "petals": completed.petal_count}
-    _emit(args, checks, result, "completed", started,
-          artifact=json.dumps(result["witness"], indent=2, sort_keys=True) + "\n")
+    _emit(args, checks, result, "completed", started, artifact=result["witness"])
     return EXIT_OK
 
 
@@ -181,7 +198,13 @@ def cmd_find_nontrivial(args) -> int:
 def cmd_check_intersecting(args) -> int:
     started = time.perf_counter()
     h = load_hypergraph(args.input)
-    w = check_nontrivial(h.edges, args.wise)
+    counter = NodeCounter(args.budget if args.budget is not None else default_budget())
+    try:
+        w = check_nontrivial(h.edges, args.wise, counter)
+    except BudgetExceeded:
+        result = {"status": SearchStatus.BUDGET.value, "nodes": counter.nodes}
+        _emit(args, [], result, SearchStatus.BUDGET.value, started)
+        return EXIT_BUDGET
     t = min(args.wise, len(h))
     checks = [
         _check("d-wise-intersecting", w.intersecting,
@@ -229,8 +252,7 @@ def cmd_build_steiner(args) -> int:
                      f"every vertex pair lies in exactly {args.lam} blocks")]
     result = {"n": args.n, "lambda": args.lam, "size": len(h),
               "blocks": [list(e) for e in h.edges]}
-    _emit(args, checks, result, "built", started,
-          artifact=serialize_hypergraph(h))
+    _emit(args, checks, result, "built", started, artifact=h)
     return EXIT_OK
 
 
@@ -248,7 +270,7 @@ def cmd_build_counterexample(args) -> int:
     result["edges"] = [list(e) for e in rep.system.edges]
     ok = rep.max_codegree == args.m and rep.triangles_ok
     _emit(args, checks, result, "built" if ok else "failed", started,
-          artifact=serialize_hypergraph(rep.system))
+          artifact=rep.system)
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -311,8 +333,7 @@ def cmd_homogeneous_extract(args) -> int:
                      "by its pattern rank")]
     cert_json = cert.to_json()
     result = {"certificate": cert_json, "size": size, "size_bound": bound}
-    _emit(args, checks, result, "extracted", started,
-          artifact=json.dumps(cert_json, indent=2, sort_keys=True) + "\n")
+    _emit(args, checks, result, "extracted", started, artifact=cert_json)
     return EXIT_OK
 
 

@@ -172,8 +172,11 @@ def _climb_partition(h: Hypergraph, rng: random.Random) -> dict[int, int]:
 
     A vertex's edges are kept as the tuples of their other vertices. Such
     an edge is rainbow exactly when the others take k-1 distinct parts and
-    the vertex takes the one part left, so one pass over the tuples counts
-    the rainbow edges for every part the vertex could take.
+    the vertex takes the one part left. `counts[v][p]` is the number of v's
+    edges that would be rainbow with v in part p; it is built once, with one
+    pass over v's tuples. A move of w changes only the counts of w's
+    co-members: through each edge of w, every other member u loses the
+    edge's contribution under w's old part and gains it under the new one.
     """
     assign = {v: rng.randrange(h.k) for v in range(1, h.n + 1)}
     others: dict[int, list[Edge]] = {v: [] for v in range(1, h.n + 1)}
@@ -190,22 +193,38 @@ def _climb_partition(h: Hypergraph, rng: random.Random) -> dict[int, int]:
                 counts[part_sum - sum(taken)] += 1
         return counts
 
+    counts = {v: rainbow_by_part(v) for v in others}
+
     while True:
         best_gain = 0
         best_move: tuple[int, int] | None = None
         for v in range(1, h.n + 1):
             cur = assign[v]
-            counts = rainbow_by_part(v)
+            mine = counts[v]
             for p in range(h.k):
                 if p == cur:
                     continue
-                gain = counts[p] - counts[cur]
+                gain = mine[p] - mine[cur]
                 if gain > best_gain:
                     best_gain = gain
                     best_move = (v, p)
         if best_move is None:
             return assign
-        assign[best_move[0]] = best_move[1]
+        w, new = best_move
+        old = assign[w]
+        assign[w] = new
+        for rest in others[w]:
+            for u in rest:
+                # the parts of the edge's members other than u and w; the
+                # edge is rainbow for u only if they are distinct, and then
+                # u takes the part that neither they nor w take
+                base = {assign[x] for x in rest if x != u}
+                if len(base) == h.k - 2:
+                    missing = part_sum - sum(base)
+                    if old not in base:
+                        counts[u][missing - old] -= 1
+                    if new not in base:
+                        counts[u][missing - new] += 1
 
 
 def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,

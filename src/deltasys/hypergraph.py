@@ -209,12 +209,14 @@ def weight_identity(h: Hypergraph) -> tuple[Fraction, int]:
 
     The two components are equal for every hypergraph: grouping the sum by
     (k-1)-subset, each subset covered by the hypergraph contributes exactly 1.
-    The (k-1)-subset degrees are tabulated once, so the sum costs O(|E|k)
-    lookups; the shadow is counted separately with `shadow(h, 1)`.
+    The (k-1)-subset degrees are tabulated once; the (edge, (k-1)-subset)
+    pairs are then counted by their degree d, and the sum is the exact sum
+    of count/d over the distinct degrees, the same sum in a different order.
+    The shadow is counted separately with `shadow(h, 1)`.
     """
     deg = subset_degrees(h, h.k - 1)
-    total = sum((Fraction(1, deg[s]) for e in h.edges for s in combinations(e, h.k - 1)),
-                Fraction(0))
+    by_degree = Counter(deg[s] for e in h.edges for s in combinations(e, h.k - 1))
+    total = sum((Fraction(count, d) for d, count in by_degree.items()), Fraction(0))
     if h.k == 1:
         return total, (1 if h.edges else 0)
     return total, len(shadow(h, 1))

@@ -47,7 +47,8 @@ class FamilyWitness:
     violating: tuple[Edge, ...] | None = None
 
 
-def check_nontrivial(edges: Sequence[Iterable[int]], d: int) -> FamilyWitness:
+def check_nontrivial(edges: Sequence[Iterable[int]], d: int,
+                     counter: NodeCounter | None = None) -> FamilyWitness:
     """d-wise intersecting with empty common intersection, with a named violator if not.
 
     The violator is the first min(d, |family|)-subset, in combinations order
@@ -55,6 +56,8 @@ def check_nontrivial(edges: Sequence[Iterable[int]], d: int) -> FamilyWitness:
     vertex has none, so only a family whose total meet is empty walks: each
     prefix of all but the last member, in combinations order, completes with
     the lowest later member that misses every vertex of the prefix's meet.
+    With a `counter`, each prefix is one tick of it, so the walk can run
+    out of budget (BudgetExceeded).
     """
     if d < 2:
         raise ParameterError(f"intersection order d must be at least 2, got {d}")
@@ -70,6 +73,8 @@ def check_nontrivial(edges: Sequence[Iterable[int]], d: int) -> FamilyWitness:
             for v in e:
                 holders[v] = holders.get(v, 0) | 1 << i
         for prefix in combinations(range(len(fam)), t - 1):
+            if counter is not None:
+                counter.tick()
             later = (1 << len(fam)) - (2 << prefix[-1])
             for v in vertices_of(meet(masks[i] for i in prefix)):
                 later &= ~holders[v]

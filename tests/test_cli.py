@@ -3,6 +3,7 @@
 import argparse
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,7 @@ from deltasys import (
     save_hypergraph,
     serialize_hypergraph,
 )
+from deltasys import cli
 from deltasys.cli import _build_parser
 from conftest import random_semi_cluster, run_cli
 
@@ -40,6 +42,30 @@ def star9(tmp_path):
     path = tmp_path / "star9.txt"
     save_hypergraph(build_star(9, 3), path)
     return str(path)
+
+
+@pytest.fixture
+def every_command(star9, tmp_path):
+    """One argv tail per subcommand, each running to a definite answer."""
+    semi, _ = random_semi_cluster(random.Random(1000), (2, 1), (2, 5))
+    witness = tmp_path / "semi.json"
+    witness.write_text(json.dumps(semi.to_json()))
+    return {
+        "shadow": [star9, "--order", "1"],
+        "weight-check": [star9],
+        "find-sunflower": [star9, "--center", "1", "--size", "3"],
+        "find-avd": [star9, "--a", "2,1", "--d", "2"],
+        "complete-semi": [str(witness), "--b", "1,1"],
+        "find-nontrivial": [star9, "--size", "3", "--wise", "2"],
+        "check-intersecting": [star9, "--wise", "2"],
+        "classify-km": [star9],
+        "build-steiner": ["--n", "7", "--lambda", "1"],
+        "build-counterexample": ["--n", "9", "--m", "4"],
+        "verify-counterexample": [star9, "--m", "4"],
+        "extremal": ["--n", "5", "--k", "3", "--config", "d-simplex", "--wise", "2"],
+        "stability-scan": [star9, "--epsilon", "0.0"],
+        "homogeneous-extract": [star9, "--size", "2"],
+    }
 
 
 class TestShadow:
@@ -215,6 +241,37 @@ class TestCheckIntersecting:
         dwise = [c for c in rep["checks"] if c["name"] == "d-wise-intersecting"][0]
         assert dwise["verdict"] == "fail"
         assert dwise["witness"] == [[1, 2, 3], [4, 5, 6]]
+
+    @pytest.fixture
+    def family225(self, tmp_path):
+        # 3-wise intersecting, no common vertex: the walk visits all
+        # C(225, 2) prefixes
+        edges = [e for e in combinations(range(1, 61), 4)
+                 if len({1, 2, 3, 4}.intersection(e)) >= 3]
+        hpath = tmp_path / "fam225.txt"
+        save_hypergraph(Hypergraph(60, 4, edges), hpath)
+        return str(hpath)
+
+    def test_budget_exit(self, family225, capsys):
+        code, out = run_cli(["check-intersecting", family225, "--wise", "3",
+                             "--budget", "100"], capsys)
+        assert code == 2
+        rep = report_of(out)
+        assert rep["verdict"] == "budget-exhausted"
+        assert rep["result"] == {"status": "budget-exhausted", "nodes": 101}
+
+    def test_default_budget_report_is_unchanged(self, family225, capsys):
+        code, out = run_cli(["check-intersecting", family225, "--wise", "3"], capsys)
+        assert code == 0
+        rep = report_of(out)
+        assert rep["verdict"] == "verified"
+        assert rep["checks"] == [
+            {"claim": "every 3 members share a vertex",
+             "name": "d-wise-intersecting", "verdict": "pass"},
+            {"claim": "no single vertex lies in every member",
+             "name": "no-common-vertex", "verdict": "pass"},
+        ]
+        assert rep["result"] == {"common_intersection": [], "nontrivial": True}
 
 
 class TestClassifyKm:
@@ -420,6 +477,62 @@ class TestHomogeneousExtract:
         assert len(cert["edges"]) == rep["result"]["size"]
 
 
+class TestReportLayout:
+    @pytest.fixture
+    def serialized(self, monkeypatch):
+        """Every object passed to `cli._json`, in call order."""
+        calls = []
+        real = cli._json
+
+        def recording(obj):
+            calls.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(cli, "_json", recording)
+        return calls
+
+    def test_one_line_per_key_for_every_command(self, every_command, serialized, capsys):
+        for name, tail in every_command.items():
+            serialized.clear()
+            code, out = run_cli([name] + tail, capsys)
+            assert code in (0, 1), name
+            lines = out.splitlines()
+            assert lines[0] == "{" and lines[-1] == "}", name
+            body = lines[1:-1]
+            assert all(line.endswith(",") for line in body[:-1]), name
+            keys = [next(iter(json.loads("{" + line.rstrip(",") + "}"))) for line in body]
+            assert keys == sorted(REPORT_KEYS), name
+            # the report only: no artifact is serialized without --output
+            assert len(serialized) == 1, name
+            assert report_of(out) == json.loads(json.dumps(serialized[0])), name
+
+    def test_certificate_artifact_only_with_output(self, star9, tmp_path, serialized, capsys):
+        argv = ["homogeneous-extract", star9, "--size", "2"]
+        code, out = run_cli(argv, capsys)
+        assert code == 0 and len(serialized) == 1
+        serialized.clear()
+        cpath = tmp_path / "cert.json"
+        code, out = run_cli(argv + ["--output", str(cpath)], capsys)
+        assert code == 0 and len(serialized) == 2
+        cert = report_of(out)["result"]["certificate"]
+        assert json.loads(cpath.read_text()) == cert
+        lines = cpath.read_text().splitlines()
+        assert (lines[0], lines[-1], len(lines)) == ("{", "}", len(cert) + 2)
+
+    def test_builders_serialize_the_hypergraph_only_with_output(
+            self, tmp_path, monkeypatch, capsys):
+        written = []
+        real = cli.serialize_hypergraph
+        monkeypatch.setattr(cli, "serialize_hypergraph",
+                            lambda h: written.append(h) or real(h))
+        argv = ["build-counterexample", "--n", "9", "--m", "4"]
+        assert run_cli(argv, capsys)[0] == 0
+        assert written == []
+        path = tmp_path / "sys9.txt"
+        assert run_cli(argv + ["--output", str(path)], capsys)[0] == 0
+        assert len(written) == 1 and load_hypergraph(path) == written[0]
+
+
 def normalized(out):
     rep = json.loads(out)
     rep.pop("timing")
@@ -481,26 +594,8 @@ class TestGlobalFlags:
         assert code == 3
 
     def test_budget_below_one_is_an_input_error_for_every_command(
-            self, star9, tmp_path, capsys):
-        semi, _ = random_semi_cluster(random.Random(1000), (2, 1), (2, 5))
-        witness = tmp_path / "semi.json"
-        witness.write_text(json.dumps(semi.to_json()))
-        argvs = {
-            "shadow": [star9, "--order", "1"],
-            "weight-check": [star9],
-            "find-sunflower": [star9, "--center", "1", "--size", "3"],
-            "find-avd": [star9, "--a", "2,1", "--d", "2"],
-            "complete-semi": [str(witness), "--b", "1,1"],
-            "find-nontrivial": [star9, "--size", "3", "--wise", "2"],
-            "check-intersecting": [star9, "--wise", "2"],
-            "classify-km": [star9],
-            "build-steiner": ["--n", "7", "--lambda", "1"],
-            "build-counterexample": ["--n", "9", "--m", "4"],
-            "verify-counterexample": [star9, "--m", "4"],
-            "extremal": ["--n", "5", "--k", "3", "--config", "d-simplex", "--wise", "2"],
-            "stability-scan": [star9, "--epsilon", "0.0"],
-            "homogeneous-extract": [star9, "--size", "2"],
-        }
+            self, every_command, capsys):
+        argvs = every_command
         sub = next(a for a in _build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         takes_budget = {name for name, p in sub.choices.items()

@@ -1,6 +1,7 @@
 """Pattern-homogeneous subgraphs: validation, size bound, extraction."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -273,4 +274,10 @@ class TestMaskIndex:
         for trial in range(30):
             k = (2, 3, 4)[trial % 3]
             h = random_hypergraph(rng, n=rng.randint(k + 1, 14), k=k, max_edges=60)
+            assert _climb_partition(h, random.Random(trial)) == recount_climb(h, random.Random(trial))
+        # dense inputs: each move (8 and 4 here) updates the counts of every
+        # co-member through a hundred or more edges
+        for trial, (n, k, size) in enumerate(((30, 3, 1500), (20, 4, 1000))):
+            rng = random.Random(4040 + trial)
+            h = Hypergraph(n, k, rng.sample(list(combinations(range(1, n + 1), k)), size))
             assert _climb_partition(h, random.Random(trial)) == recount_climb(h, random.Random(trial))

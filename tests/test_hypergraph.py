@@ -198,6 +198,11 @@ class TestWeights:
         for _ in range(40):
             h = random_hypergraph(rng, k=rng.choice((1, 2, 3, 4)))
             assert weight_identity(h)[0] == sum(edge_weight(h, e) for e in h.edges)
+        # one graph whose pair degrees take many values, so that the sum
+        # groups its terms under several distinct degrees
+        h = Hypergraph(12, 3, rng.sample(list(combinations(range(1, 13), 3)), 120))
+        assert len(set(subset_degrees(h, 2).values())) >= 5
+        assert weight_identity(h)[0] == sum(edge_weight(h, e) for e in h.edges)
 
     def test_identity_singleton_edges(self):
         # k=1: every edge weighs 1/|H| and the empty set is the one subset

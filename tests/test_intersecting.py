@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from deltasys import (
+    BudgetExceeded,
     ClassificationError,
     FamilyWitness,
     Hypergraph,
@@ -188,6 +189,23 @@ class TestPrefixWalk:
         assert fw.intersecting and fw.nontrivial and fw.violating is None
         assert not check_nontrivial(fam, 4).intersecting
         assert seconds < 0.5, seconds
+
+    def test_a_counter_ticks_once_per_prefix(self):
+        fam = [e for e in combinations(range(1, 61), 4) if len({1, 2, 3, 4}.intersection(e)) >= 3]
+        counter = NodeCounter(10**6)
+        assert check_nontrivial(fam, 3, counter) == check_nontrivial(fam, 3)
+        assert counter.nodes == 225 * 224 // 2
+        with pytest.raises(BudgetExceeded):
+            check_nontrivial(fam, 3, NodeCounter(100))
+        # the walk stops at its violator, which the counter does not move
+        rng = random.Random(1618)
+        for _ in range(200):
+            fam = rng.sample(list(combinations(range(1, 8), 3)), rng.randint(2, 9))
+            d = rng.choice((2, 3))
+            counter = NodeCounter(10**6)
+            assert check_nontrivial(fam, d, counter) == full_walk(fam, d), (fam, d)
+            if meet(mask_of(e) for e in fam):
+                assert counter.nodes == 0
 
 
 class TestSimplex:
