@@ -1,20 +1,25 @@
 """Command line interface.
 
 Every subcommand prints one JSON report to stdout and signals the outcome
-through its exit code: 0 for found/verified/built, 1 for a negative result
-(nothing found, refuted, unclassified, construction failed), 2 for an
-exhausted node budget, 3 for bad input (file format, parameters,
-admissibility, unusable flags).
+through its exit code. A handler returns only its verdict, its result and,
+when it has them, its named checks and artifact; `main` does the rest once:
+it starts the clock, loads the input, emits the report and looks the verdict
+up in `_EXIT`, which lists every verdict under its code: 0 for a positive
+outcome, 1 for a negative one, 2 for an exhausted node budget (also
+verify-counterexample's conditional verdict when its search ran out).
+Bad input (file format, parameters, admissibility, unusable flags) exits 3
+with a message on stderr.
 
 A report, and every JSON artifact, is written by `_json`: one line per
 top-level key in sorted order, each value compact on its line, so a report
 with long lists stays small and is cheap to write; `python -m json.tool`
 pretty-prints one. --output stores the command's primary artifact:
 constructed hypergraphs as text files, search witnesses and certificates
-as JSON, and the full report for purely informational commands. An
-artifact is serialized only when --output is given. --threads is accepted
-and validated for interface stability; execution is sequential either
-way, which keeps reports bit-identical across thread counts.
+as JSON, and the full report for purely informational commands and
+negative outcomes. An artifact is serialized only when --output is given.
+--threads is accepted and validated for interface stability; execution is
+sequential either way, which keeps reports bit-identical across thread
+counts.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import argparse
 import json
 import sys
 import time
+from typing import NamedTuple
 
 from .constructions import (DesignSpec, build_counterexample,
                             build_triple_system, verify_counterexample)
@@ -35,7 +41,7 @@ from .homogeneous import extract_homogeneous, homogeneous_size_bound
 from .hypergraph import Hypergraph, shadow, weight_identity
 from .intersecting import (check_km_codegree_bounds, check_nontrivial,
                            classify_intersecting, find_nontrivial_subfamily)
-from .search import NodeCounter, SearchStatus, default_budget
+from .search import NodeCounter, SearchStatus
 from .sunflowers import (SunflowerCluster, complete_cluster, find_cluster,
                          find_sunflower)
 
@@ -44,9 +50,25 @@ EXIT_NEGATIVE = 1
 EXIT_BUDGET = 2
 EXIT_INPUT = 3
 
-_STATUS_EXIT = {SearchStatus.FOUND: EXIT_OK,
-                SearchStatus.NONE: EXIT_NEGATIVE,
-                SearchStatus.BUDGET: EXIT_BUDGET}
+# the exit code of every verdict; the one exception, verify-counterexample's
+# "conditional" after an exhausted search, is handled in `main`
+_EXIT = {
+    **dict.fromkeys(("ok", "found", "verified", "classified", "completed",
+                     "built", "conditional", "exact", "within-delta",
+                     "extracted"), EXIT_OK),
+    **dict.fromkeys(("none", "failed", "refuted", "unclassified",
+                     "outside-delta"), EXIT_NEGATIVE),
+    "budget-exhausted": EXIT_BUDGET,
+}
+
+
+class _Answer(NamedTuple):
+    """What a handler returns; without an artifact, --output gets the report."""
+
+    verdict: str
+    result: dict
+    checks: list = []
+    artifact: dict | Hypergraph | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,22 +109,22 @@ def _json(obj: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}"
 
 
-def _emit(args, checks: list[dict], result: dict, verdict: str,
-          started: float, artifact: dict | Hypergraph | None = None) -> None:
+def _emit(args, answer: _Answer, started: float) -> None:
     """Print the report; with --output, also write the artifact (a JSON
     object or a hypergraph), or the report itself when there is none."""
     report = {
         "schema": 1,
         "command": args.command,
         "params": _params(args),
-        "checks": checks,
-        "result": result,
-        "verdict": verdict,
+        "checks": answer.checks,
+        "result": answer.result,
+        "verdict": answer.verdict,
         "timing": {"seconds": round(time.perf_counter() - started, 6)},
     }
     text = _json(report)
     print(text)
     if args.output:
+        artifact = answer.artifact
         if artifact is None:
             payload = text + "\n"
         elif isinstance(artifact, Hypergraph):
@@ -113,19 +135,13 @@ def _emit(args, checks: list[dict], result: dict, verdict: str,
             fh.write(payload)
 
 
-def cmd_shadow(args) -> int:
-    started = time.perf_counter()
-    h = load_hypergraph(args.input)
+def cmd_shadow(args, h) -> _Answer:
     subsets = sorted(shadow(h, args.order))
-    result = {"order": args.order, "count": len(subsets),
-              "subsets": [list(s) for s in subsets]}
-    _emit(args, [], result, "ok", started)
-    return EXIT_OK
+    return _Answer("ok", {"order": args.order, "count": len(subsets),
+                          "subsets": [list(s) for s in subsets]})
 
 
-def cmd_weight_check(args) -> int:
-    started = time.perf_counter()
-    h = load_hypergraph(args.input)
+def cmd_weight_check(args, h) -> _Answer:
     total, shadow_size = weight_identity(h)
     ok = total == shadow_size
     checks = [_check("degree-weight-identity", ok,
@@ -134,37 +150,27 @@ def cmd_weight_check(args) -> int:
                      "distinct one-smaller subsets")]
     result = {"weight_sum": str(total), "shadow_size": shadow_size,
               "edges": len(h)}
-    _emit(args, checks, result, "verified" if ok else "failed", started)
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return _Answer("verified" if ok else "failed", result, checks)
 
 
-def cmd_find_sunflower(args) -> int:
-    started = time.perf_counter()
-    h = load_hypergraph(args.input)
+def cmd_find_sunflower(args, h) -> _Answer:
     flower = find_sunflower(h, args.center, args.size)
     if flower is None:
-        _emit(args, [], {"witness": None}, "none", started)
-        return EXIT_NEGATIVE
-    result = {"witness": {"center": list(flower.center),
-                          "petals": [list(p) for p in flower.petals]}}
-    _emit(args, [], result, "found", started, artifact=result["witness"])
-    return EXIT_OK
+        return _Answer("none", {"witness": None})
+    witness = {"center": list(flower.center),
+               "petals": [list(p) for p in flower.petals]}
+    return _Answer("found", {"witness": witness}, artifact=witness)
 
 
-def cmd_find_avd(args) -> int:
-    started = time.perf_counter()
-    h = load_hypergraph(args.input)
+def cmd_find_avd(args, h) -> _Answer:
     out = find_cluster(h, args.a, args.d, budget=args.budget)
     result: dict = {"status": out.status.value, "nodes": out.nodes}
     if out.found:
         result["witness"] = out.witness.to_json()
-    _emit(args, [], result, out.status.value, started,
-          artifact=result.get("witness"))
-    return _STATUS_EXIT[out.status]
+    return _Answer(out.status.value, result, artifact=result.get("witness"))
 
 
-def cmd_complete_semi(args) -> int:
-    started = time.perf_counter()
+def cmd_complete_semi(args, h) -> _Answer:
     with open(args.witness, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -178,33 +184,27 @@ def cmd_complete_semi(args) -> int:
     checks = [_check("disjoint-residues", True,
                      "the completed cluster's petal residues are pairwise "
                      "disjoint outside the host")]
-    result = {"witness": completed.to_json(),
-              "petals": completed.petal_count}
-    _emit(args, checks, result, "completed", started, artifact=result["witness"])
-    return EXIT_OK
+    witness = completed.to_json()
+    return _Answer("completed", {"witness": witness,
+                                 "petals": completed.petal_count},
+                   checks, witness)
 
 
-def cmd_find_nontrivial(args) -> int:
-    started = time.perf_counter()
-    h = load_hypergraph(args.input)
+def cmd_find_nontrivial(args, h) -> _Answer:
     out = find_nontrivial_subfamily(h, args.size, args.wise, budget=args.budget)
     result: dict = {"status": out.status.value, "nodes": out.nodes}
     if out.found:
         result["witness"] = [list(e) for e in out.witness]
-    _emit(args, [], result, out.status.value, started)
-    return _STATUS_EXIT[out.status]
+    return _Answer(out.status.value, result)
 
 
-def cmd_check_intersecting(args) -> int:
-    started = time.perf_counter()
-    h = load_hypergraph(args.input)
-    counter = NodeCounter(args.budget if args.budget is not None else default_budget())
+def cmd_check_intersecting(args, h) -> _Answer:
+    counter = NodeCounter(args.budget)
     try:
         w = check_nontrivial(h.edges, args.wise, counter)
     except BudgetExceeded:
-        result = {"status": SearchStatus.BUDGET.value, "nodes": counter.nodes}
-        _emit(args, [], result, SearchStatus.BUDGET.value, started)
-        return EXIT_BUDGET
+        status = SearchStatus.BUDGET.value
+        return _Answer(status, {"status": status, "nodes": counter.nodes})
     t = min(args.wise, len(h))
     checks = [
         _check("d-wise-intersecting", w.intersecting,
@@ -215,20 +215,15 @@ def cmd_check_intersecting(args) -> int:
                "no single vertex lies in every member"),
     ]
     result = {"common_intersection": list(w.common), "nontrivial": w.nontrivial}
-    _emit(args, checks, result, "verified" if w.intersecting else "failed",
-          started)
-    return EXIT_OK if w.intersecting else EXIT_NEGATIVE
+    return _Answer("verified" if w.intersecting else "failed", result, checks)
 
 
-def cmd_classify_km(args) -> int:
-    started = time.perf_counter()
-    h = load_hypergraph(args.input)
+def cmd_classify_km(args, h) -> _Answer:
     try:
         km = classify_intersecting(h)
     except ClassificationError as exc:
-        result = {"template": None, "diagnostics": exc.diagnostics}
-        _emit(args, [], result, "unclassified", started)
-        return EXIT_NEGATIVE
+        return _Answer("unclassified",
+                       {"template": None, "diagnostics": exc.diagnostics})
     checks = [_check("containment", True,
                      "every member lies in the named template")]
     try:
@@ -240,24 +235,19 @@ def cmd_classify_km(args) -> int:
         pass  # no bound applies to star-like templates
     result = {"template": km.tag,
               "mapping": {str(c): v for c, v in sorted(km.mapping.items())}}
-    _emit(args, checks, result, "classified", started)
-    return EXIT_OK
+    return _Answer("classified", result, checks)
 
 
-def cmd_build_steiner(args) -> int:
-    started = time.perf_counter()
-    spec = DesignSpec(args.n, args.lam)
-    h = build_triple_system(spec, seed=args.seed)
+def cmd_build_steiner(args, h) -> _Answer:
+    system = build_triple_system(DesignSpec(args.n, args.lam), seed=args.seed)
     checks = [_check("pair-exact", True,
                      f"every vertex pair lies in exactly {args.lam} blocks")]
-    result = {"n": args.n, "lambda": args.lam, "size": len(h),
-              "blocks": [list(e) for e in h.edges]}
-    _emit(args, checks, result, "built", started, artifact=h)
-    return EXIT_OK
+    result = {"n": args.n, "lambda": args.lam, "size": len(system),
+              "blocks": [list(e) for e in system.edges]}
+    return _Answer("built", result, checks, system)
 
 
-def cmd_build_counterexample(args) -> int:
-    started = time.perf_counter()
+def cmd_build_counterexample(args, h) -> _Answer:
     rep = build_counterexample(args.n, args.m, seed=args.seed)
     checks = [
         _check("max-codegree", rep.max_codegree == args.m,
@@ -269,61 +259,43 @@ def cmd_build_counterexample(args) -> int:
     result = rep.to_json()
     result["edges"] = [list(e) for e in rep.system.edges]
     ok = rep.max_codegree == args.m and rep.triangles_ok
-    _emit(args, checks, result, "built" if ok else "failed", started,
-          artifact=rep.system)
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return _Answer("built" if ok else "failed", result, checks, rep.system)
 
 
-def cmd_verify_counterexample(args) -> int:
-    started = time.perf_counter()
-    h = load_hypergraph(args.input)
+def cmd_verify_counterexample(args, h) -> _Answer:
     vr = verify_counterexample(h, args.m, mode=args.mode, budget=args.budget)
     checks = [_check(c.name, c.ok, c.claim,
                      **({"detail": c.detail} if c.detail else {}))
               for c in vr.checks]
-    result = vr.to_json()
-    _emit(args, checks, result, vr.verdict, started)
-    if vr.verdict == "refuted":
-        return EXIT_NEGATIVE
-    if vr.budget_exhausted:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return _Answer(vr.verdict, vr.to_json(), checks)
 
 
-def cmd_extremal(args) -> int:
-    started = time.perf_counter()
-    if args.config == "nontrivial-intersecting":
-        config = ForbiddenConfig(args.config, t=args.size, d=args.wise)
-    elif args.config == "d-simplex":
-        config = ForbiddenConfig(args.config, d=args.wise)
-    else:
-        config = ForbiddenConfig(args.config, d=args.d, part_sizes=args.a)
+def cmd_extremal(args, h) -> _Answer:
+    # d comes from --wise for the intersecting kinds and from --d for
+    # avd-system; ForbiddenConfig rejects a t or block sizes its kind does
+    # not take
+    avd = args.config == "avd-system"
+    if (args.wise if avd else args.d) is not None:
+        raise ParameterError(f"--{'wise' if avd else 'd'} does not apply "
+                             f"to --config {args.config}")
+    config = ForbiddenConfig(args.config, t=args.size,
+                             d=args.d if avd else args.wise, part_sizes=args.a)
     res = max_avoiding(args.n, args.k, config, budget=args.budget)
-    result = res.to_json()
-    verdict = "exact" if res.exact else "budget-exhausted"
-    _emit(args, [], result, verdict, started)
-    return EXIT_OK if res.exact else EXIT_BUDGET
+    return _Answer("exact" if res.exact else "budget-exhausted", res.to_json())
 
 
-def cmd_stability_scan(args) -> int:
-    started = time.perf_counter()
-    h = load_hypergraph(args.input)
+def cmd_stability_scan(args, h) -> _Answer:
     rep = stability_scan(h, args.epsilon, args.delta)
-    result = rep.to_json()
     if args.delta is None:
-        _emit(args, [], result, "ok", started)
-        return EXIT_OK
-    verdict = "within-delta" if rep.within_delta else "outside-delta"
+        return _Answer("ok", rep.to_json())
     checks = [_check("missed-members", bool(rep.within_delta),
                      "the number of members missing the best vertex stays "
                      "within the allowed fraction")]
-    _emit(args, checks, result, verdict, started)
-    return EXIT_OK if rep.within_delta else EXIT_NEGATIVE
+    return _Answer("within-delta" if rep.within_delta else "outside-delta",
+                   rep.to_json(), checks)
 
 
-def cmd_homogeneous_extract(args) -> int:
-    started = time.perf_counter()
-    h = load_hypergraph(args.input)
+def cmd_homogeneous_extract(args, h) -> _Answer:
     cert = extract_homogeneous(h, args.size, seed=args.seed,
                                restarts=args.restarts)
     bound = homogeneous_size_bound(cert)
@@ -333,8 +305,7 @@ def cmd_homogeneous_extract(args) -> int:
                      "by its pattern rank")]
     cert_json = cert.to_json()
     result = {"certificate": cert_json, "size": size, "size_bound": bound}
-    _emit(args, checks, result, "extracted", started, artifact=cert_json)
-    return EXIT_OK
+    return _Answer("extracted", result, checks, cert_json)
 
 
 def _build_parser() -> _Parser:
@@ -464,8 +435,11 @@ def main(argv=None) -> int:
             print(f"deltasys: error: --{flag} must be at least 1, got {value}",
                   file=sys.stderr)
             return EXIT_INPUT
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        h = load_hypergraph(args.input) if "input" in vars(args) else None
+        answer = args.func(args, h)
+        _emit(args, answer, started)
     except ConstructionError as exc:
         print(f"deltasys: error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -474,6 +448,9 @@ def main(argv=None) -> int:
         # ValueErrors; any of them marks unusable input
         print(f"deltasys: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if answer.verdict == "conditional" and answer.result["budget_exhausted"]:
+        return EXIT_BUDGET
+    return _EXIT[answer.verdict]
 
 
 if __name__ == "__main__":

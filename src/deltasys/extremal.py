@@ -29,7 +29,7 @@ from math import comb, isfinite
 
 from .errors import BudgetExceeded, ParameterError
 from .hypergraph import Edge, Hypergraph, mask_of, vertices_of
-from .search import NodeCounter, default_budget
+from .search import NodeCounter
 from .sunflowers import cluster_member_sets
 
 CONFIG_KINDS = ("nontrivial-intersecting", "d-simplex", "avd-system")
@@ -71,6 +71,8 @@ class ForbiddenConfig:
         else:
             if self.part_sizes is None or self.d is None:
                 raise ParameterError("avd-system needs part_sizes and d")
+            if self.t is not None:
+                raise ParameterError("avd-system takes only part_sizes and d")
             sizes = tuple(self.part_sizes)
             if len(sizes) < 2 or any(x < 1 for x in sizes):
                 raise ParameterError(f"part sizes must be >=2 positive entries, got {sizes}")
@@ -260,7 +262,7 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     cand = list(combinations(range(1, n + 1), k))
     masks = [mask_of(e) for e in cand]
     total = len(cand)
-    counter = NodeCounter(budget if budget is not None else default_budget())
+    counter = NodeCounter(budget)
 
     conflicts = conflict_sets(masks, config)
     # kills[e][rest]: once e and every member of rest are chosen, each of

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import BudgetExceeded, ClassificationError, ParameterError
 from .hypergraph import (Edge, Hypergraph, mask_of, max_codegree2, meet,
                          subset_degrees, vertex_tuple, vertices_of)
-from .search import NodeCounter, SearchOutcome, SearchStatus, default_budget
+from .search import NodeCounter, SearchOutcome, SearchStatus
 
 
 def _normalized_family(edges: Sequence[Iterable[int]]) -> list[Edge]:
@@ -271,7 +271,7 @@ def find_nontrivial_subfamily(h: Hypergraph, t: int, d: int,
         raise ParameterError(
             f"target size {t} below {d + 1}: any {d}-wise intersecting family "
             f"of at most {d} sets has a common vertex")
-    counter = NodeCounter(budget if budget is not None else default_budget())
+    counter = NodeCounter(budget)
     try:
         hit = nontrivial_search_masks(h.edge_masks, h.n, t, d, counter)
     except BudgetExceeded:

@@ -51,11 +51,14 @@ class SearchOutcome:
 
 
 class NodeCounter:
-    """Counts search nodes and raises BudgetExceeded past the limit."""
+    """Counts search nodes and raises BudgetExceeded past the limit, which
+    defaults to `default_budget()`."""
 
     __slots__ = ("nodes", "limit")
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int | None = None):
+        if limit is None:
+            limit = default_budget()
         if limit < 1:
             raise ParameterError(f"node budget must be positive, got {limit}")
         self.nodes = 0

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, ParameterError, PreconditionError
 from .hypergraph import Edge, Hypergraph, mask_of, vertex_tuple, vertices_of
-from .search import NodeCounter, SearchOutcome, SearchStatus, default_budget
+from .search import NodeCounter, SearchOutcome, SearchStatus
 
 
 @dataclass(frozen=True)
@@ -473,7 +473,7 @@ def find_cluster(h: Hypergraph, part_sizes: Sequence[int], d: int,
         raise ParameterError(f"block sizes {a} must sum to the uniformity {h.k}")
     if d < p:
         raise ParameterError(f"petal count d={d} must be at least the number of blocks {p}")
-    counter = NodeCounter(budget if budget is not None else default_budget())
+    counter = NodeCounter(budget)
     require = None
     if require_edge is not None:
         req = vertex_tuple(require_edge)

@@ -418,6 +418,24 @@ class TestExtremal:
         assert code == 3
 
 
+# the flags each --config reads; the others of the four do not apply to it
+CONFIG_FLAGS = {
+    "nontrivial-intersecting": ["--size", "3", "--wise", "2"],
+    "d-simplex": ["--wise", "2"],
+    "avd-system": ["--a", "2,1", "--d", "2"],
+}
+STRAY_FLAGS = {"--size": "3", "--wise": "2", "--a": "2,1", "--d": "2"}
+
+
+@pytest.mark.parametrize("config, flag", [
+    (config, flag) for config, own in CONFIG_FLAGS.items()
+    for flag in STRAY_FLAGS if flag not in own])
+def test_extremal_flag_of_another_config_is_an_input_error(config, flag, capsys):
+    argv = ["extremal", "--n", "5", "--k", "3", "--config", config] + CONFIG_FLAGS[config]
+    assert run_cli(argv, capsys)[0] == 0
+    assert run_cli(argv + [flag, STRAY_FLAGS[flag]], capsys) == (3, "")
+
+
 class TestStabilityScan:
     def test_plain_scan(self, star9, capsys):
         code, out = run_cli(["stability-scan", star9, "--epsilon", "0.0"], capsys)
@@ -518,6 +536,38 @@ class TestReportLayout:
         assert json.loads(cpath.read_text()) == cert
         lines = cpath.read_text().splitlines()
         assert (lines[0], lines[-1], len(lines)) == ("{", "}", len(cert) + 2)
+
+    def test_output_holds_the_documented_artifact(self, every_command, star9,
+                                                  tmp_path, capsys):
+        # builders write the hypergraph; a positive outcome with a witness
+        # or certificate writes that object; any other run writes its report
+        system = {"build-steiner": "blocks", "build-counterexample": "edges"}
+        obj = {"find-sunflower": "witness", "find-avd": "witness",
+               "complete-semi": "witness", "homogeneous-extract": "certificate"}
+        cluster = tmp_path / "cluster.txt"
+        save_hypergraph(Hypergraph(6, 3, [(1, 2, 3), (3, 4, 5), (1, 2, 6)]), cluster)
+        runs = list(every_command.items()) + [
+            ("find-sunflower", [star9, "--center", "1", "--size", "5"]),
+            ("find-avd", [str(cluster), "--a", "2,1", "--d", "2"]),
+            ("check-intersecting", [str(cluster), "--wise", "3"]),
+            ("verify-counterexample", [star9, "--m", "4", "--mode", "degree-argument"]),
+        ]
+        kinds = set()
+        for i, (name, tail) in enumerate(runs):
+            path = tmp_path / f"artifact{i}"
+            code, out = run_cli([name] + tail + ["--output", str(path)], capsys)
+            assert code in (0, 1), name
+            result = report_of(out)["result"]
+            if name in system:
+                kinds.add("hypergraph")
+                assert [list(e) for e in load_hypergraph(path).edges] == result[system[name]]
+            elif result.get(obj.get(name)) is not None:
+                kinds.add("object")
+                assert json.loads(path.read_text()) == result[obj[name]], name
+            else:
+                kinds.add("report")
+                assert path.read_text() == out, name
+        assert kinds == {"hypergraph", "object", "report"}
 
     def test_builders_serialize_the_hypergraph_only_with_output(
             self, tmp_path, monkeypatch, capsys):

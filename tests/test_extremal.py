@@ -99,6 +99,8 @@ class TestConfigValidation:
             ForbiddenConfig("avd-system", part_sizes=(2, 0), d=2)
         with pytest.raises(ParameterError):
             ForbiddenConfig("avd-system", part_sizes=(2, 1), d=1)
+        with pytest.raises(ParameterError):
+            ForbiddenConfig("avd-system", t=3, part_sizes=(2, 1), d=2)
 
     def test_describe_mentions_the_parameters(self):
         text = ForbiddenConfig("nontrivial-intersecting", t=3, d=2).describe()

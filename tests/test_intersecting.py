@@ -305,6 +305,17 @@ class TestSubfamilySearch:
         assert out.witness is None
         assert out.nodes <= 4  # the aborting tick is counted
 
+    def test_default_budget_comes_from_the_environment(self, monkeypatch):
+        h = Hypergraph(9, 3, list(combinations(range(1, 9), 3))[:30])
+        monkeypatch.setenv("DELTASYS_NODE_BUDGET", "3")
+        assert NodeCounter().limit == 3
+        assert find_nontrivial_subfamily(h, 5, 2) == find_nontrivial_subfamily(h, 5, 2, budget=3)
+        monkeypatch.delenv("DELTASYS_NODE_BUDGET")
+        assert NodeCounter().limit == 10**8
+        for bad in (0, -1):
+            with pytest.raises(ParameterError):
+                NodeCounter(bad)
+
     def test_validation(self):
         h = build_star(5, 3)
         with pytest.raises(ParameterError):
