@@ -9,10 +9,17 @@ from __future__ import annotations
 import os
 
 from .errors import FormatError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, check_order
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
+    """Parse the text format, refusing the first bad line with its number.
+
+    Each edge line is checked (arity, repeated vertex, range, duplicate)
+    and sorted once, as it is read. After the last line, the vertex cap of
+    `Hypergraph` is checked, and the edges, sorted, fill the `Hypergraph`
+    directly: they are not normalized and checked a second time.
+    """
     header: tuple[int, int] | None = None
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -21,7 +28,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
         if not line or line.startswith("#"):
             continue
         try:
-            values = [int(tok) for tok in line.split()]
+            values = list(map(int, line.split()))
         except ValueError:
             raise FormatError(lineno, f"non-integer token in {line!r}")
         if header is None:
@@ -37,17 +44,20 @@ def parse_hypergraph(text: str) -> Hypergraph:
             raise FormatError(lineno, f"edge has {len(values)} vertices, expected {k}")
         if len(set(values)) != k:
             raise FormatError(lineno, "repeated vertex within an edge")
-        for v in values:
-            if not 1 <= v <= n:
-                raise FormatError(lineno, f"vertex {v} out of range 1..{n}")
         edge = tuple(sorted(values))
+        if edge[0] < 1 or edge[-1] > n:
+            v = next(v for v in values if not 1 <= v <= n)
+            raise FormatError(lineno, f"vertex {v} out of range 1..{n}")
         if edge in seen:
             raise FormatError(lineno, f"duplicate edge {edge}")
         seen.add(edge)
         edges.append(edge)
     if header is None:
         raise FormatError(1, "missing header line 'n k'")
-    return Hypergraph(header[0], header[1], edges)
+    n, k = header
+    check_order(n, k)
+    edges.sort()
+    return Hypergraph._checked(n, k, edges)
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParameterError
-from .hypergraph import Edge, Hypergraph, mask_of, shadow, vertices_of
+from .hypergraph import Edge, Hypergraph, mask_of, meet, shadow, vertices_of
 from .patterns import IntersectionPattern, rank, validate_vertex_partition
 from .sunflowers import sunflower_search_masks
 
@@ -61,31 +61,63 @@ class HomogeneousCheck:
 class _MaskIndex:
     """Bitmask view of one subgraph under one vertex partition.
 
-    `meets[i]` holds the masks of edge i's intersections with the other
-    edges, the set `intersection_structure` lists; a meet is projected to
-    part indices through the part masks, as `project` does. The candidates
-    through a center, (edge, residue) pairs in edge order, are built on
-    first use and shared by every edge that needs that center.
+    `inc[v]` is the set of edge indices holding vertex v, as one int with
+    bit j for edge j. `meets[i]` holds the masks of edge i's intersections
+    with the other edges, the set `intersection_structure` lists. They come
+    from splitting the other edges' bitset by each vertex v of edge i in
+    turn, into the part inside `inc[v]` and the part outside it; empty parts
+    are dropped, and each part left at the end is the set of edges that meet
+    edge i in one mask. That is at most k * min(2^k, |E|) big-int ANDs per
+    edge, not |E|. A meet is projected to part indices through the part
+    masks, as `project` does, once per distinct mask. The candidates
+    through a center, (edge, residue) pairs in edge order, are the set bits
+    of the AND of `inc[v]` over the center's vertices, every edge for the
+    empty center; they are built on first use and shared by every edge that
+    needs that center.
     """
 
-    __slots__ = ("edges", "masks", "part_masks", "meets", "_cands")
+    __slots__ = ("edges", "masks", "part_masks", "inc", "meets", "_proj", "_cands")
 
     def __init__(self, edges: Sequence[Edge], masks: Sequence[int],
                  parts: Sequence[Edge]):
         self.edges = edges
         self.masks = masks
         self.part_masks = tuple(mask_of(p) for p in parts)
+        inc: dict[int, int] = {}
+        for j, e in enumerate(edges):
+            bit = 1 << j
+            for v in e:
+                inc[v] = inc.get(v, 0) | bit
+        self.inc = inc
+        everything = (1 << len(edges)) - 1
         self.meets: list[set[int]] = []
-        for m in masks:
-            # m & m = m is the only meet equal to m: edges are distinct k-sets
-            mine = {m & other for other in masks}
-            mine.discard(m)
-            self.meets.append(mine)
+        for i, e in enumerate(edges):
+            # (edges, meet so far), starting from every edge but i; the leaf
+            # inside every split is empty, as edges are distinct k-sets, so
+            # no meet is edge i's own mask
+            branches = [(everything ^ (1 << i), 0)]
+            for v in e:
+                holders = inc[v]
+                vbit = 1 << (v - 1)
+                split = []
+                for bits, m in branches:
+                    inside = bits & holders
+                    if inside:
+                        split.append((inside, m | vbit))
+                    if inside != bits:
+                        split.append((bits ^ inside, m))
+                branches = split
+            self.meets.append({m for _, m in branches})
+        self._proj: dict[int, frozenset[int]] = {}
         self._cands: dict[int, list[tuple[Edge, int]]] = {}
 
     def project(self, mask: int) -> frozenset[int]:
         """The 1-based indices of the parts the vertex mask meets."""
-        return frozenset(i for i, pm in enumerate(self.part_masks, start=1) if mask & pm)
+        out = self._proj.get(mask)
+        if out is None:
+            out = frozenset(i for i, pm in enumerate(self.part_masks, start=1) if mask & pm)
+            self._proj[mask] = out
+        return out
 
     def pattern(self, i: int) -> frozenset[frozenset[int]]:
         return frozenset(self.project(x) for x in self.meets[i])
@@ -98,8 +130,14 @@ class _MaskIndex:
         """The lex-first s-petal sunflower through edge i at the center mask."""
         cands = self._cands.get(center)
         if cands is None:
-            cands = [(e, m & ~center) for e, m in zip(self.edges, self.masks)
-                     if m & center == center]
+            # the meet of no bitsets is -1, so the empty center takes every edge
+            bits = meet(self.inc[v] for v in vertices_of(center)) & ((1 << len(self.edges)) - 1)
+            cands = []
+            while bits:
+                low = bits & -bits
+                j = low.bit_length() - 1
+                cands.append((self.edges[j], self.masks[j] & ~center))
+                bits ^= low
             self._cands[center] = cands
         # edge i stays among the candidates; its residue is in `used`
         chosen = sunflower_search_masks(cands, s - 1, self.masks[i] & ~center)
@@ -239,10 +277,13 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
     single edge with its tailor-made partition is the fallback, so the
     result is never empty. Deterministic for fixed seed and restarts.
 
-    Each refinement step builds one bitmask index of the current edges; it
-    gives the patterns, the intersections and the sunflower witnesses, the
-    last through the mask kernel `sunflower_search_masks` that
-    `find_sunflower` also runs. `is_homogeneous` rechecks the final subgraph.
+    Each refinement step builds one bitmask index of the current edges from
+    per-vertex edge bitsets; it gives the patterns, the intersections and
+    the sunflower witnesses, the last through the mask kernel
+    `sunflower_search_masks` that `find_sunflower` also runs. Building it
+    costs at most k * min(2^k, |E|) bitset ANDs per edge, so a step is no
+    longer quadratic in the edge count. `is_homogeneous` rechecks the final
+    subgraph.
     """
     if s < 2:
         raise ParameterError(f"petal count s must be at least 2, got {s}")

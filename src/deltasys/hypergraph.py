@@ -54,6 +54,25 @@ def meet(masks: Iterable[int]) -> int:
     return reduce(and_, masks, -1)
 
 
+def check_order(n: int, k: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> None:
+    """Refuse a vertex count or uniformity no hypergraph on {1..n} may have."""
+    if not isinstance(n, int) or n < 1:
+        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    if n > max_vertices:
+        raise ParameterError(f"n={n} exceeds the vertex cap {max_vertices}")
+    if not isinstance(k, int) or not 1 <= k <= n:
+        raise ParameterError(f"k must satisfy 1 <= k <= n, got k={k!r}, n={n}")
+
+
+def _sorted_distinct(edges: list[Edge]) -> list[Edge]:
+    """Sort normalized edges in place and refuse the first repeated one."""
+    edges.sort()
+    for a, b in zip(edges, edges[1:]):
+        if a == b:
+            raise ParameterError(f"duplicate edge {a}")
+    return edges
+
+
 class Hypergraph:
     """An immutable k-uniform hypergraph on vertex set {1, ..., n}.
 
@@ -65,12 +84,7 @@ class Hypergraph:
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]],
                  max_vertices: int = DEFAULT_MAX_VERTICES):
-        if not isinstance(n, int) or n < 1:
-            raise ParameterError(f"n must be a positive integer, got {n!r}")
-        if n > max_vertices:
-            raise ParameterError(f"n={n} exceeds the vertex cap {max_vertices}")
-        if not isinstance(k, int) or not 1 <= k <= n:
-            raise ParameterError(f"k must satisfy 1 <= k <= n, got k={k!r}, n={n}")
+        check_order(n, k, max_vertices)
         normalized = []
         for raw in edges:
             e = vertex_tuple(raw)
@@ -79,14 +93,24 @@ class Hypergraph:
             if e[-1] > n:
                 raise ParameterError(f"edge {e} uses a vertex above n={n}")
             normalized.append(e)
-        normalized.sort()
-        for a, b in zip(normalized, normalized[1:]):
-            if a == b:
-                raise ParameterError(f"duplicate edge {a}")
+        self._fill(n, k, _sorted_distinct(normalized))
+
+    @classmethod
+    def _checked(cls, n: int, k: int, edges: list[Edge]) -> "Hypergraph":
+        """A hypergraph from edges a caller has already normalized and checked.
+
+        `edges` must be sorted tuples of k vertices in 1..n, pairwise
+        distinct, in lexicographic order; n and k must pass `check_order`.
+        """
+        h = cls.__new__(cls)
+        h._fill(n, k, edges)
+        return h
+
+    def _fill(self, n: int, k: int, edges: list[Edge]) -> None:
         self.n = n
         self.k = k
-        self.edges: tuple[Edge, ...] = tuple(normalized)
-        self.edge_masks: tuple[int, ...] = tuple(mask_of(e) for e in self.edges)
+        self.edges: tuple[Edge, ...] = tuple(edges)
+        self.edge_masks: tuple[int, ...] = tuple(map(mask_of, self.edges))
         self._edge_set = frozenset(self.edges)
 
     def __len__(self) -> int:
@@ -115,7 +139,7 @@ class Hypergraph:
         for e in sub:
             if e not in self._edge_set:
                 raise ParameterError(f"{e} is not an edge of this hypergraph")
-        return Hypergraph(self.n, self.k, sub)
+        return Hypergraph._checked(self.n, self.k, _sorted_distinct(sub))
 
     def degree(self, v: int) -> int:
         """Number of edges containing vertex v."""

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from deltasys import (
     FormatError,
     Hypergraph,
+    ParameterError,
     load_hypergraph,
     parse_hypergraph,
     save_hypergraph,
     serialize_hypergraph,
 )
+from deltasys.cli import main as cli_main
 from conftest import random_hypergraph
 
 
@@ -75,6 +77,24 @@ def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(FormatError) as exc:
         parse_hypergraph(text)
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text", ["129 3\n", "129 3\n1 2 3\n", "200 4\n# pad\n1 2 3 200\n"])
+def test_vertex_cap_holds_on_the_load_path(tmp_path, capsys, text):
+    path = tmp_path / "cap.txt"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match="exceeds the vertex cap 128"):
+        load_hypergraph(path)
+    assert cli_main(["shadow", str(path), "--order", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the vertex cap 128" in captured.err
+
+
+def test_edge_errors_come_before_the_vertex_cap():
+    with pytest.raises(FormatError) as exc:
+        parse_hypergraph("129 3\n1 2 3\n1 2 130\n")
+    assert exc.value.line == 3
 
 
 def test_empty_edge_list_is_fine():

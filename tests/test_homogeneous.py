@@ -249,25 +249,39 @@ class TestMaskIndex:
     def test_patterns_centers_and_witnesses_match_the_reference(self):
         rng = random.Random(5150)
         checked = 0
+        empty_centers = 0
+
+        def compare(h, parts, s):
+            nonlocal checked, empty_centers
+            idx = _MaskIndex(h.edges, h.edge_masks, parts)
+            for i, e in enumerate(h.edges):
+                assert idx.project(h.edge_masks[i]) == project(e, parts)
+                inters = intersection_structure(h, e)
+                assert idx.pattern(i) == frozenset(project(x, parts) for x in inters)
+                centers = idx.centers(i)
+                assert [c for c, _ in centers] == sorted(inters)
+                for center, cm in centers:
+                    assert cm == mask_of(center)
+                    flower = find_sunflower(h, center, s, require_edge=e)
+                    expected = None if flower is None else flower.petals
+                    assert idx.petals(i, cm, s) == expected, (h.edges, e, center, s)
+                    checked += 1
+                    empty_centers += cm == 0
+
         for k in (2, 3, 4):
             for s in (2, 3):
                 for _ in range(8):
                     h = random_hypergraph(rng, n=rng.randint(k + 1, 11), k=k, max_edges=30)
-                    parts = random_partition(rng, h.n, k)
-                    idx = _MaskIndex(h.edges, h.edge_masks, parts)
-                    for i, e in enumerate(h.edges):
-                        assert idx.project(h.edge_masks[i]) == project(e, parts)
-                        inters = intersection_structure(h, e)
-                        assert idx.pattern(i) == frozenset(project(x, parts) for x in inters)
-                        centers = idx.centers(i)
-                        assert [c for c, _ in centers] == sorted(inters)
-                        for center, cm in centers:
-                            assert cm == mask_of(center)
-                            flower = find_sunflower(h, center, s, require_edge=e)
-                            expected = None if flower is None else flower.petals
-                            assert idx.petals(i, cm, s) == expected, (h.edges, e, center, s)
-                            checked += 1
+                    compare(h, random_partition(rng, h.n, k), s)
+        # dense inputs: hundreds of edges, so each edge's meets split the
+        # others into many classes, and disjoint edges give the empty center
+        for trial, (n, k, size) in enumerate(((30, 3, 400), (20, 4, 300))):
+            dense = random.Random(5160 + trial)
+            h = Hypergraph(n, k, dense.sample(list(combinations(range(1, n + 1), k)), size))
+            for s in (2, 3):
+                compare(h, random_partition(dense, n, k), s)
         assert checked > 1000
+        assert empty_centers > 0
 
     def test_climb_matches_the_recount_rule(self):
         rng = random.Random(8080)

@@ -1,6 +1,7 @@
 """Sunflowers, sunflower clusters, completion, and cluster search."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +20,21 @@ from deltasys import (
     find_sunflower,
     is_sunflower,
 )
-from conftest import random_full_cluster, random_semi_cluster
+from conftest import random_full_cluster, random_hypergraph, random_semi_cluster
+
+
+def brute_force_sunflower(h, center, s, require_edge=None):
+    """The first s-subset, in `combinations` order, of the edges through the
+    center whose pairwise meets all equal the center; with `require_edge`,
+    the first such subset that holds that edge."""
+    c = set(center)
+    through = [e for e in h.edges if c <= set(e)]
+    for subset in combinations(through, s):
+        if require_edge is not None and require_edge not in subset:
+            continue
+        if all(set(a) & set(b) == c for a, b in combinations(subset, 2)):
+            return subset
+    return None
 
 
 class TestSunflowerCheck:
@@ -82,6 +97,25 @@ class TestFindSunflower:
     def test_size_validation(self):
         with pytest.raises(ParameterError):
             find_sunflower(build_star(5, 3), (1,), 1)
+
+    def test_matches_the_brute_force_oracle(self):
+        rng = random.Random(2718)
+        outcomes = set()
+        for _ in range(200):
+            h = random_hypergraph(rng, max_edges=16)
+            host = rng.choice(h.edges)
+            center = tuple(sorted(rng.sample(host, rng.randrange(h.k))))
+            s = rng.randint(2, 4)
+            through = [e for e in h.edges if set(center) <= set(e)]
+            for req in (None, rng.choice(through)):
+                flower = find_sunflower(h, center, s, require_edge=req)
+                got = None if flower is None else flower.petals
+                assert got == brute_force_sunflower(h, center, s, req), (h.edges, center, s, req)
+                if flower is not None:
+                    assert flower.center == center
+                outcomes.add((req is None, got is None))
+        # each of found / none, with and without a required edge, occurs
+        assert len(outcomes) == 4
 
 
 class TestClusterShape:
