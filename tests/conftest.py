@@ -86,6 +86,17 @@ def random_full_cluster(rng, part_sizes, group_sizes):
     return SunflowerCluster(host, blocks, tuple(groups)), nxt - 1
 
 
+def block_shapes(k):
+    """Every ordered way to cut a k-set's size into at least two blocks."""
+
+    def rec(rest):
+        if rest == 0:
+            return [()]
+        return [(x,) + tail for x in range(1, rest + 1) for tail in rec(rest - x)]
+
+    return [shape for shape in rec(k) if len(shape) >= 2]
+
+
 def run_cli(argv, capsys):
     """Run the CLI in-process; returns (exit_code, stdout_text)."""
     try:

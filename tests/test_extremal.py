@@ -270,6 +270,24 @@ class TestDifferential:
                     hit = check_nontrivial(list(map(vertices_of, sub)), config.d).nontrivial
                 assert (sum(1 << i for i in idx) in table) == hit, (n, idx)
 
+    @pytest.mark.parametrize("shape,entries,digest", [
+        ((1, 1), 4032, "923434d82400f709"),
+        ((1, 1, 1), 2220, "6864852b1439b2a6"),
+        ((1, 2), 2070, "67d2d0d2deaedcaf"),
+        ((2, 1), 2070, "67d2d0d2deaedcaf"),
+    ], ids=str)
+    def test_avd_tables_are_pinned(self, shape, entries, digest):
+        # the sorted tables for n = k+1..7 and d = p..p+2
+        k = sum(shape)
+        tables = []
+        for n in range(k + 1, 8):
+            masks = [mask_of(e) for e in combinations(range(1, n + 1), k)]
+            for d in range(len(shape), len(shape) + 3):
+                config = ForbiddenConfig("avd-system", part_sizes=shape, d=d)
+                tables.append(sorted(conflict_sets(masks, config)))
+        assert sum(map(len, tables)) == entries
+        assert hashlib.sha256(json.dumps(tables).encode()).hexdigest()[:16] == digest
+
     def test_larger_configurations_have_no_table(self):
         masks = [mask_of(e) for e in combinations(range(1, 6), 3)]
         config = ForbiddenConfig("nontrivial-intersecting", t=4, d=2)

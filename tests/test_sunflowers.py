@@ -1,5 +1,7 @@
 """Sunflowers, sunflower clusters, completion, and cluster search."""
 
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -20,7 +22,7 @@ from deltasys import (
     find_sunflower,
     is_sunflower,
 )
-from conftest import random_full_cluster, random_hypergraph, random_semi_cluster
+from conftest import block_shapes, random_full_cluster, random_hypergraph, random_semi_cluster
 
 
 def brute_force_sunflower(h, center, s, require_edge=None):
@@ -253,7 +255,53 @@ class TestCompletion:
                 assert set(sel) <= set(orig)
 
 
+def seeded_cluster_graph(rng, shape, d):
+    """A relabelled semi cluster with d+1 petals whose groups collide, plus noise.
+
+    Whether a disjoint cluster with d petals survives depends on the draw,
+    so the grid below holds both FOUND and NONE cases.
+    """
+    counts = [1] * len(shape)
+    for _ in range(d + 1 - len(shape)):
+        counts[rng.randrange(len(shape))] += 1
+    semi, n = random_semi_cluster(rng, shape, counts, pool_size=2)
+    n += 1
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    edges = {tuple(sorted(labels[v - 1] for v in e)) for e in semi.all_edges}
+    edges.update(rng.sample(list(combinations(range(1, n + 1), sum(shape))), 5))
+    return Hypergraph(n, sum(shape), edges)
+
+
+# sha256 prefix of the JSON list of (status, witness) over d = p..p+2 and
+# twelve seeded graphs each
+CLUSTER_PINS = {
+    (1, 1): "0439bdf20d86bcb4",
+    (1, 1, 1): "4cdfba1c59aab554",
+    (1, 2): "cd784b0bc8bc1583",
+    (2, 1): "c9346c30ace02b2e",
+    (1, 1, 1, 1): "2d4e2fac6968c4e1",
+    (1, 1, 2): "9c6972d837d3a7ff",
+    (1, 2, 1): "ce3192d064c9a375",
+    (1, 3): "f2d1149840c15324",
+    (2, 1, 1): "ecbf0b20174d3883",
+    (2, 2): "11542ab355783f82",
+    (3, 1): "3aed33d61504ed85",
+}
+
+
 class TestFindCluster:
+    @pytest.mark.parametrize("shape", [s for k in (2, 3, 4) for s in block_shapes(k)], ids=str)
+    def test_pinned_witnesses(self, shape):
+        rows = []
+        for d in range(len(shape), len(shape) + 3):
+            rng = random.Random(f"{shape}-{d}")
+            for _ in range(12):
+                out = find_cluster(seeded_cluster_graph(rng, shape, d), shape, d)
+                rows.append([out.status.value, out.witness and out.witness.to_json()])
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+        assert digest == CLUSTER_PINS[shape]
+
     def test_star_has_no_clusters(self):
         out = find_cluster(build_star(6, 3), (2, 1), 2)
         assert out.status is SearchStatus.NONE
