@@ -3,17 +3,18 @@
 `max_avoiding` runs a complete branch and bound over all k-subsets of the
 vertex set, forbidding any subfamily that forms the given configuration.
 The first edge 1..k is forced, which loses no size by relabeling and keeps
-the search canonical; the star through vertex 1 seeds the incumbent when it
-is itself configuration-free. All maximum families through the forced edge
-are collected.
+the search canonical; the star through vertex 1, which holds none of the
+configurations, seeds the incumbent. All maximum families through the forced
+edge are collected.
 
 Every kind runs one search. It carries a live set of candidates that
 complete no forbidden subfamily with the members chosen so far, drops the
 ones each new member kills, and bounds each branch by |chosen| + |live|.
 Configurations of exactly d+1 members (d-simplices, avd-systems, and
 nontrivial-intersecting with t = d+1) read the kills from a conflict table
-listed once before the search; larger ones find them with one bitmask walk
-per new member, over the chosen subfamilies through it.
+listed once before the search, on the search's budget; larger ones find
+them with one bitmask walk per new member, over the chosen subfamilies
+through it.
 
 `stability_scan` measures how close a near-maximum family is to a star:
 the best vertex, its degree, and how many members miss it.
@@ -28,9 +29,9 @@ from itertools import combinations
 from math import comb, isfinite
 
 from .errors import BudgetExceeded, ParameterError
-from .hypergraph import Edge, Hypergraph, mask_of, vertices_of
+from .hypergraph import Edge, Hypergraph, mask_of, meet, vertices_of
 from .search import NodeCounter
-from .sunflowers import cluster_member_sets
+from .sunflowers import disjoint_clusters
 
 CONFIG_KINDS = ("nontrivial-intersecting", "d-simplex", "avd-system")
 
@@ -118,42 +119,51 @@ class ExtremalResult:
         }
 
 
-def _simplex_sets(masks: list[int], d: int) -> list[int]:
+def _simplex_sets(masks: list[int], d: int, meeting: _Meeting,
+                  counter: NodeCounter) -> list[int]:
     """Every d-simplex among the members, as a bitmask over `masks` positions.
 
-    Members are added in index order while their meet stays nonempty; the
-    (d+1)-th must empty the meet while every meet that leaves one member
-    out stays nonempty.
+    Members are added in index order while their meet stays nonempty. The
+    (d+1)-th is read from the bitsets: the later members that miss the meet
+    and meet every meet that leaves one member out. `counter` ticks once per
+    partial simplex and once per simplex listed.
     """
     found: list[int] = []
 
-    def rec(start: int, bits: int, meet: int, without: list[int]):
+    def rec(start: int, bits: int, common: int, without: list[int]):
         # without[j]: meet of the members picked so far, all but the j-th
-        last = len(without) == d
-        for i in range(start, len(masks)):
-            m = masks[i]
-            if last:
-                if not meet & m and all(w & m for w in without):
-                    found.append(bits | 1 << i)
-            elif meet & m:
-                rec(i + 1, bits | 1 << i, meet & m,
-                    [w & m for w in without] + [meet])
+        counter.tick()
+        if len(without) < d:
+            for i in range(start, len(masks)):
+                m = masks[i]
+                if common & m:
+                    rec(i + 1, bits | 1 << i, common & m, [w & m for w in without] + [common])
+            return
+        last = meet(meeting[w] for w in without) & ~meeting[common] & -(1 << start)
+        while last:
+            counter.tick()
+            low = last & -last
+            found.append(bits | low)
+            last ^= low
 
-    rec(0, 0, -1, [])
+    # the meet of no members: every vertex
+    rec(0, 0, (1 << max(masks).bit_length()) - 1, [])
     return found
 
 
-def conflict_sets(masks: list[int], config: ForbiddenConfig) -> list[int] | None:
+def conflict_sets(masks: list[int], config: ForbiddenConfig, meeting: _Meeting,
+                  counter: NodeCounter) -> list[int] | None:
     """The conflict table: every forbidden subfamily of the members.
 
     Each entry is a bitmask over `masks` positions. None when the
     configuration has more than d+1 members (nontrivial-intersecting with
-    t > d+1), which the table does not cover.
+    t > d+1), which the table does not cover. Listing it ticks `counter`.
     """
     if config.kind == "avd-system":
-        return list(cluster_member_sets(masks, config.part_sizes, config.d))
+        return list({sum(1 << j for g in groups for j in g) | 1 << hi for hi, _, groups
+                     in disjoint_clusters(masks, config.part_sizes, config.d, counter)})
     if config.kind == "d-simplex" or config.t == config.d + 1:
-        return _simplex_sets(masks, config.d)
+        return _simplex_sets(masks, config.d, meeting, counter)
     return None
 
 
@@ -244,14 +254,15 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     the incumbent are cut, every maximum family is still reached. With
     exactly d+1 members (every d-simplex and avd-system, and
     nontrivial-intersecting with t = d+1) the kills are read from a conflict
-    table listed up front; one node is one branch, and building the table is
-    not counted. For t > d+1, once |chosen| + 1 reaches t, a live x dies when
-    chosen + [x] holds a configuration through x. Older ones were ruled out
-    when their members were taken, so a new one holds x and the newest
-    member; a forbidden family stays forbidden in every superset, so x stays
-    dead. `_nontrivial_kills` finds the dead for every live candidate at once
-    in one walk over the chosen subfamilies through the newest member. One
-    node is one branch or one step of that walk.
+    table listed up front; one node is one branch or one tick of
+    `conflict_sets`, and the star is the incumbent even when the budget runs
+    out while the table is listed. For t > d+1, once |chosen| + 1 reaches t,
+    a live x dies when chosen + [x] holds a configuration through x. Older
+    ones were ruled out when their members were taken, so a new one holds x
+    and the newest member; a forbidden family stays forbidden in every
+    superset, so x stays dead. `_nontrivial_kills` finds the dead for every
+    live candidate at once in one walk over the chosen subfamilies through
+    the newest member. One node is one branch or one step of that walk.
     """
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -263,17 +274,6 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     masks = [mask_of(e) for e in cand]
     total = len(cand)
     counter = NodeCounter(budget)
-
-    conflicts = conflict_sets(masks, config)
-    # kills[e][rest]: once e and every member of rest are chosen, each of
-    # these later candidates would complete a conflict set
-    kills: list[dict[int, int]] = [{} for _ in range(total)]
-    for s in conflicts or ():
-        c = s.bit_length() - 1
-        e = (s ^ 1 << c).bit_length() - 1
-        rest = s ^ 1 << c ^ 1 << e
-        kills[e][rest] = kills[e].get(rest, 0) | 1 << c
-
     meeting = _Meeting(masks)
 
     def killed(chosen_mask: int, live: int) -> int:
@@ -288,8 +288,13 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
                                      config.d, meeting, counter)
         return dead
 
-    best = 0
-    found: dict[frozenset[int], tuple[Edge, ...]] = {}
+    # the star through vertex 1 holds no configuration: simplices and
+    # nontrivial families have an empty meet, and a cluster's group for the
+    # block that holds vertex 1 misses vertex 1
+    star_idx = [i for i, e in enumerate(cand) if e[0] == 1]
+    best = len(star_idx)
+    found: dict[frozenset[int], tuple[Edge, ...]] = {
+        frozenset(star_idx): tuple(cand[i] for i in star_idx)}
     chosen: list[int] = []
     exact = True
 
@@ -318,13 +323,15 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
         dfs(rest, chosen_mask)
 
     try:
-        # without a table the star is free: a family with no common vertex
-        # never lies inside it
-        star_idx = [i for i, e in enumerate(cand) if e[0] == 1]
-        star = sum(1 << i for i in star_idx)
-        if not any(s & star == s for s in conflicts or ()):
-            best = len(star_idx)
-            found[frozenset(star_idx)] = tuple(cand[i] for i in star_idx)
+        conflicts = conflict_sets(masks, config, meeting, counter)
+        # kills[e][rest]: once e and every member of rest are chosen, each of
+        # these later candidates would complete a conflict set
+        kills: list[dict[int, int]] = [{} for _ in range(total)]
+        for s in conflicts or ():
+            c = s.bit_length() - 1
+            e = (s ^ 1 << c).bit_length() - 1
+            rest = s ^ 1 << c ^ 1 << e
+            kills[e][rest] = kills[e].get(rest, 0) | 1 << c
         chosen.append(0)
         live = (1 << total) - 2
         dfs(live & ~killed(1, live), 1)

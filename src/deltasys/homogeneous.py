@@ -20,7 +20,7 @@ from typing import Sequence
 from .errors import ParameterError
 from .hypergraph import Edge, Hypergraph, mask_of, meet, shadow, vertices_of
 from .patterns import IntersectionPattern, rank, validate_vertex_partition
-from .sunflowers import sunflower_search_masks
+from .sunflowers import disjoint_picks
 
 # (edge, center, petals): the edge's sunflower witness for one intersection
 SunflowerWitness = tuple[Edge, Edge, tuple[Edge, ...]]
@@ -140,10 +140,10 @@ class _MaskIndex:
                 bits ^= low
             self._cands[center] = cands
         # edge i stays among the candidates; its residue is in `used`
-        chosen = sunflower_search_masks(cands, s - 1, self.masks[i] & ~center)
-        if chosen is None:
+        pick = next(disjoint_picks(cands, 0, s - 1, self.masks[i] & ~center, None), None)
+        if pick is None:
             return None
-        return tuple(sorted([self.edges[i]] + chosen))
+        return tuple(sorted((self.edges[i],) + pick[0]))
 
 
 def is_homogeneous(h: Hypergraph, s: int, parts) -> HomogeneousCheck:
@@ -279,8 +279,8 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
 
     Each refinement step builds one bitmask index of the current edges from
     per-vertex edge bitsets; it gives the patterns, the intersections and
-    the sunflower witnesses, the last through the mask kernel
-    `sunflower_search_masks` that `find_sunflower` also runs. Building it
+    the sunflower witnesses, the last through the petal picker
+    `disjoint_picks` that `find_sunflower` also runs. Building it
     costs at most k * min(2^k, |E|) bitset ANDs per edge, so a step is no
     longer quadratic in the edge count. `is_homogeneous` rechecks the final
     subgraph.

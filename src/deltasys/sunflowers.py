@@ -8,13 +8,18 @@ host minus that block. The cluster is *semi* when only the per-group
 condition holds, and *disjoint* (full) when additionally the residues
 edge-minus-host of all group edges are pairwise disjoint across the whole
 cluster. Group sizes sum to the cluster's petal count.
+
+`disjoint_picks` chooses members with pairwise disjoint residues, for a
+sunflower's petals and for each group of a cluster. `disjoint_clusters` lists
+every disjoint cluster; `find_cluster` takes the first, and the avd-system
+conflict table of `extremal` all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import BudgetExceeded, ParameterError, PreconditionError
 from .hypergraph import Edge, Hypergraph, mask_of, vertex_tuple, vertices_of
@@ -55,35 +60,28 @@ def is_sunflower(edges: Sequence[Iterable[int]]) -> bool:
     return check_sunflower(edges).ok
 
 
-def sunflower_search_masks(cands: Sequence[tuple[Edge, int]], need: int,
-                           used: int = 0) -> list[Edge] | None:
-    """Lex-first `need` candidates with residues pairwise disjoint and disjoint from `used`.
+def disjoint_picks(cands: Sequence[tuple[Any, int]], start: int, need: int, used: int,
+                   counter: NodeCounter | None):
+    """Every choice of `need` candidates from position `start` on whose residues
+    are pairwise disjoint and disjoint from `used`.
 
-    `cands` holds (edge, residue mask) pairs in the caller's order; the
-    depth-first scan follows that order, so the first hit is deterministic.
-    A candidate whose residue meets `used` is never taken, so a required
-    edge already charged to `used` may stay in the list. Returns the chosen
-    edges in scan order, or None when no such choice exists.
+    `cands` holds (item, residue mask) pairs in the caller's order. Choices
+    come in lexicographic order of their positions, each as (items in scan
+    order, `used` with their residues added). A candidate whose residue
+    meets `used` is never taken, so an item already charged to `used` may
+    stay in the list. `counter`, when given, ticks once per candidate taken.
     """
-    chosen: list[Edge] = []
-
-    def rec(start: int, used: int) -> bool:
-        remaining = need - len(chosen)
-        if remaining == 0:
-            return True
-        for pos in range(start, len(cands)):
-            if len(cands) - pos < remaining:
-                return False
-            e, res = cands[pos]
-            if res & used:
-                continue
-            chosen.append(e)
-            if rec(pos + 1, used | res):
-                return True
-            chosen.pop()
-        return False
-
-    return chosen if rec(0, used) else None
+    if need == 0:
+        yield (), used
+        return
+    for pos in range(start, len(cands) - need + 1):
+        item, res = cands[pos]
+        if res & used:
+            continue
+        if counter is not None:
+            counter.tick()
+        for rest, after in disjoint_picks(cands, pos + 1, need - 1, used | res, counter):
+            yield (item,) + rest, after
 
 
 def find_sunflower(h: Hypergraph, center: Iterable[int], s: int,
@@ -92,9 +90,9 @@ def find_sunflower(h: Hypergraph, center: Iterable[int], s: int,
 
     Disjoint residues force every pairwise intersection to equal the center
     exactly. The candidates are the edges through the center in lexicographic
-    order, and `sunflower_search_masks` scans them completely depth first, so
-    the returned witness is deterministic. With `require_edge`, that edge is
-    forced into the sunflower.
+    order, and the witness is the first choice of `disjoint_picks`, so it is
+    deterministic. With `require_edge`, that edge is forced into the
+    sunflower.
     """
     if s < 2:
         raise ParameterError(f"sunflower size must be at least 2, got {s}")
@@ -112,10 +110,10 @@ def find_sunflower(h: Hypergraph, center: Iterable[int], s: int,
         cands = [(e, r) for e, r in cands if e != req]
         forced.append(req)
         used = mask_of(req) & ~cm
-    chosen = sunflower_search_masks(cands, s - len(forced), used)
-    if chosen is None:
+    pick = next(disjoint_picks(cands, 0, s - len(forced), used, None), None)
+    if pick is None:
         return None
-    return Sunflower(c, tuple(sorted(forced + chosen)))
+    return Sunflower(c, tuple(sorted(forced + list(pick[0]))))
 
 
 @dataclass(frozen=True)
@@ -332,123 +330,55 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def cluster_member_sets(masks: Sequence[int], part_sizes: Sequence[int],
-                        d: int) -> set[int]:
-    """Member sets of every disjoint cluster, as bitmasks over `masks` positions.
+def _group_picks(cands: Sequence[Sequence[tuple[int, int]]], sizes: Sequence[int],
+                 used: int, counter: NodeCounter):
+    """Every choice of sizes[i] members from each cands[i] with all residues
+    disjoint, group by group in lexicographic order."""
+    if not cands:
+        yield ()
+        return
+    for group, after in disjoint_picks(cands[0], 0, sizes[0], used, counter):
+        for rest in _group_picks(cands[1:], sizes[1:], after, counter):
+            yield (group,) + rest
 
-    A member set is a host plus d petals. Hosts, partitions and group-size
-    compositions run as in `cluster_search_masks`; the petals of each group
-    are every choice of members whose residues are disjoint from all others.
+
+def disjoint_clusters(masks: Sequence[int], part_sizes: Sequence[int], d: int,
+                      counter: NodeCounter):
+    """Every disjoint cluster over a mask list, as (host index, blocks, groups of indices).
+
+    Indices refer to positions in `masks`, which must be in the caller's
+    deterministic order. Hosts run in index order, then the host's ordered
+    partitions, then the compositions of d into group sizes, then the
+    petals group by group; a composition that asks a group for more members
+    than it has candidates is skipped. The same member set may come more
+    than once. `counter` ticks once per host, once per partition and once
+    per petal.
     """
-    p = len(part_sizes)
-    found: set[int] = set()
     for hi, host_mask in enumerate(masks):
+        counter.tick()
         for blocks in _host_partitions(vertices_of(host_mask), part_sizes):
+            counter.tick()
             centers = [host_mask & ~mask_of(b) for b in blocks]
             cands = [[(j, m & ~host_mask) for j, m in enumerate(masks)
                       if j != hi and m & host_mask == cm] for cm in centers]
-            for sizes in _compositions(d, p):
-
-                def pick(gi: int, start: int, need: int, used: int, bits: int):
-                    if need == 0:
-                        gi += 1
-                        if gi == p:
-                            found.add(bits)
-                            return
-                        start, need = 0, sizes[gi]
-                    lst = cands[gi]
-                    for pos in range(start, len(lst) - need + 1):
-                        j, res = lst[pos]
-                        if not res & used:
-                            pick(gi, pos + 1, need - 1, used | res, bits | 1 << j)
-
-                pick(0, 0, sizes[0], 0, 1 << hi)
-    return found
+            for sizes in _compositions(d, len(blocks)):
+                if any(len(c) < b for c, b in zip(cands, sizes)):
+                    continue
+                for groups in _group_picks(cands, sizes, 0, counter):
+                    yield hi, blocks, groups
 
 
 def cluster_search_masks(masks: Sequence[int], k: int, part_sizes: Sequence[int],
                          d: int, counter: NodeCounter,
                          require: int | None = None) -> tuple[int, tuple, tuple[tuple[int, ...], ...]] | None:
-    """Core exact search over a mask list; returns (host index, blocks, groups of indices).
+    """The first of `disjoint_clusters`; returns (host index, blocks, groups of indices).
 
-    Indices refer to positions in `masks`, which must be in the caller's
-    deterministic order. With `require`, only clusters using that edge (as
-    host or group member) are sought; the search is then existence-only.
+    With `require`, the first cluster that uses that edge, as host or group
+    member.
     """
-    p = len(part_sizes)
-    n_edges = len(masks)
-
-    def try_host(hi: int) -> tuple[int, tuple, tuple[tuple[int, ...], ...]] | None:
-        host_mask = masks[hi]
-        host = vertices_of(host_mask)
-        for blocks in _host_partitions(host, part_sizes):
-            counter.tick()
-            centers = [host_mask & ~mask_of(b) for b in blocks]
-            cands: list[list[int]] = []
-            for cm in centers:
-                lst = [j for j in range(n_edges)
-                       if j != hi and masks[j] & host_mask == cm]
-                cands.append(lst)
-            if require is not None and require != hi:
-                req_groups = [i for i in range(p) if require in cands[i]]
-                if not req_groups:
-                    continue
-            else:
-                req_groups = [None]
-            for req_group in req_groups:
-                used0 = 0
-                if req_group is not None:
-                    used0 = masks[require] & ~host_mask
-                for b in _compositions(d, p):
-                    if any(len(cands[i]) < b[i] - (1 if i == req_group else 0) for i in range(p)):
-                        continue
-                    picked: list[list[int]] = [[] for _ in range(p)]
-
-                    def fill(gi: int, used: int) -> bool:
-                        if gi == p:
-                            return True
-                        need = b[gi] - (1 if gi == req_group else 0)
-                        lst = cands[gi]
-
-                        def pick(start: int, need: int, used: int) -> bool:
-                            counter.tick()
-                            if need == 0:
-                                return fill(gi + 1, used)
-                            for pos in range(start, len(lst)):
-                                if len(lst) - pos < need:
-                                    return False
-                                j = lst[pos]
-                                if j == require and gi == req_group:
-                                    continue
-                                res = masks[j] & ~host_mask
-                                if res & used:
-                                    continue
-                                picked[gi].append(j)
-                                if pick(pos + 1, need - 1, used | res):
-                                    return True
-                                picked[gi].pop()
-                            return False
-
-                        return pick(0, need, used)
-
-                    if fill(0, used0):
-                        groups = []
-                        for gi in range(p):
-                            idxs = list(picked[gi])
-                            if gi == req_group:
-                                idxs.append(require)
-                            groups.append(tuple(sorted(idxs)))
-                        return hi, blocks, tuple(groups)
-        return None
-
-    if require is not None:
-        order = [require] + [i for i in range(n_edges) if i != require]
-    else:
-        order = list(range(n_edges))
-    for hi in order:
-        counter.tick()
-        hit = try_host(hi)
-        if hit is not None:
+    for hit in disjoint_clusters(masks, part_sizes, d, counter):
+        hi, _, groups = hit
+        if require is None or require == hi or any(require in g for g in groups):
             return hit
     return None
 

@@ -4,9 +4,9 @@ Everything here is deterministic given the caller's Random instance, so
 tests stay reproducible across runs and thread counts.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
-from deltasys import Hypergraph, SunflowerCluster
+from deltasys import Hypergraph, SunflowerCluster, check_cluster
 from deltasys.cli import main as cli_main
 
 
@@ -95,6 +95,28 @@ def block_shapes(k):
         return [(x,) + tail for x in range(1, rest + 1) for tail in rec(rest - x)]
 
     return [shape for shape in rec(k) if len(shape) >= 2]
+
+
+def forms_cluster(edges, part_sizes, d):
+    """Do these edges, all of them, form a disjoint cluster? Plain checks.
+
+    Tries each edge as the host and each ordered partition of the host with
+    the given block sizes; every other edge goes to the block whose
+    complement equals its meet with the host, and `check_cluster` decides.
+    """
+    if len(edges) != d + 1:
+        return False
+    cuts = [sum(part_sizes[:i]) for i in range(len(part_sizes) + 1)]
+    for host in edges:
+        petals = [e for e in edges if e != host]
+        for order in permutations(host):
+            blocks = [tuple(sorted(order[a:b])) for a, b in zip(cuts, cuts[1:])]
+            centers = [set(host) - set(b) for b in blocks]
+            groups = [[e for e in petals if set(e) & set(host) == c] for c in centers]
+            if sum(map(len, groups)) == len(petals) and all(groups) and check_cluster(
+                    SunflowerCluster(host, tuple(blocks), tuple(map(tuple, groups))), d).ok:
+                return True
+    return False
 
 
 def run_cli(argv, capsys):

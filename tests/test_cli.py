@@ -3,7 +3,9 @@
 import argparse
 import json
 import random
+import time
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -408,6 +410,22 @@ class TestExtremal:
         assert rep["verdict"] == "budget-exhausted"
         # the star through vertex 1 is the lower bound
         assert rep["result"]["max_size"] == 10
+
+    # the conflict table is listed under the budget, so a small budget ends
+    # the run before the search starts, with the star as the lower bound
+    @pytest.mark.parametrize("n, wise, budget", [(10, 3, 1000), (16, 2, 200000)])
+    def test_budget_stops_the_table_build(self, n, wise, budget, capsys):
+        started = time.perf_counter()
+        code, out = run_cli(
+            ["extremal", "--n", str(n), "--k", "4", "--config", "d-simplex",
+             "--wise", str(wise), "--budget", str(budget)],
+            capsys,
+        )
+        assert time.perf_counter() - started < 2.0
+        assert code == 2
+        result = report_of(out)["result"]
+        assert result["nodes"] == budget + 1
+        assert result["max_size"] == comb(n - 1, 3)
 
     def test_missing_config_parameters(self, capsys):
         code, _ = run_cli(

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,9 +13,7 @@ from deltasys import (
     Hypergraph,
     NodeCounter,
     ParameterError,
-    SunflowerCluster,
     build_star,
-    check_cluster,
     check_nontrivial,
     mask_of,
     max_avoiding,
@@ -23,7 +21,7 @@ from deltasys import (
     vertices_of,
 )
 from deltasys.extremal import _Meeting, _nontrivial_kills, conflict_sets
-from deltasys.sunflowers import cluster_search_masks
+from conftest import forms_cluster
 
 
 def brute_force_max_n5():
@@ -170,6 +168,15 @@ class TestAgainstBruteForce:
         assert not res.exact
         assert res.max_size == 10
 
+    # the benchmark's table jobs: one node per branch, plus one per step of
+    # listing the conflict table
+    @pytest.mark.parametrize("n,config,nodes", [
+        (7, ForbiddenConfig("d-simplex", d=2), 3726),
+        (6, ForbiddenConfig("avd-system", part_sizes=(2, 1), d=2), 6073),
+    ], ids=["simplex-7-3", "avd-6-3"])
+    def test_node_counts_are_pinned(self, n, config, nodes):
+        assert max_avoiding(n, 3, config).nodes == nodes
+
     def test_result_json(self):
         res = max_avoiding(5, 3, ForbiddenConfig("d-simplex", d=2))
         js = res.to_json()
@@ -188,20 +195,7 @@ def forms_config(edges, config):
         if config.d == 1:
             return not set(edges[0]) & set(edges[1])
         return check_nontrivial(edges, config.d).nontrivial
-    if len(edges) != config.d + 1:
-        return False
-    cuts = [sum(config.part_sizes[:i]) for i in range(len(config.part_sizes) + 1)]
-    for host in edges:
-        petals = [e for e in edges if e != host]
-        for order in permutations(host):
-            blocks = [tuple(sorted(order[a:b])) for a, b in zip(cuts, cuts[1:])]
-            centers = [set(host) - set(b) for b in blocks]
-            groups = [[e for e in petals if set(e) & set(host) == c] for c in centers]
-            if sum(map(len, groups)) == len(petals) and all(groups) and check_cluster(
-                    SunflowerCluster(host, tuple(blocks), tuple(map(tuple, groups))),
-                    config.d).ok:
-                return True
-    return False
+    return forms_cluster(edges, config.part_sizes, config.d)
 
 
 def brute_force_families(n, k, config):
@@ -258,16 +252,9 @@ class TestDifferential:
     def test_conflict_table_matches_the_kernels(self, k, config):
         for n in range(k, 7):
             masks = [mask_of(e) for e in combinations(range(1, n + 1), k)]
-            table = set(conflict_sets(masks, config))
+            table = set(conflict_sets(masks, config, _Meeting(masks), NodeCounter()))
             for idx in combinations(range(len(masks)), config.d + 1):
-                sub = [masks[i] for i in idx]
-                if config.kind == "avd-system":
-                    hit = cluster_search_masks(sub, k, config.part_sizes, config.d,
-                                               NodeCounter(10**6)) is not None
-                elif config.d == 1:
-                    hit = not sub[0] & sub[1]
-                else:
-                    hit = check_nontrivial(list(map(vertices_of, sub)), config.d).nontrivial
+                hit = forms_config([vertices_of(masks[i]) for i in idx], config)
                 assert (sum(1 << i for i in idx) in table) == hit, (n, idx)
 
     @pytest.mark.parametrize("shape,entries,digest", [
@@ -284,14 +271,15 @@ class TestDifferential:
             masks = [mask_of(e) for e in combinations(range(1, n + 1), k)]
             for d in range(len(shape), len(shape) + 3):
                 config = ForbiddenConfig("avd-system", part_sizes=shape, d=d)
-                tables.append(sorted(conflict_sets(masks, config)))
+                tables.append(sorted(conflict_sets(masks, config, _Meeting(masks),
+                                                   NodeCounter())))
         assert sum(map(len, tables)) == entries
         assert hashlib.sha256(json.dumps(tables).encode()).hexdigest()[:16] == digest
 
     def test_larger_configurations_have_no_table(self):
         masks = [mask_of(e) for e in combinations(range(1, 6), 3)]
         config = ForbiddenConfig("nontrivial-intersecting", t=4, d=2)
-        assert conflict_sets(masks, config) is None
+        assert conflict_sets(masks, config, _Meeting(masks), NodeCounter()) is None
 
 
 def brute_force_kills(cand, chosen, newest, live, t, d):

@@ -22,7 +22,8 @@ from deltasys import (
     find_sunflower,
     is_sunflower,
 )
-from conftest import block_shapes, random_full_cluster, random_hypergraph, random_semi_cluster
+from conftest import (block_shapes, forms_cluster, random_full_cluster, random_hypergraph,
+                      random_semi_cluster)
 
 
 def brute_force_sunflower(h, center, s, require_edge=None):
@@ -323,6 +324,30 @@ class TestFindCluster:
             assert out.found, (trial, sizes, counts)
             assert check_cluster(out.witness, sum(counts)).ok
             assert set(out.witness.all_edges) <= set(h.edges)
+
+    @pytest.mark.parametrize("shape,d", [((1, 1), 2), ((1, 1), 3), ((2, 1), 2), ((1, 2), 3),
+                                         ((1, 1, 1), 3), ((2, 2), 2), ((1, 1, 2), 3)], ids=str)
+    def test_matches_the_brute_force_oracle(self, shape, d):
+        k = sum(shape)
+        rng = random.Random(f"oracle-{shape}-{d}")
+        for trial in range(16):
+            if trial % 2:
+                h = random_hypergraph(rng, n=rng.randint(k + 2, 9), k=k, max_edges=12)
+            else:
+                h = seeded_cluster_graph(rng, shape, d)
+            clusters = [set(sub) for sub in combinations(h.edges, d + 1)
+                        if forms_cluster(sub, shape, d)]
+            assert find_cluster(h, shape, d).found == bool(clusters), trial
+            for e in h.edges:
+                out = find_cluster(h, shape, d, require_edge=e)
+                assert out.found == any(e in c for c in clusters), (trial, e)
+                assert not out.found or e in out.witness.all_edges
+
+    def test_composition_prune(self):
+        # in a star every host partition leaves some group without candidates,
+        # so no composition gets as far as picking a petal
+        out = find_cluster(build_star(12, 3), (2, 1), 3, budget=1000)
+        assert out.status is SearchStatus.NONE
 
     def test_require_edge_constrains_witness(self):
         c = SunflowerCluster(
