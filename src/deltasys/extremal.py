@@ -2,10 +2,12 @@
 
 `max_avoiding` runs a complete branch and bound over all k-subsets of the
 vertex set, forbidding any subfamily that forms the given configuration.
-The first edge 1..k is forced, which loses no size by relabeling and keeps
-the search canonical; the star through vertex 1, which holds none of the
-configurations, seeds the incumbent. All maximum families through the forced
-edge are collected.
+The first edge 1..k is forced, which loses no size by relabeling; the star
+through vertex 1, which holds none of the configurations, seeds the
+incumbent. The search branches by orbits: each node takes the lowest live
+candidate or drops every candidate that a relabelling fixing the chosen
+members maps it to. At least one maximum family through the forced edge is
+collected from every isomorphism class.
 
 Every kind runs one search. It carries a live set of candidates that
 complete no forbidden subfamily with the members chosen so far, drops the
@@ -238,31 +240,63 @@ def _nontrivial_kills(masks: list[int], chosen: int, newest: int, live: int, t: 
     return dead
 
 
+class _MeetSizes(dict):
+    """by_meet[cell][j]: the candidates meeting the vertex set `cell` in j
+    vertices, for j = 0..k, built on first use."""
+
+    def __init__(self, masks: list[int], k: int):
+        super().__init__()
+        self.masks = masks
+        self.k = k
+
+    def __missing__(self, cell: int) -> list[int]:
+        out = [0] * (self.k + 1)
+        for i, m in enumerate(self.masks):
+            out[(m & cell).bit_count()] |= 1 << i
+        self[cell] = out
+        return out
+
+
 def max_avoiding(n: int, k: int, config: ForbiddenConfig,
                  budget: int | None = None) -> ExtremalResult:
     """Largest families of k-subsets of 1..n with no forbidden subfamily.
 
-    Exact and deterministic. Results carry every maximum family through the
-    forced first edge 1..k; with an exhausted budget `exact` is False and
-    max_size is only a lower bound.
+    Exact and deterministic. `families` holds at least one labelled maximum
+    family through the first edge 1..k from every isomorphism class of
+    maximum families, the star through vertex 1 among them when it is
+    maximum; with an exhausted budget `exact` is False and max_size is only
+    a lower bound.
 
-    The search keeps a live set: candidates after the current one that
-    complete no forbidden subfamily with the members chosen so far. Each
-    node takes the lowest live candidate, dropping every candidate the new
-    member kills, or leaves it out. A live candidate can always be added, so
-    |chosen| + |live| bounds the branch; since only branches strictly below
-    the incumbent are cut, every maximum family is still reached. With
-    exactly d+1 members (every d-simplex and avd-system, and
+    The search is orbital branching over a live set: the candidates not yet
+    decided that complete no forbidden subfamily with the members chosen so
+    far. The cells of a node split 1..n into the vertices that lie in
+    exactly the same chosen members; the group G permuting each cell freely
+    fixes every chosen member, so it maps kills to kills, and since every
+    candidate dropped so far went with a whole orbit of a larger group, the
+    live set is G-invariant. The orbit of a live x is every live y with
+    |y & C| = |x & C| for each cell C. Each node takes the lowest live x,
+    dropping every candidate the new member kills and refining the cells by
+    x, or drops x's whole orbit under the same cells. A family that meets
+    the orbit maps under G to one that holds x, so no size is lost, and
+    since only branches strictly below the incumbent are cut, every
+    isomorphism class of maximum families is reached. A live candidate can
+    always be added, so |chosen| + |live| bounds the branch. Both branches
+    remove the lowest live x, so every live candidate lies above every
+    chosen member: members still arrive in index order.
+
+    With exactly d+1 members (every d-simplex and avd-system, and
     nontrivial-intersecting with t = d+1) the kills are read from a conflict
-    table listed up front; one node is one branch or one tick of
-    `conflict_sets`, and the star is the incumbent even when the budget runs
-    out while the table is listed. For t > d+1, once |chosen| + 1 reaches t,
-    a live x dies when chosen + [x] holds a configuration through x. Older
-    ones were ruled out when their members were taken, so a new one holds x
-    and the newest member; a forbidden family stays forbidden in every
-    superset, so x stays dead. `_nontrivial_kills` finds the dead for every
-    live candidate at once in one walk over the chosen subfamilies through
-    the newest member. One node is one branch or one step of that walk.
+    table listed up front and filed under each conflict's two highest
+    members: the highest is the only one still live when the second highest
+    arrives. One node is one branch or one tick of `conflict_sets`, and the
+    star is the incumbent even when the budget runs out while the table is
+    listed. For t > d+1, once |chosen| + 1 reaches t, a live x dies when
+    chosen + [x] holds a configuration through x. Older ones were ruled out
+    when their members were taken, so a new one holds x and the newest
+    member; a forbidden family stays forbidden in every superset, so x stays
+    dead. `_nontrivial_kills` finds the dead for every live candidate at
+    once in one walk over the chosen subfamilies through the newest member.
+    One node is one branch or one step of that walk.
     """
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -275,6 +309,7 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     total = len(cand)
     counter = NodeCounter(budget)
     meeting = _Meeting(masks)
+    by_meet = _MeetSizes(masks, k)
 
     def killed(chosen_mask: int, live: int) -> int:
         # the live candidates that complete a forbidden subfamily with chosen
@@ -307,7 +342,12 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
         if size == best:
             found.setdefault(frozenset(chosen), tuple(cand[i] for i in chosen))
 
-    def dfs(live: int, chosen_mask: int):
+    def refine(cells: list[int], m: int) -> list[int]:
+        # the cells once member m is chosen: each splits into its part in m
+        # and the rest
+        return [part for c in cells for part in (c & m, c & ~m) if part]
+
+    def dfs(live: int, chosen_mask: int, cells: list[int]):
         counter.tick()
         if len(chosen) + live.bit_count() < best:
             return
@@ -315,12 +355,16 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
             record()
             return
         low = live & -live
-        pos = low.bit_length() - 1
+        x = low.bit_length() - 1
+        m = masks[x]
+        orbit = live
+        for c in cells:
+            orbit &= by_meet[c][(m & c).bit_count()]
         rest = live ^ low
-        chosen.append(pos)
-        dfs(rest & ~killed(chosen_mask | low, rest), chosen_mask | low)
+        chosen.append(x)
+        dfs(rest & ~killed(chosen_mask | low, rest), chosen_mask | low, refine(cells, m))
         chosen.pop()
-        dfs(rest, chosen_mask)
+        dfs(live & ~orbit, chosen_mask, cells)
 
     try:
         conflicts = conflict_sets(masks, config, meeting, counter)
@@ -334,7 +378,7 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
             kills[e][rest] = kills[e].get(rest, 0) | 1 << c
         chosen.append(0)
         live = (1 << total) - 2
-        dfs(live & ~killed(1, live), 1)
+        dfs(live & ~killed(1, live), 1, refine([(1 << n) - 1], masks[0]))
     except BudgetExceeded:
         exact = False
     families = tuple(sorted(found.values()))

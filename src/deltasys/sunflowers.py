@@ -343,7 +343,7 @@ def _group_picks(cands: Sequence[Sequence[tuple[int, int]]], sizes: Sequence[int
 
 
 def disjoint_clusters(masks: Sequence[int], part_sizes: Sequence[int], d: int,
-                      counter: NodeCounter):
+                      counter: NodeCounter, require: int | None = None):
     """Every disjoint cluster over a mask list, as (host index, blocks, groups of indices).
 
     Indices refer to positions in `masks`, which must be in the caller's
@@ -351,14 +351,18 @@ def disjoint_clusters(masks: Sequence[int], part_sizes: Sequence[int], d: int,
     partitions, then the compositions of d into group sizes, then the
     petals group by group; a composition that asks a group for more members
     than it has candidates is skipped. The same member set may come more
-    than once. `counter` ticks once per host, once per partition and once
-    per petal.
+    than once. With `require`, a host and partition for which that member
+    is neither the host nor a candidate of any block is skipped, since none
+    of its clusters holds it; the others are listed in full. `counter` ticks
+    once per host, once per partition walked and once per petal.
     """
     for hi, host_mask in enumerate(masks):
         counter.tick()
         for blocks in _host_partitions(vertices_of(host_mask), part_sizes):
-            counter.tick()
             centers = [host_mask & ~mask_of(b) for b in blocks]
+            if require not in (None, hi) and masks[require] & host_mask not in centers:
+                continue
+            counter.tick()
             cands = [[(j, m & ~host_mask) for j, m in enumerate(masks)
                       if j != hi and m & host_mask == cm] for cm in centers]
             for sizes in _compositions(d, len(blocks)):
@@ -376,7 +380,7 @@ def cluster_search_masks(masks: Sequence[int], k: int, part_sizes: Sequence[int]
     With `require`, the first cluster that uses that edge, as host or group
     member.
     """
-    for hit in disjoint_clusters(masks, part_sizes, d, counter):
+    for hit in disjoint_clusters(masks, part_sizes, d, counter, require):
         hi, _, groups = hit
         if require is None or require == hi or any(require in g for g in groups):
             return hit

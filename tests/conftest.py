@@ -4,10 +4,13 @@ Everything here is deterministic given the caller's Random instance, so
 tests stay reproducible across runs and thread counts.
 """
 
+import time
 from itertools import combinations, permutations
 
-from deltasys import Hypergraph, SunflowerCluster, check_cluster
+from deltasys import (BudgetExceeded, ExtremalResult, Hypergraph, NodeCounter,
+                      SunflowerCluster, check_cluster, mask_of)
 from deltasys.cli import main as cli_main
+from deltasys.extremal import _Meeting, _nontrivial_kills, conflict_sets
 
 
 def random_hypergraph(rng, n=None, k=None, max_edges=40):
@@ -117,6 +120,100 @@ def forms_cluster(edges, part_sizes, d):
                     SunflowerCluster(host, tuple(blocks), tuple(map(tuple, groups))), d).ok:
                 return True
     return False
+
+
+def labelled_max_avoiding(n, k, config, budget=None):
+    """Every largest configuration-free family through the edge 1..k, labelled.
+
+    The search `max_avoiding` ran before orbital branching, kept as its
+    oracle. It forces the first edge 1..k and nothing else, so it meets
+    every relabelling of a family that fixes that edge. Each node takes the
+    lowest live candidate or leaves it out, and a branch is cut only when it
+    cannot reach the incumbent, so every maximum family through 1..k is
+    reported. Table kills come from a table keyed by each conflict's two
+    highest members: members arrive in index order, so a conflict's highest
+    member is the one it kills once the rest are chosen.
+    """
+    start = time.perf_counter()
+    cand = list(combinations(range(1, n + 1), k))
+    masks = [mask_of(e) for e in cand]
+    total = len(cand)
+    counter = NodeCounter(budget)
+    meeting = _Meeting(masks)
+
+    def killed(chosen_mask, live):
+        dead = 0
+        if conflicts is not None:
+            for rest, kill in kills[chosen[-1]].items():
+                if chosen_mask & rest == rest:
+                    dead |= kill
+        elif len(chosen) + 1 >= config.t:
+            dead = _nontrivial_kills(masks, chosen_mask, chosen[-1], live, config.t,
+                                     config.d, meeting, counter)
+        return dead
+
+    star_idx = [i for i, e in enumerate(cand) if e[0] == 1]
+    best = len(star_idx)
+    found = {frozenset(star_idx): tuple(cand[i] for i in star_idx)}
+    chosen = []
+    exact = True
+
+    def record():
+        nonlocal best
+        size = len(chosen)
+        if size > best:
+            best = size
+            found.clear()
+        if size == best:
+            found.setdefault(frozenset(chosen), tuple(cand[i] for i in chosen))
+
+    def dfs(live, chosen_mask):
+        counter.tick()
+        if len(chosen) + live.bit_count() < best:
+            return
+        if not live:
+            record()
+            return
+        low = live & -live
+        pos = low.bit_length() - 1
+        rest = live ^ low
+        chosen.append(pos)
+        dfs(rest & ~killed(chosen_mask | low, rest), chosen_mask | low)
+        chosen.pop()
+        dfs(rest, chosen_mask)
+
+    try:
+        conflicts = conflict_sets(masks, config, meeting, counter)
+        kills = [{} for _ in range(total)]
+        for s in conflicts or ():
+            c = s.bit_length() - 1
+            e = (s ^ 1 << c).bit_length() - 1
+            rest = s ^ 1 << c ^ 1 << e
+            kills[e][rest] = kills[e].get(rest, 0) | 1 << c
+        chosen.append(0)
+        live = (1 << total) - 2
+        dfs(live & ~killed(1, live), 1)
+    except BudgetExceeded:
+        exact = False
+    return ExtremalResult(n, k, config, best, tuple(sorted(found.values())), counter.nodes,
+                          time.perf_counter() - start, exact)
+
+
+def labelled_images(n, k, families):
+    """Every relabelling of the families that holds the edge 1..k, sorted.
+
+    A family given by one member of each isomorphism class expands to every
+    labelled family through 1..k in those classes, which is what the
+    labelled search reports.
+    """
+    forced = tuple(range(1, k + 1))
+    out = set()
+    for fam in families:
+        for perm in permutations(range(1, n + 1)):
+            image = tuple(sorted(tuple(sorted(perm[v - 1] for v in e)) for e in fam))
+            if forced in image:
+                out.add(image)
+    return tuple(sorted(out))
 
 
 def run_cli(argv, capsys):

@@ -29,6 +29,7 @@ from deltasys import (
     weight_identity,
 )
 from conftest import (
+    labelled_images,
     random_full_cluster,
     random_hypergraph,
     random_semi_cluster,
@@ -264,13 +265,15 @@ def test_acceptance_12_triangle_free_value_at_n8_and_pinned_families(capsys):
     for fam in res["families"]:
         assert len(set.intersection(*(set(e) for e in fam))) == 1, fam
     # the families of the benchmark's simplex-7-3 and avd-6-3 jobs, as the
-    # search reported them before the conflict table
+    # labelled search reported them before the conflict table: the
+    # relabellings of the reported families that keep the edge 1..k
     simplex = max_avoiding(7, 3, ForbiddenConfig("d-simplex", d=2))
-    assert simplex.families == tuple(
+    assert labelled_images(7, 3, simplex.families) == tuple(
         tuple(e for e in combinations(range(1, 8), 3) if v in e) for v in (1, 2, 3))
     avd = max_avoiding(6, 3, ForbiddenConfig("avd-system", part_sizes=(2, 1), d=2))
-    assert avd.max_size == 10 and len(avd.families) == 512
-    digest = hashlib.sha256(json.dumps(avd.to_json()["families"]).encode()).hexdigest()
+    images = labelled_images(6, 3, avd.families)
+    assert avd.max_size == 10 and len(images) == 512
+    digest = hashlib.sha256(json.dumps(images).encode()).hexdigest()
     assert digest == "95374b4af1833c007e2c633df35fd99625db14e01f731b20e03c36d3e6639496"
     elapsed = time.perf_counter() - started
     with capsys.disabled():
@@ -398,16 +401,37 @@ def test_acceptance_16_paper_case_by_one_kill_walk_per_branch(capsys):
 def test_acceptance_17_paper_bound_at_n8_k4():
     # the paper's case at k = 4: no 5 pairwise-intersecting 4-sets without a
     # common vertex on 8 points caps the family at C(7, 3) = 35; one kernel
-    # call per live candidate did not finish within this budget
+    # call per live candidate did not finish within this budget, and the
+    # labelled live-set search took 2,226,442 nodes and about 6 s
     started = time.perf_counter()
     res = max_avoiding(8, 4, ForbiddenConfig("nontrivial-intersecting", t=5, d=2),
                        budget=3_000_000)
     elapsed = time.perf_counter() - started
     assert res.exact and res.max_size == 35
+    assert res.nodes == 180_383
+    assert elapsed < 5.0, elapsed
     assert res.families
     for fam in res.families:
         assert len(set.intersection(*(set(e) for e in fam))) == 1, fam
     print(
         f"criterion 17: PASS - maximum 35 = C(7,3) at n=8, k=4 with 5 members "
         f"and stars only ({res.nodes} nodes, {elapsed:.2f}s)"
+    )
+
+
+def test_acceptance_18_paper_bound_at_n10_k3_by_orbital_branching():
+    # no 4 pairwise-intersecting triples without a common vertex on 10
+    # points: C(9, 2) = 36, stars only; the labelled search could not finish
+    # this case, since it meets every relabelling that fixes the edge 1..3
+    started = time.perf_counter()
+    res = max_avoiding(10, 3, ForbiddenConfig("nontrivial-intersecting", t=4, d=2))
+    elapsed = time.perf_counter() - started
+    assert res.exact and res.max_size == 36
+    assert res.nodes == 458_023
+    assert elapsed < 15.0, elapsed
+    for fam in res.families:
+        assert len(set.intersection(*(set(e) for e in fam))) == 1, fam
+    print(
+        f"criterion 18: PASS - maximum 36 = C(9,2) at n=10, k=3 with 4 members "
+        f"and stars only ({res.nodes} nodes, {elapsed:.2f}s < 15s)"
     )

@@ -21,7 +21,7 @@ from deltasys import (
     vertices_of,
 )
 from deltasys.extremal import _Meeting, _nontrivial_kills, conflict_sets
-from conftest import forms_cluster
+from conftest import forms_cluster, labelled_images, labelled_max_avoiding
 
 
 def brute_force_max_n5():
@@ -116,10 +116,11 @@ class TestAgainstBruteForce:
         res = max_avoiding(5, 3, ForbiddenConfig("nontrivial-intersecting", t=3, d=2))
         assert res.exact
         assert res.max_size == best
-        # search normalizes by forcing the first edge, so it reports the
-        # extremal families through (1,2,3): the stars at 1, 2 and 3
-        assert len(res.families) == 3
-        for fam in res.families:
+        # search normalizes by forcing the first edge, so the relabellings
+        # of its families through (1,2,3) are the stars at 1, 2 and 3
+        images = labelled_images(5, 3, res.families)
+        assert len(images) == 3
+        for fam in images:
             assert (1, 2, 3) in fam
             assert fam in [tuple(f) for f in families]
 
@@ -130,7 +131,7 @@ class TestAgainstBruteForce:
         res = max_avoiding(6, 3, ForbiddenConfig("nontrivial-intersecting", t=3, d=2))
         assert res.exact
         assert res.max_size == best
-        assert len(res.families) == 3
+        assert len(labelled_images(6, 3, res.families)) == 3
         star = tuple(build_star(6, 3).edges)
         assert star in res.families
 
@@ -171,8 +172,8 @@ class TestAgainstBruteForce:
     # the benchmark's table jobs: one node per branch, plus one per step of
     # listing the conflict table
     @pytest.mark.parametrize("n,config,nodes", [
-        (7, ForbiddenConfig("d-simplex", d=2), 3726),
-        (6, ForbiddenConfig("avd-system", part_sizes=(2, 1), d=2), 6073),
+        (7, ForbiddenConfig("d-simplex", d=2), 2186),
+        (6, ForbiddenConfig("avd-system", part_sizes=(2, 1), d=2), 1569),
     ], ids=["simplex-7-3", "avd-6-3"])
     def test_node_counts_are_pinned(self, n, config, nodes):
         assert max_avoiding(n, 3, config).nodes == nodes
@@ -232,6 +233,14 @@ DIFFERENTIAL = [(k, n, config)
                 for k, top in ((2, 6), (3, 5))
                 for n in range(k + 1, top + 1)
                 for config in (SIMPLEX[1], SIMPLEX[2]) + NONTRIVIAL + AVD[k]]
+# the kill walk's grid: n <= 7, k <= 4, d in {2, 3} and t from d+2 to d+4,
+# less the four cases where the labelled search needs over 10^6 nodes
+KILL_WALK = [(k, n, ForbiddenConfig("nontrivial-intersecting", t=t, d=d))
+             for k in (2, 3, 4)
+             for n in range(max(4, k + 1), 8)
+             for d in (2, 3)
+             for t in range(d + 2, d + 5)
+             if (n, k, t, d) not in ((7, 3, 6, 2), (7, 4, 5, 3), (7, 4, 6, 3), (7, 4, 7, 3))]
 TABLE_KINDS = [(3, c) for c in tuple(SIMPLEX.values()) + AVD[3]] + [(2, c) for c in AVD[2]]
 
 
@@ -246,7 +255,21 @@ class TestDifferential:
         res = max_avoiding(n, k, config)
         assert res.exact
         assert res.max_size == best
-        assert res.families == families
+        assert labelled_images(n, k, res.families) == families
+
+    @pytest.mark.parametrize("k,n,config",
+                             DIFFERENTIAL + [c for c in KILL_WALK if c not in DIFFERENTIAL],
+                             ids=describe)
+    def test_against_the_labelled_search(self, k, n, config):
+        # every reported family, relabelled every way that keeps the edge
+        # 1..k, gives exactly the families the labelled search lists
+        oracle = labelled_max_avoiding(n, k, config)
+        res = max_avoiding(n, k, config)
+        assert oracle.exact and res.exact
+        assert res.max_size == oracle.max_size
+        assert labelled_images(n, k, res.families) == oracle.families
+        star = tuple(e for e in combinations(range(1, n + 1), k) if e[0] == 1)
+        assert (star in res.families) == (len(star) == res.max_size)
 
     @pytest.mark.parametrize("k,config", TABLE_KINDS, ids=describe)
     def test_conflict_table_matches_the_kernels(self, k, config):
@@ -333,12 +356,14 @@ class TestPinnedFamilies:
         (7, 4, 5, 2, 20, 4, "03745e224094340f429cda9b8e350c86dbd155fd28c18699217a2742ba72a5af"),
     ])
     def test_families_are_unchanged(self, n, k, t, d, size, count, digest):
+        # read through the relabellings of the reported families that keep
+        # the edge 1..k, which are the labelled families
         res = max_avoiding(n, k, ForbiddenConfig("nontrivial-intersecting", t=t, d=d))
         assert res.exact
         assert res.max_size == size
-        assert len(res.families) == count
-        families = json.dumps(res.to_json()["families"]).encode()
-        assert hashlib.sha256(families).hexdigest() == digest
+        images = labelled_images(n, k, res.families)
+        assert len(images) == count
+        assert hashlib.sha256(json.dumps(images).encode()).hexdigest() == digest
 
 
 class TestStability:
