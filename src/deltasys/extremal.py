@@ -16,7 +16,9 @@ Configurations of exactly d+1 members (d-simplices, avd-systems, and
 nontrivial-intersecting with t = d+1) read the kills from a conflict table
 listed once before the search, on the search's budget; larger ones find
 them with one bitmask walk per new member, over the chosen subfamilies
-through it.
+through it. Both read which candidates meet a vertex set from one
+`hypergraph.Meeting` index over the candidates, the one the search kernel
+of `intersecting` uses.
 
 `stability_scan` measures how close a near-maximum family is to a star:
 the best vertex, its degree, and how many members miss it.
@@ -31,7 +33,7 @@ from itertools import combinations
 from math import comb, isfinite
 
 from .errors import BudgetExceeded, ParameterError
-from .hypergraph import Edge, Hypergraph, mask_of, meet, vertices_of
+from .hypergraph import Edge, Hypergraph, Meeting, mask_of, meet
 from .search import NodeCounter
 from .sunflowers import disjoint_clusters
 
@@ -121,7 +123,7 @@ class ExtremalResult:
         }
 
 
-def _simplex_sets(masks: list[int], d: int, meeting: _Meeting,
+def _simplex_sets(masks: list[int], d: int, meeting: Meeting,
                   counter: NodeCounter) -> list[int]:
     """Every d-simplex among the members, as a bitmask over `masks` positions.
 
@@ -153,7 +155,7 @@ def _simplex_sets(masks: list[int], d: int, meeting: _Meeting,
     return found
 
 
-def conflict_sets(masks: list[int], config: ForbiddenConfig, meeting: _Meeting,
+def conflict_sets(masks: list[int], config: ForbiddenConfig, meeting: Meeting,
                   counter: NodeCounter) -> list[int] | None:
     """The conflict table: every forbidden subfamily of the members.
 
@@ -169,50 +171,25 @@ def conflict_sets(masks: list[int], config: ForbiddenConfig, meeting: _Meeting,
     return None
 
 
-class _Meeting(dict):
-    """meeting[x]: the candidates meeting the vertex set x, built on first use."""
-
-    def __init__(self, masks: list[int]):
-        super().__init__()
-        # holders[v]: the candidates holding vertex v
-        self.holders = {v: sum(1 << i for i, m in enumerate(masks) if m >> (v - 1) & 1)
-                        for v in range(1, max(masks).bit_length() + 1)}
-
-    def __missing__(self, x: int) -> int:
-        out = 0
-        for v in vertices_of(x):
-            out |= self.holders[v]
-        self[x] = out
-        return out
-
-
 def _nontrivial_kills(masks: list[int], chosen: int, newest: int, live: int, t: int,
-                      d: int, meeting: _Meeting, counter: NodeCounter) -> int:
+                      d: int, meeting: Meeting, counter: NodeCounter) -> int:
     """The live candidates x that complete a forbidden t-family through x and `newest`.
 
     `chosen` is a bitmask over candidate positions that holds `newest`. The
     walk builds each d-wise intersecting (t-1)-subfamily S of the chosen
     members through `newest`, picking the others in index order. It keeps
-    `fits`, the candidates meeting every (d-1)-fold meet of S: each pick
-    comes from it, and a full S kills every target in it that misses the
-    meet of S. The targets are the live candidates not yet dead that S can
-    still kill: they lie in `fits` and hold no common vertex of S that every
-    member left to pick also holds. A pick that leaves no target is skipped,
-    and a branch ends when no target is left or too few members are left to
-    pick. One node is one tick of `counter`, one member added to S.
+    `fits`, the candidates meeting the meet of every min(|S|, d-1) members
+    of S, which `Meeting.narrow` updates with each pick: each pick comes
+    from it, and a full S kills every target in it that misses the meet of
+    S. The targets are the live candidates not yet dead that S can still
+    kill: they lie in `fits` and hold no common vertex of S that every
+    member left to pick also holds (`Meeting.kept`). A pick that leaves no
+    target is skipped, and a branch ends when no target is left or too few
+    members are left to pick. One node is one tick of `counter`, one member
+    added to S.
     """
     dead = 0
-
-    def narrow(fits: int, picked: list[int], s: int) -> int:
-        # s closes a (d-1)-fold meet with every d-2 members already picked
-        for sub in combinations(picked, d - 2):
-            x = masks[s]
-            for i in sub:
-                x &= masks[i]
-            fits &= meeting[x]
-        return fits
-
-    holders = meeting.holders
+    narrow, kept = meeting.narrow, meeting.kept
 
     def grow(picked: list[int], common: int, fits: int, pool: int, targets: int):
         nonlocal dead
@@ -223,19 +200,17 @@ def _nontrivial_kills(masks: list[int], chosen: int, newest: int, live: int, t: 
             return
         pool &= fits
         # a common vertex that every member left to pick holds stays common
-        for v in vertices_of(common):
-            if not pool & ~holders[v]:
-                targets &= ~holders[v]
+        targets &= ~meeting[kept(common, pool)]
         while pool.bit_count() >= need and targets & ~dead:
             low = pool & -pool
             pool ^= low
             s = low.bit_length() - 1
-            more = narrow(fits, picked, s)
+            more = narrow(fits, picked, s, d)
             aim = targets & more & ~dead
             if aim:
                 grow(picked + [s], common & masks[s], more, pool, aim)
 
-    fits = narrow(-1, [], newest)
+    fits = meeting[masks[newest]]
     grow([newest], masks[newest], fits, chosen & ~(1 << newest), live & fits)
     return dead
 
@@ -308,7 +283,7 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     masks = [mask_of(e) for e in cand]
     total = len(cand)
     counter = NodeCounter(budget)
-    meeting = _Meeting(masks)
+    meeting = Meeting(masks)
     by_meet = _MeetSizes(masks, k)
 
     def killed(chosen_mask: int, live: int) -> int:

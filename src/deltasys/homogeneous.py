@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParameterError
-from .hypergraph import Edge, Hypergraph, mask_of, meet, shadow, vertices_of
+from .hypergraph import Edge, Hypergraph, Meeting, mask_of, meet, shadow, vertices_of
 from .patterns import IntersectionPattern, rank, validate_vertex_partition
 from .sunflowers import disjoint_picks
 
@@ -61,34 +61,30 @@ class HomogeneousCheck:
 class _MaskIndex:
     """Bitmask view of one subgraph under one vertex partition.
 
-    `inc[v]` is the set of edge indices holding vertex v, as one int with
-    bit j for edge j. `meets[i]` holds the masks of edge i's intersections
-    with the other edges, the set `intersection_structure` lists. They come
-    from splitting the other edges' bitset by each vertex v of edge i in
-    turn, into the part inside `inc[v]` and the part outside it; empty parts
-    are dropped, and each part left at the end is the set of edges that meet
+    `holders[v]` is the set of edge indices holding vertex v, as one int
+    with bit j for edge j: the holder table of `hypergraph.Meeting`.
+    `meets[i]` holds the masks of edge i's intersections with the other
+    edges, the set `intersection_structure` lists. They come from splitting
+    the other edges' bitset by each vertex v of edge i in turn, into the
+    part inside `holders[v]` and the part outside it; empty parts are
+    dropped, and each part left at the end is the set of edges that meet
     edge i in one mask. That is at most k * min(2^k, |E|) big-int ANDs per
     edge, not |E|. A meet is projected to part indices through the part
     masks, as `project` does, once per distinct mask. The candidates
     through a center, (edge, residue) pairs in edge order, are the set bits
-    of the AND of `inc[v]` over the center's vertices, every edge for the
-    empty center; they are built on first use and shared by every edge that
-    needs that center.
+    of the AND of `holders[v]` over the center's vertices, every edge for
+    the empty center; they are built on first use and shared by every edge
+    that needs that center.
     """
 
-    __slots__ = ("edges", "masks", "part_masks", "inc", "meets", "_proj", "_cands")
+    __slots__ = ("edges", "masks", "part_masks", "holders", "meets", "_proj", "_cands")
 
     def __init__(self, edges: Sequence[Edge], masks: Sequence[int],
                  parts: Sequence[Edge]):
         self.edges = edges
         self.masks = masks
         self.part_masks = tuple(mask_of(p) for p in parts)
-        inc: dict[int, int] = {}
-        for j, e in enumerate(edges):
-            bit = 1 << j
-            for v in e:
-                inc[v] = inc.get(v, 0) | bit
-        self.inc = inc
+        self.holders = holders = Meeting(masks).holders
         everything = (1 << len(edges)) - 1
         self.meets: list[set[int]] = []
         for i, e in enumerate(edges):
@@ -97,11 +93,11 @@ class _MaskIndex:
             # no meet is edge i's own mask
             branches = [(everything ^ (1 << i), 0)]
             for v in e:
-                holders = inc[v]
+                held = holders[v]
                 vbit = 1 << (v - 1)
                 split = []
                 for bits, m in branches:
-                    inside = bits & holders
+                    inside = bits & held
                     if inside:
                         split.append((inside, m | vbit))
                     if inside != bits:
@@ -131,7 +127,7 @@ class _MaskIndex:
         cands = self._cands.get(center)
         if cands is None:
             # the meet of no bitsets is -1, so the empty center takes every edge
-            bits = meet(self.inc[v] for v in vertices_of(center)) & ((1 << len(self.edges)) - 1)
+            bits = meet(self.holders[v] for v in vertices_of(center)) & ((1 << len(self.edges)) - 1)
             cands = []
             while bits:
                 low = bits & -bits
@@ -278,12 +274,12 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
     result is never empty. Deterministic for fixed seed and restarts.
 
     Each refinement step builds one bitmask index of the current edges from
-    per-vertex edge bitsets; it gives the patterns, the intersections and
-    the sunflower witnesses, the last through the petal picker
-    `disjoint_picks` that `find_sunflower` also runs. Building it
-    costs at most k * min(2^k, |E|) bitset ANDs per edge, so a step is no
-    longer quadratic in the edge count. `is_homogeneous` rechecks the final
-    subgraph.
+    per-vertex edge bitsets, the holder table of `hypergraph.Meeting`; it
+    gives the patterns, the intersections and the sunflower witnesses, the
+    last through the petal picker `disjoint_picks` that `find_sunflower`
+    also runs. Building it costs at most k * min(2^k, |E|) bitset ANDs per
+    edge, so a step is no longer quadratic in the edge count.
+    `is_homogeneous` rechecks the final subgraph.
     """
     if s < 2:
         raise ParameterError(f"petal count s must be at least 2, got {s}")

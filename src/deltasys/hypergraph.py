@@ -9,7 +9,7 @@ from functools import reduce
 from itertools import combinations
 from math import comb
 from operator import and_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError, UniformityError
 
@@ -52,6 +52,67 @@ def meet(masks: Iterable[int]) -> int:
     The meet of no masks is -1, every bit set, so it meets everything.
     """
     return reduce(and_, masks, -1)
+
+
+class Meeting(dict):
+    """meeting[x]: the members meeting the vertex set x, built on first use.
+
+    Members are the vertex bitmasks `masks`; a set of members is a bitmask
+    over their positions. `holders[v]` is the members holding vertex v, for
+    every vertex some member holds, built in one pass over the members.
+    """
+
+    def __init__(self, masks: Sequence[int]):
+        super().__init__()
+        self.masks = masks
+        holders: dict[int, int] = {}
+        for i, m in enumerate(masks):
+            bit = 1 << i
+            for v in vertices_of(m):
+                holders[v] = holders.get(v, 0) | bit
+        self.holders = holders
+
+    def __missing__(self, x: int) -> int:
+        holders = self.holders
+        out = 0
+        for v in vertices_of(x):
+            out |= holders.get(v, 0)
+        self[x] = out
+        return out
+
+    def narrow(self, out: int, picked: Sequence[int], s: int, d: int) -> int:
+        """The members of `out` that meet the meet of member s with each
+        min(|picked|, d-2) members of `picked`.
+
+        Applied as each member s is picked, it keeps the members that can
+        still join the picked ones in a d-wise intersecting family, where
+        every d members share a vertex.
+        """
+        x = self.masks[s]
+        r = d - 2
+        if r > len(picked):
+            r = len(picked)
+        if not r:
+            return out & self[x]
+        masks = self.masks
+        for sub in combinations(picked, r):
+            y = x
+            for i in sub:
+                y &= masks[i]
+            out &= self[y]
+        return out
+
+    def kept(self, common: int, bits: int) -> int:
+        """The vertices of `common` that every member in `bits` holds."""
+        holders = self.holders
+        out = 0
+        rest = common
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not bits & ~holders.get(low.bit_length(), 0):
+                out |= low
+        return out
 
 
 def check_order(n: int, k: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> None:

@@ -5,6 +5,11 @@ common vertex, and nontrivially so when the whole family has empty
 intersection. A d-simplex is d+1 sets, every d of which share a vertex,
 with empty total intersection.
 
+`nontrivial_search_masks` searches for such a family, reading which members
+meet a vertex set from one `hypergraph.Meeting` index. `check_nontrivial`
+rechecks every witness it finds with its own holder table, sharing no code
+with the search.
+
 Large pairwise-intersecting families of triples fall into a short list of
 shapes: a star, or one of six sporadic templates built from at most six
 special vertices. `classify_intersecting` finds which template contains a
@@ -19,8 +24,8 @@ from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, ClassificationError, ParameterError
-from .hypergraph import (Edge, Hypergraph, mask_of, max_codegree2, meet,
-                         subset_degrees, vertex_tuple, vertices_of)
+from .hypergraph import (Edge, Hypergraph, Meeting, mask_of, max_codegree2,
+                         meet, subset_degrees, vertex_tuple, vertices_of)
 from .search import NodeCounter, SearchOutcome, SearchStatus
 
 
@@ -118,8 +123,10 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
     the rest of F is a plain compatibility search over the candidates left,
     in index order. Compatibility is pairwise intersection for d = 2; for
     larger d a pick keeps only the members that meet each (d-1)-fold meet it
-    closes. While at least three picks remain, a greedy colouring of the
-    candidates' intersection graph bounds how many of them fit together.
+    closes (`Meeting.narrow`). A branch ends when some common vertex of the
+    core lies in every candidate (`Meeting.kept`). While at least three picks
+    remain, a greedy colouring of the candidates' intersection graph bounds
+    how many of them fit together.
 
     One node is one tick of `counter`: the root, which also rules out a
     vertex in every member, one core step or one compatibility step.
@@ -132,47 +139,8 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
     if m < t:
         return None
     full = (1 << m) - 1
-    holders: dict[int, int] = {}
-    meeting: dict[int, int] = {}
-
-    def members_with(bit: int) -> int:
-        # members containing the vertex `bit`, built on first use
-        out = holders.get(bit)
-        if out is None:
-            out = 0
-            for j, vm in enumerate(vmasks):
-                if vm & bit:
-                    out |= 1 << j
-            holders[bit] = out
-        return out
-
-    def meets(x: int) -> int:
-        # members meeting the vertex set x
-        out = meeting.get(x)
-        if out is None:
-            out = 0
-            rest = x
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                out |= members_with(bit)
-            meeting[x] = out
-        return out
-
-    if d == 2:
-        def compat(chosen: tuple[int, ...], j: int) -> int:
-            return meets(vmasks[j])
-    else:
-        def compat(chosen: tuple[int, ...], j: int) -> int:
-            # members meeting j's meet with each min(|chosen|, d-2) chosen ones
-            vm = vmasks[j]
-            out = full
-            for sub in combinations(chosen, min(len(chosen), d - 2)):
-                x = vm
-                for i in sub:
-                    x &= vmasks[i]
-                out &= meets(x)
-            return out
+    meeting = Meeting(vmasks)
+    holders, narrow, kept = meeting.holders, meeting.narrow, meeting.kept
 
     def step(chosen: tuple[int, ...], common: int, cand: int) -> tuple[int, ...] | None:
         counter.tick()
@@ -183,13 +151,9 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
             return None
         if common:
             # a core vertex that every candidate contains stays common
-            rest = common
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                if not cand & ~members_with(bit):
-                    return None
-            miss = cand & ~members_with(common & -common)
+            if kept(common, cand):
+                return None
+            miss = cand & ~holders[(common & -common).bit_length()]
             rest = miss
             while rest:
                 low = rest & -rest
@@ -199,7 +163,7 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
                     return None
                 b = low.bit_length() - 1
                 hit = step(chosen + (b,), common & vmasks[b],
-                           left & ~low & compat(chosen, b))
+                           narrow(left & ~low, chosen, b, d))
                 if hit:
                     return hit
             return None
@@ -216,7 +180,7 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
                 while q:
                     low = q & -q
                     left ^= low
-                    q &= ~meets(vmasks[low.bit_length() - 1])
+                    q &= ~meeting[vmasks[low.bit_length() - 1]]
             else:
                 return None
         rest = cand
@@ -224,7 +188,7 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
             low = rest & -rest
             rest ^= low
             j = low.bit_length() - 1
-            hit = step(chosen + (j,), 0, rest & compat(chosen, j))
+            hit = step(chosen + (j,), 0, narrow(rest, chosen, j, d))
             if hit:
                 return hit
             if rest.bit_count() < need:
@@ -249,14 +213,14 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
             if above.bit_count() < t - pos - 1:
                 break
             b = low.bit_length() - 1
-            hit = step(prefix + (b,), common & vmasks[b], above & compat(prefix, b))
+            hit = step(prefix + (b,), common & vmasks[b], narrow(above, prefix, b, d))
             if hit:
                 witness = sorted(hit)
                 break
         if witness is None:
             return None
         b = witness[pos]
-        cand &= ~((2 << b) - 1) & compat(prefix, b)
+        cand = narrow(cand & ~((2 << b) - 1), prefix, b, d)
         common &= vmasks[b]
         prefix += (b,)
     return prefix

@@ -351,40 +351,38 @@ def disjoint_clusters(masks: Sequence[int], part_sizes: Sequence[int], d: int,
     partitions, then the compositions of d into group sizes, then the
     petals group by group; a composition that asks a group for more members
     than it has candidates is skipped. The same member set may come more
-    than once. With `require`, a host and partition for which that member
-    is neither the host nor a candidate of any block is skipped, since none
-    of its clusters holds it; the others are listed in full. `counter` ticks
-    once per host, once per partition walked and once per petal.
+    than once. With `require`, only the clusters that hold that member are
+    listed, in the same order: a host and partition for which it is neither
+    the host nor a candidate of any block is skipped, and otherwise it goes
+    into the group of the block it misses, with its residue charged to
+    `used` before the first group is picked. `counter` ticks once per host,
+    once per partition walked and once per petal picked.
     """
     for hi, host_mask in enumerate(masks):
         counter.tick()
         for blocks in _host_partitions(vertices_of(host_mask), part_sizes):
             centers = [host_mask & ~mask_of(b) for b in blocks]
-            if require not in (None, hi) and masks[require] & host_mask not in centers:
-                continue
+            forced, used = None, 0
+            if require not in (None, hi):
+                if masks[require] & host_mask not in centers:
+                    continue
+                forced = centers.index(masks[require] & host_mask)
+                used = masks[require] & ~host_mask
             counter.tick()
             cands = [[(j, m & ~host_mask) for j, m in enumerate(masks)
                       if j != hi and m & host_mask == cm] for cm in centers]
             for sizes in _compositions(d, len(blocks)):
                 if any(len(c) < b for c, b in zip(cands, sizes)):
                     continue
-                for groups in _group_picks(cands, sizes, 0, counter):
+                if forced is not None:
+                    # the required member fills one place of its group; the
+                    # others skip it, as its residue is already in `used`
+                    sizes = sizes[:forced] + (sizes[forced] - 1,) + sizes[forced + 1:]
+                for groups in _group_picks(cands, sizes, used, counter):
+                    if forced is not None:
+                        groups = (groups[:forced] + (tuple(sorted(groups[forced] + (require,))),)
+                                  + groups[forced + 1:])
                     yield hi, blocks, groups
-
-
-def cluster_search_masks(masks: Sequence[int], k: int, part_sizes: Sequence[int],
-                         d: int, counter: NodeCounter,
-                         require: int | None = None) -> tuple[int, tuple, tuple[tuple[int, ...], ...]] | None:
-    """The first of `disjoint_clusters`; returns (host index, blocks, groups of indices).
-
-    With `require`, the first cluster that uses that edge, as host or group
-    member.
-    """
-    for hit in disjoint_clusters(masks, part_sizes, d, counter, require):
-        hi, _, groups = hit
-        if require is None or require == hi or any(require in g for g in groups):
-            return hit
-    return None
 
 
 def find_cluster(h: Hypergraph, part_sizes: Sequence[int], d: int,
@@ -415,7 +413,7 @@ def find_cluster(h: Hypergraph, part_sizes: Sequence[int], d: int,
             raise ParameterError(f"required edge {req} is not in the hypergraph")
         require = h.edges.index(req)
     try:
-        hit = cluster_search_masks(h.edge_masks, h.k, a, d, counter, require)
+        hit = next(disjoint_clusters(h.edge_masks, a, d, counter, require), None)
     except BudgetExceeded:
         return SearchOutcome(SearchStatus.BUDGET, None, counter.nodes)
     if hit is None:

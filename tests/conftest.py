@@ -10,7 +10,8 @@ from itertools import combinations, permutations
 from deltasys import (BudgetExceeded, ExtremalResult, Hypergraph, NodeCounter,
                       SunflowerCluster, check_cluster, mask_of)
 from deltasys.cli import main as cli_main
-from deltasys.extremal import _Meeting, _nontrivial_kills, conflict_sets
+from deltasys.extremal import _nontrivial_kills, conflict_sets
+from deltasys.hypergraph import Meeting
 
 
 def random_hypergraph(rng, n=None, k=None, max_edges=40):
@@ -139,7 +140,7 @@ def labelled_max_avoiding(n, k, config, budget=None):
     masks = [mask_of(e) for e in cand]
     total = len(cand)
     counter = NodeCounter(budget)
-    meeting = _Meeting(masks)
+    meeting = Meeting(masks)
 
     def killed(chosen_mask, live):
         dead = 0

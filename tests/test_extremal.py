@@ -20,7 +20,8 @@ from deltasys import (
     stability_scan,
     vertices_of,
 )
-from deltasys.extremal import _Meeting, _nontrivial_kills, conflict_sets
+from deltasys.extremal import _nontrivial_kills, conflict_sets
+from deltasys.hypergraph import Meeting
 from conftest import forms_cluster, labelled_images, labelled_max_avoiding
 
 
@@ -169,12 +170,19 @@ class TestAgainstBruteForce:
         assert not res.exact
         assert res.max_size == 10
 
-    # the benchmark's table jobs: one node per branch, plus one per step of
-    # listing the conflict table
+    # the benchmark's jobs: one node per branch, plus one per step of
+    # listing the conflict table or of a kill walk; the last two have
+    # d >= 3 and took 1,465 and 387 nodes when the walk did not narrow its
+    # candidates until d-2 members were picked
     @pytest.mark.parametrize("n,config,nodes", [
         (7, ForbiddenConfig("d-simplex", d=2), 2186),
         (6, ForbiddenConfig("avd-system", part_sizes=(2, 1), d=2), 1569),
-    ], ids=["simplex-7-3", "avd-6-3"])
+        (6, ForbiddenConfig("nontrivial-intersecting", t=6, d=2), 2744),
+        (6, ForbiddenConfig("nontrivial-intersecting", t=5, d=2), 449),
+        (7, ForbiddenConfig("nontrivial-intersecting", t=6, d=3), 1459),
+        (6, ForbiddenConfig("nontrivial-intersecting", t=7, d=4), 248),
+    ], ids=["simplex-7-3", "avd-6-3", "nontriv-6-3-t6", "nontriv-6-3-t5",
+            "nontriv-7-3-t6-d3", "nontriv-6-3-t7-d4"])
     def test_node_counts_are_pinned(self, n, config, nodes):
         assert max_avoiding(n, 3, config).nodes == nodes
 
@@ -275,7 +283,7 @@ class TestDifferential:
     def test_conflict_table_matches_the_kernels(self, k, config):
         for n in range(k, 7):
             masks = [mask_of(e) for e in combinations(range(1, n + 1), k)]
-            table = set(conflict_sets(masks, config, _Meeting(masks), NodeCounter()))
+            table = set(conflict_sets(masks, config, Meeting(masks), NodeCounter()))
             for idx in combinations(range(len(masks)), config.d + 1):
                 hit = forms_config([vertices_of(masks[i]) for i in idx], config)
                 assert (sum(1 << i for i in idx) in table) == hit, (n, idx)
@@ -294,7 +302,7 @@ class TestDifferential:
             masks = [mask_of(e) for e in combinations(range(1, n + 1), k)]
             for d in range(len(shape), len(shape) + 3):
                 config = ForbiddenConfig("avd-system", part_sizes=shape, d=d)
-                tables.append(sorted(conflict_sets(masks, config, _Meeting(masks),
+                tables.append(sorted(conflict_sets(masks, config, Meeting(masks),
                                                    NodeCounter())))
         assert sum(map(len, tables)) == entries
         assert hashlib.sha256(json.dumps(tables).encode()).hexdigest()[:16] == digest
@@ -302,7 +310,7 @@ class TestDifferential:
     def test_larger_configurations_have_no_table(self):
         masks = [mask_of(e) for e in combinations(range(1, 6), 3)]
         config = ForbiddenConfig("nontrivial-intersecting", t=4, d=2)
-        assert conflict_sets(masks, config, _Meeting(masks), NodeCounter()) is None
+        assert conflict_sets(masks, config, Meeting(masks), NodeCounter()) is None
 
 
 def brute_force_kills(cand, chosen, newest, live, t, d):
@@ -334,7 +342,7 @@ class TestKillEnumeration:
             newest = rng.choice(chosen)
             counter = NodeCounter(10**9)
             dead = _nontrivial_kills(masks, sum(1 << j for j in chosen), newest,
-                                     sum(1 << x for x in live), t, d, _Meeting(masks), counter)
+                                     sum(1 << x for x in live), t, d, Meeting(masks), counter)
             assert dead == brute_force_kills(cand, chosen, newest, live, t, d), \
                 (n, k, t, d, chosen, newest, live)
             assert counter.nodes >= 1

@@ -16,10 +16,12 @@ from deltasys import (
     codegree_histogram,
     edge_weight,
     max_codegree2,
+    meet,
     shadow,
     subset_degrees,
     weight_identity,
 )
+from deltasys.hypergraph import Meeting
 from conftest import random_hypergraph
 
 
@@ -166,6 +168,43 @@ class TestCodegree:
             subset_degrees(h, 4)
         with pytest.raises(ParameterError):
             subset_degrees(h, -1)
+
+
+class TestMeeting:
+    def test_against_brute_force(self):
+        # 80 seeded member lists on up to 8 vertices, 40 queries each with d
+        # in {2, 3, 4}; one index answers all of a list's queries, so every
+        # cached answer is read back under other keys too
+        rng = random.Random(2027)
+        for trial in range(80):
+            n = rng.randint(3, 8)
+            masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 10))]
+            members = range(len(masks))
+            idx = Meeting(masks)
+            assert idx.holders == {
+                v: held for v in range(1, n + 1)
+                if (held := sum(1 << i for i in members if masks[i] >> (v - 1) & 1))}
+            for _ in range(40):
+                x = rng.randrange(1 << n)
+                assert idx[x] == sum(1 << i for i in members if masks[i] & x), (trial, x)
+                common, bits = rng.randrange(1 << n), rng.randrange(1 << len(masks))
+                assert idx.kept(common, bits) == sum(
+                    1 << (v - 1) for v in range(1, n + 1)
+                    if common >> (v - 1) & 1
+                    and all(masks[i] >> (v - 1) & 1 for i in members if bits >> i & 1)
+                ), (trial, common, bits)
+                d, s = rng.choice((2, 3, 4)), rng.randrange(len(masks))
+                others = [i for i in members if i != s]
+                picked = rng.sample(others, rng.randint(0, min(4, len(others))))
+                out = rng.randrange(1 << len(masks))
+                # j stays when j, s and any d-2 or fewer picked members share
+                # a vertex
+                assert idx.narrow(out, picked, s, d) == sum(
+                    1 << j for j in members
+                    if out >> j & 1
+                    and all(masks[j] & masks[s] & meet(masks[i] for i in sub)
+                            for r in range(d - 1) for sub in combinations(picked, r))
+                ), (trial, picked, s, d)
 
 
 class TestWeights:
