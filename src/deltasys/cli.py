@@ -8,7 +8,7 @@ up in `_EXIT`, which lists every verdict under its code: 0 for a positive
 outcome, 1 for a negative one, 2 for an exhausted node budget (also
 verify-counterexample's conditional verdict when its search ran out).
 Bad input (file format, parameters, admissibility, unusable flags) exits 3
-with a message on stderr.
+with a message on stderr, after the usage line for a usage error.
 
 A report, and every JSON artifact, is written by `_json`: one line per
 top-level key in sorted order, each value compact on its line, so a report
@@ -19,7 +19,7 @@ as JSON, and the full report for purely informational commands and
 negative outcomes. An artifact is serialized only when --output is given.
 --threads is accepted and validated for interface stability; execution is
 sequential either way, which keeps reports bit-identical across thread
-counts.
+counts. --budget and --seed belong only to the commands that read them.
 """
 
 from __future__ import annotations
@@ -76,7 +76,14 @@ class _Parser(argparse.ArgumentParser):
     # exit code; route usage problems to the input-error code instead
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"deltasys: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
+
+
+def _at_least_one(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -310,24 +317,24 @@ def cmd_homogeneous_extract(args, h) -> _Answer:
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="random seed for any randomized step (default 0)")
-    common.add_argument("--budget", type=int, default=None,
-                        help="node budget for exact searches "
-                             "(default: DELTASYS_NODE_BUDGET or 10^8)")
-    common.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=_at_least_one, default=1,
                         help="worker count; accepted for compatibility, "
                              "execution is sequential")
     common.add_argument("--output", default=None,
                         help="write the command's primary artifact to this path")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=_at_least_one,
+                        help="search node budget (default: DELTASYS_NODE_BUDGET or 10^8)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
     parser = _Parser(prog="deltasys",
                      description="Exact search and verification for sunflowers, "
                                  "intersecting families, and triple systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, **kw):
-        p = sub.add_parser(name, parents=[common], help=help_text,
+    def add(name, func, help_text, *flags):
+        p = sub.add_parser(name, parents=[common, *flags], help=help_text,
                            description=help_text)
         p.set_defaults(func=func)
         return p
@@ -349,7 +356,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--size", type=int, required=True)
 
     p = add("find-avd", cmd_find_avd,
-            "search for a host-partitioned sunflower cluster")
+            "search for a host-partitioned sunflower cluster", budget)
     p.add_argument("input")
     p.add_argument("--a", type=_int_list, required=True,
                    help="comma-separated block sizes, summing to k")
@@ -363,13 +370,13 @@ def _build_parser() -> _Parser:
 
     p = add("find-nontrivial", cmd_find_nontrivial,
             "search for --size edges, --wise-wise intersecting, "
-            "with no common vertex")
+            "with no common vertex", budget)
     p.add_argument("input")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--wise", type=int, required=True)
 
     p = add("check-intersecting", cmd_check_intersecting,
-            "check the whole family for --wise-wise intersection")
+            "check the whole family for --wise-wise intersection", budget)
     p.add_argument("input")
     p.add_argument("--wise", type=int, required=True)
 
@@ -379,26 +386,26 @@ def _build_parser() -> _Parser:
     p.add_argument("input")
 
     p = add("build-steiner", cmd_build_steiner,
-            "construct a pair-exact triple system")
+            "construct a pair-exact triple system", seed)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=int, required=True,
                    help="how many blocks each pair must lie in")
 
     p = add("build-counterexample", cmd_build_counterexample,
-            "construct the dense codegree-capped family")
+            "construct the dense codegree-capped family", seed)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True,
                    help="target maximum pair codegree")
 
     p = add("verify-counterexample", cmd_verify_counterexample,
-            "verify the codegree-capped family against forbidden subfamilies")
+            "verify the codegree-capped family against forbidden subfamilies", budget)
     p.add_argument("input")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mode", choices=("degree-argument", "exhaustive", "both"),
                    default="both")
 
     p = add("extremal", cmd_extremal,
-            "exact maximum family size avoiding a forbidden configuration")
+            "exact maximum family size avoiding a forbidden configuration", budget)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--config", choices=CONFIG_KINDS, required=True)
@@ -418,7 +425,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=None)
 
     p = add("homogeneous-extract", cmd_homogeneous_extract,
-            "extract a large homogeneous subgraph with a certificate")
+            "extract a large homogeneous subgraph with a certificate", seed)
     p.add_argument("input")
     p.add_argument("--size", type=int, required=True,
                    help="required petal count s for every intersection")
@@ -430,11 +437,6 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for flag, value in (("threads", args.threads), ("budget", args.budget)):
-        if value is not None and value < 1:
-            print(f"deltasys: error: --{flag} must be at least 1, got {value}",
-                  file=sys.stderr)
-            return EXIT_INPUT
     started = time.perf_counter()
     try:
         h = load_hypergraph(args.input) if "input" in vars(args) else None

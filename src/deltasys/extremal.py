@@ -12,9 +12,9 @@ collected from every isomorphism class.
 Every kind runs one search. It carries a live set of candidates that
 complete no forbidden subfamily with the members chosen so far, drops the
 ones each new member kills, and bounds each branch by |chosen| + |live|.
-Configurations of exactly d+1 members (d-simplices, avd-systems, and
-nontrivial-intersecting with t = d+1) read the kills from a conflict table
-listed once before the search, on the search's budget; larger ones find
+Configurations of exactly d+1 members (avd-systems, and nontrivial-intersecting
+with t = d+1, the d-simplices) read the kills from a conflict table listed
+once before the search, on the search's budget; larger ones find
 them with one bitmask walk per new member, over the chosen subfamilies
 through it. Both read which candidates meet a vertex set from one
 `hypergraph.Meeting` index over the candidates, the one the search kernel
@@ -44,9 +44,9 @@ CONFIG_KINDS = ("nontrivial-intersecting", "d-simplex", "avd-system")
 class ForbiddenConfig:
     """A subfamily shape to exclude.
 
-    nontrivial-intersecting: t members, d-wise intersecting, no common vertex.
-    d-simplex: d+1 members, every d sharing a vertex, empty total
-    intersection (the t = d+1 case of the above).
+    nontrivial-intersecting: t members, d-wise intersecting, no common vertex
+    (d = 1 only with t = 2: two disjoint members).
+    d-simplex: another name for its t = d+1 case, which it becomes.
     avd-system: a host-partitioned sunflower cluster with the given block
     sizes and d petal edges in total.
     """
@@ -59,20 +59,20 @@ class ForbiddenConfig:
     def __post_init__(self):
         if self.kind not in CONFIG_KINDS:
             raise ParameterError(f"unknown configuration kind {self.kind!r}")
+        if self.kind == "d-simplex":
+            if self.d is None or self.t is not None or self.part_sizes is not None:
+                raise ParameterError("d-simplex takes exactly d")
+            object.__setattr__(self, "kind", "nontrivial-intersecting")
+            object.__setattr__(self, "t", self.d + 1)
         if self.kind == "nontrivial-intersecting":
             if self.t is None or self.d is None:
                 raise ParameterError("nontrivial-intersecting needs t and d")
-            if self.d < 2:
-                raise ParameterError(f"d must be at least 2, got {self.d}")
+            if self.d < 1 or self.d == 1 and self.t != 2:
+                raise ParameterError(f"d must be at least 2, or 1 with t=2, got d={self.d}")
             if self.t < self.d + 1:
                 raise ParameterError(f"t must be at least d+1, got t={self.t}, d={self.d}")
             if self.part_sizes is not None:
                 raise ParameterError("part_sizes only applies to avd-system")
-        elif self.kind == "d-simplex":
-            if self.d is None or self.d < 1:
-                raise ParameterError("d-simplex needs d >= 1")
-            if self.t is not None or self.part_sizes is not None:
-                raise ParameterError("d-simplex takes only d")
         else:
             if self.part_sizes is None or self.d is None:
                 raise ParameterError("avd-system needs part_sizes and d")
@@ -89,8 +89,6 @@ class ForbiddenConfig:
         if self.kind == "nontrivial-intersecting":
             return (f"{self.t} members, {self.d}-wise intersecting, "
                     f"no common vertex")
-        if self.kind == "d-simplex":
-            return f"{self.d + 1} members, every {self.d} sharing a vertex, empty total"
         return (f"cluster with block sizes {','.join(map(str, self.part_sizes))} "
                 f"and {self.d} petal edges")
 
@@ -166,7 +164,7 @@ def conflict_sets(masks: list[int], config: ForbiddenConfig, meeting: Meeting,
     if config.kind == "avd-system":
         return list({sum(1 << j for g in groups for j in g) | 1 << hi for hi, _, groups
                      in disjoint_clusters(masks, config.part_sizes, config.d, counter)})
-    if config.kind == "d-simplex" or config.t == config.d + 1:
+    if config.t == config.d + 1:
         return _simplex_sets(masks, config.d, meeting, counter)
     return None
 
@@ -259,8 +257,8 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     remove the lowest live x, so every live candidate lies above every
     chosen member: members still arrive in index order.
 
-    With exactly d+1 members (every d-simplex and avd-system, and
-    nontrivial-intersecting with t = d+1) the kills are read from a conflict
+    With exactly d+1 members (avd-system, and nontrivial-intersecting with
+    t = d+1, the d-simplex) the kills are read from a conflict
     table listed up front and filed under each conflict's two highest
     members: the highest is the only one still live when the second highest
     arrives. One node is one branch or one tick of `conflict_sets`, and the

@@ -215,8 +215,8 @@ def test_acceptance_10_cli_thread_count_determinism(tmp_path, capsys):
     )
     assert code == 0
     commands = [
-        ["verify-counterexample", str(spath), "--m", "4", "--seed", "1"],
-        ["find-nontrivial", str(spath), "--size", "3", "--wise", "2", "--seed", "1"],
+        ["verify-counterexample", str(spath), "--m", "4"],
+        ["find-nontrivial", str(spath), "--size", "3", "--wise", "2"],
         ["homogeneous-extract", str(spath), "--size", "2", "--seed", "9"],
         ["build-counterexample", "--n", "9", "--m", "4", "--seed", "3"],
     ]
@@ -230,7 +230,7 @@ def test_acceptance_10_cli_thread_count_determinism(tmp_path, capsys):
     with capsys.disabled():
         print(
             "\ncriterion 10: PASS - identical reports for thread counts "
-            "1, 2 and 8 across four commands with fixed seeds"
+            "1, 2 and 8 across four commands, the randomized ones with fixed seeds"
         )
 
 

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior: exit codes, report schema, artifacts."""
 
 import argparse
+import importlib
 import json
 import random
 import time
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -427,6 +429,23 @@ class TestExtremal:
         assert result["nodes"] == budget + 1
         assert result["max_size"] == comb(n - 1, 3)
 
+    def test_simplex_runs_as_nontrivial_with_size_one_above_wise(self, capsys):
+        results = []
+        for tail in (["d-simplex", "--wise", "2"],
+                     ["nontrivial-intersecting", "--size", "3", "--wise", "2"]):
+            code, out = run_cli(["extremal", "--n", "7", "--k", "3", "--config"] + tail,
+                                capsys)
+            assert code == 0
+            rep = report_of(out)
+            assert "budget" in rep["params"] and "seed" not in rep["params"]
+            rep["result"].pop("runtime_seconds")
+            results.append(rep["result"])
+        assert results[0] == results[1]
+        assert results[0]["config"] == {"kind": "nontrivial-intersecting", "t": 3, "d": 2}
+        assert results[0]["nodes"] == 2186
+        assert run_cli(["extremal", "--n", "7", "--k", "3", "--config", "d-simplex",
+                        "--size", "3", "--wise", "2"], capsys) == (3, "")
+
     def test_missing_config_parameters(self, capsys):
         code, _ = run_cli(
             ["extremal", "--n", "5", "--k", "3", "--config",
@@ -648,10 +667,48 @@ class TestDeterminism:
         assert runs[0] == runs[1]
 
 
+SUBCOMMANDS = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+SEARCHES = {"find-avd", "find-nontrivial", "check-intersecting",
+            "verify-counterexample", "extremal"}
+RANDOMIZED = {"build-steiner", "build-counterexample", "homogeneous-extract"}
+
+
+def taking(flag):
+    return {name for name, p in SUBCOMMANDS.items() if flag in p._option_string_actions}
+
+
 class TestGlobalFlags:
     def test_threads_must_be_positive(self, star5, capsys):
         code, _ = run_cli(["shadow", star5, "--order", "1", "--threads", "0"], capsys)
         assert code == 3
+
+    def test_every_command_takes_threads_and_output(self):
+        assert taking("--threads") == taking("--output") == set(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("tail, message", [
+        (["shadow", "{star}", "--order", "1", "--seed", "9"],
+         "unrecognized arguments: --seed 9"),
+        (["shadow", "{star}", "--order", "x"], "argument --order: invalid int value: 'x'"),
+        (["check-intersecting", "{star}", "--wise", "2", "--budget", "soon"],
+         "argument --budget: expected an integer of at least 1, got 'soon'"),
+    ])
+    def test_usage_error_names_the_problem(self, star5, tail, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([star5 if a == "{star}" else a for a in tail])
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: ")
+        assert f"deltasys: error: {message}\n" in err
+
+    @pytest.mark.parametrize("flag, value, users", [
+        ("--budget", "5", SEARCHES), ("--seed", "1", RANDOMIZED)])
+    def test_flag_is_refused_where_nothing_reads_it(
+            self, every_command, flag, value, users, capsys):
+        assert taking(flag) == users
+        for name, tail in every_command.items():
+            if name not in users:
+                assert run_cli([name] + tail + [flag, value], capsys) == (3, ""), name
 
     def test_unknown_command(self, capsys):
         code, _ = run_cli(["frobnicate"], capsys)
@@ -663,21 +720,19 @@ class TestGlobalFlags:
 
     def test_budget_below_one_is_an_input_error_for_every_command(
             self, every_command, capsys):
-        argvs = every_command
-        sub = next(a for a in _build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        takes_budget = {name for name, p in sub.choices.items()
-                        if "--budget" in p._option_string_actions}
-        assert set(argvs) == takes_budget
-        for name, tail in argvs.items():
+        assert set(every_command) == set(SUBCOMMANDS)
+        assert taking("--budget") == SEARCHES
+        for name in sorted(SEARCHES):
+            tail = every_command[name]
             code, out = run_cli([name] + tail + ["--budget", "1"], capsys)
             assert code != 3 and out, name
             for bad in ("0", "-5"):
                 code, out = run_cli([name] + tail + ["--budget", bad], capsys)
                 assert (code, out) == (3, ""), (name, bad)
 
-    def test_non_integer_budget(self, star5, capsys):
-        code, _ = run_cli(["shadow", star5, "--order", "1", "--budget", "soon"], capsys)
+    def test_non_integer_budget(self, star9, capsys):
+        code, _ = run_cli(["check-intersecting", star9, "--wise", "2", "--budget", "soon"],
+                          capsys)
         assert code == 3
 
     def test_output_write_failure_is_an_input_error(self, star9, capsys):
@@ -687,3 +742,16 @@ class TestGlobalFlags:
             capsys,
         )
         assert code == 3
+
+
+def test_every_benchmark_job_parses(tmp_path, monkeypatch):
+    # the benchmark drives the CLI by argv; a flag it passes must still exist
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    assert set(workloads.SETUP) == {"certify", "extremal", "graphs"}
+    parser = _build_parser()
+    for name, setup in workloads.SETUP.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        for job in setup(str(workdir), 0, "tiny"):
+            assert parser.parse_args(list(job.argv)).command == job.argv[0], job.name

@@ -90,6 +90,15 @@ class TestConfigValidation:
             ForbiddenConfig("d-simplex")
         with pytest.raises(ParameterError):
             ForbiddenConfig("d-simplex", d=0)
+        with pytest.raises(ParameterError):
+            ForbiddenConfig("d-simplex", t=3, d=2)
+        with pytest.raises(ParameterError):
+            ForbiddenConfig("d-simplex", d=2, part_sizes=(2, 1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_simplex_is_nontrivial_with_t_one_above_d(self, d):
+        config = ForbiddenConfig("d-simplex", d=d)
+        assert config == ForbiddenConfig("nontrivial-intersecting", t=d + 1, d=d)
 
     def test_avd_shape(self):
         with pytest.raises(ParameterError):
@@ -198,8 +207,7 @@ class TestAgainstBruteForce:
 def forms_config(edges, config):
     """Does this subfamily, all of it, form the configuration? Plain checks."""
     if config.kind != "avd-system":
-        t = config.d + 1 if config.kind == "d-simplex" else config.t
-        if len(edges) != t:
+        if len(edges) != config.t:
             return False
         if config.d == 1:
             return not set(edges[0]) & set(edges[1])
@@ -233,14 +241,14 @@ def brute_force_families(n, k, config):
 
 SIMPLEX = {d: ForbiddenConfig("d-simplex", d=d) for d in (1, 2, 3)}
 NONTRIVIAL = tuple(ForbiddenConfig("nontrivial-intersecting", t=t, d=d)
-                   for t, d in ((3, 2), (4, 3), (4, 2), (5, 2), (5, 3)))
+                   for t, d in ((3, 2), (4, 3), (4, 2), (5, 2), (5, 3), (5, 4)))
 AVD = {k: tuple(ForbiddenConfig("avd-system", part_sizes=a, d=d) for a, d in shapes)
        for k, shapes in ((2, (((1, 1), 2), ((1, 1), 3))),
                          (3, (((2, 1), 2), ((2, 1), 3), ((1, 1, 1), 3))))}
 DIFFERENTIAL = [(k, n, config)
                 for k, top in ((2, 6), (3, 5))
                 for n in range(k + 1, top + 1)
-                for config in (SIMPLEX[1], SIMPLEX[2]) + NONTRIVIAL + AVD[k]]
+                for config in (SIMPLEX[1],) + NONTRIVIAL + AVD[k]]
 # the kill walk's grid: n <= 7, k <= 4, d in {2, 3} and t from d+2 to d+4,
 # less the four cases where the labelled search needs over 10^6 nodes
 KILL_WALK = [(k, n, ForbiddenConfig("nontrivial-intersecting", t=t, d=d))
