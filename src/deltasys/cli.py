@@ -20,11 +20,14 @@ negative outcomes. An artifact is serialized only when --output is given.
 --threads is accepted and validated for interface stability; execution is
 sequential either way, which keeps reports bit-identical across thread
 counts. --budget and --seed belong only to the commands that read them.
+`main(argv)` may be called many times in one process: the parser is built
+on the first call and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -315,6 +318,7 @@ def cmd_homogeneous_extract(args, h) -> _Answer:
     return _Answer("extracted", result, checks, cert_json)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=_at_least_one, default=1,

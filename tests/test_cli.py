@@ -3,7 +3,10 @@
 import argparse
 import importlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations
 from math import comb
@@ -742,6 +745,67 @@ class TestGlobalFlags:
             capsys,
         )
         assert code == 3
+
+
+class TestParserReuse:
+    """`main` builds its parser on the first call and reuses it afterwards."""
+
+    def test_second_call_builds_no_parser(self, star5, monkeypatch, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        assert run_cli(["shadow", star5, "--order", "1"], capsys)[0] == 0
+        assert len(built) == 3 + 1 + len(SUBCOMMANDS)  # parents, top level, commands
+        del built[:]
+        assert run_cli(["weight-check", star5], capsys)[0] == 0
+        assert built == []
+
+    def test_shared_parser_keeps_no_state(self, star9, tmp_path, monkeypatch, capsys):
+        # each run must match the same argv in a fresh interpreter, whatever
+        # ran before it in this one
+        extremal = ["extremal", "--n", "6", "--k", "3", "--config",
+                    "nontrivial-intersecting", "--size", "5", "--wise", "2"]
+        sequence = [
+            extremal,
+            ["shadow", star9, "--order", "x"],
+            ["shadow", star9, "--order", "1", "--budget", "5"],
+            ["--help"],
+            ["find-sunflower", star9, "--center", "1", "--size", "2"],
+            ["find-sunflower", star9, "--size", "2"],
+            extremal,
+        ]
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+        monkeypatch.delenv("DELTASYS_NODE_BUDGET", raising=False)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        runs = []
+        for argv in sequence:
+            try:
+                code, exited = cli.main(list(argv)), False
+            except SystemExit as exc:
+                code, exited = exc.code, True
+            out, err = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "deltasys", *argv], env=env,
+                                   cwd=tmp_path, capture_output=True, text=True)
+            assert (code, err) == (fresh.returncode, fresh.stderr), argv
+            if argv[0] in ("extremal", "find-sunflower"):
+                assert normalized(out) == normalized(fresh.stdout), argv
+            else:
+                assert out == fresh.stdout, argv
+            runs.append((code, exited, out))
+        assert [(code, exited) for code, exited, _ in runs] == [
+            (0, False), (3, True), (3, True), (0, True), (0, False), (1, False), (0, False)]
+        assert runs[1][2] == runs[2][2] == ""
+        assert runs[3][2].startswith("usage: deltasys")
+        assert json.loads(runs[5][2])["params"]["center"] == []
+        assert normalized(runs[6][2]) == normalized(runs[0][2])
 
 
 def test_every_benchmark_job_parses(tmp_path, monkeypatch):

@@ -11,8 +11,10 @@ from deltasys import (
     ClassificationError,
     FamilyWitness,
     Hypergraph,
+    KMFamily,
     ParameterError,
     SearchStatus,
+    TEMPLATE_TAGS,
     build_star,
     check_km_codegree_bounds,
     check_nontrivial,
@@ -379,6 +381,115 @@ class TestClassification:
         )
         with pytest.raises(ParameterError):
             classify_intersecting(big_not_intersecting)
+
+
+def template_label_sets(tag):
+    """The sets of core labels that a member of template `tag` may carry.
+
+    Whether a triple lies in a template depends only on which core labels its
+    vertices carry, so each label set is read off the identity map, padded
+    with vertices outside the core.
+    """
+    c = intersecting._CORE_SIZE[tag]
+    ident = KMFamily(tag, {i: i for i in range(1, c + 1)})
+    return [frozenset(s) for r in range(4) for s in combinations(range(1, c + 1), r)
+            if ident.contains_edge(s + tuple(range(c + 1, c + 4 - r)))]
+
+
+def brute_force_classify(h):
+    """The first template in TEMPLATE_TAGS order that contains `h` under some
+    core map, as a KMFamily, or None.
+
+    Core labels 1..c are mapped in turn to the family's vertices or to fresh
+    vertices outside it. Fresh vertices are interchangeable, so a label only
+    takes the next unused one. A partial map is pruned as soon as some member
+    can no longer lie in the template: no set of the labels still to come, one
+    per unmapped vertex at most, completes its labels to an allowed set. A
+    fully mapped member outside the template is the case with no label to
+    come. Every map that survives is tested with `contains_family`.
+    """
+    verts = sorted(set().union(*h.edges))
+    fresh = max(h.n, verts[-1]) + 1
+    for tag in TEMPLATE_TAGS:
+        c = intersecting._CORE_SIZE[tag]
+        allowed = template_label_sets(tag)
+        label, mapping = {}, {}
+
+        def viable(j):
+            placed = frozenset(range(1, j + 1))
+            for e in h.edges:
+                have = frozenset(label[v] for v in e if v in label)
+                free = sum(v not in label for v in e)
+                if not any(a & placed == have and len(a - placed) <= free for a in allowed):
+                    return False
+            return True
+
+        def extend(j, fresh_used):
+            if j > c:
+                km = KMFamily(tag, mapping)
+                return km if km.contains_family(h) else None
+            for v in [v for v in verts if v not in label] + [fresh + fresh_used]:
+                mapping[j] = v
+                if v < fresh:
+                    label[v] = j
+                if viable(j):
+                    km = extend(j + 1, fresh_used + (v >= fresh))
+                    if km is not None:
+                        return km
+                label.pop(v, None)
+            del mapping[j]
+            return None
+
+        km = extend(1, 0)
+        if km is not None:
+            return km
+    return None
+
+
+class TestClassificationOracle:
+    TEMPLATES = (build_star(7, 3), h0_family(), h1_family(), h2_family(),
+                 h3_family(), h4_family(), h5_family())
+
+    def test_oracle_tells_the_templates_apart(self):
+        assert [brute_force_classify(h).tag for h in self.TEMPLATES] == list(TEMPLATE_TAGS)
+        fano = Hypergraph(7, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6),
+                                 (2, 5, 7), (3, 4, 7), (3, 5, 6)])
+        assert brute_force_classify(fano) is None
+
+    def test_classify_matches_the_oracle(self):
+        rng = random.Random(2718)
+        families = list(self.TEMPLATES)
+        for h in self.TEMPLATES:
+            for _ in range(3):
+                perm = rng.sample(range(1, 13), h.n)
+                families.append(Hypergraph(
+                    12, 3, [tuple(sorted(perm[v - 1] for v in e)) for e in h.edges]))
+        for h in (build_star(8, 3), h0_family(), h1_family(), h2_family(),
+                  h3_family(), h4_family(8), h5_family(8)):
+            for _ in range(4):
+                families.append(Hypergraph(8, 3, rng.sample(h.edges, rng.randint(11, len(h.edges)))))
+        # greedy maximal intersecting families on 8 vertices, grown without a template
+        pool = list(combinations(range(1, 9), 3))
+        while len(families) < 70:
+            rng.shuffle(pool)
+            edges = []
+            for e in pool:
+                if all(set(e) & set(f) for f in edges):
+                    edges.append(e)
+            if len(edges) >= 11:
+                families.append(Hypergraph(8, 3, edges))
+        seen = set()
+        for h in families:
+            expected = brute_force_classify(h)
+            if expected is None:
+                with pytest.raises(ClassificationError):
+                    classify_intersecting(h)
+                continue
+            km = classify_intersecting(h)
+            assert km.tag == expected.tag, (expected, km, h.edges)
+            assert km.contains_family(h)
+            seen.add(km.tag)
+        assert seen == set(TEMPLATE_TAGS)
 
 
 class TestCodegreeBounds:
