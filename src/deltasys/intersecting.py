@@ -117,19 +117,24 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
 
     `vmasks` are the members as vertex bitmasks over 1..n. Each family F is
     reached exactly once, through its core. The core starts at F's lowest
-    member; then, while the core has a common vertex, the lowest such vertex
-    v picks the lowest member of F missing v, and every lower member missing
-    v is dropped from the candidates. Once the core has no common vertex,
-    the rest of F is a plain compatibility search over the candidates left,
-    in index order. Compatibility is pairwise intersection for d = 2; for
-    larger d a pick keeps only the members that meet each (d-1)-fold meet it
-    closes (`Meeting.narrow`). A branch ends when some common vertex of the
-    core lies in every candidate (`Meeting.kept`). While at least three picks
-    remain, a greedy colouring of the candidates' intersection graph bounds
-    how many of them fit together.
+    member; then, while the core has a common vertex, the common vertex v
+    that the fewest candidates miss (the lowest one on ties) picks the
+    lowest member of F missing v, and every lower member missing v is
+    dropped from the candidates. The rule reads only the node's own state,
+    so each family still has one path. A common vertex that no candidate
+    misses stays common, which ends the branch. Once the core has no common
+    vertex, the rest of F is a plain compatibility search over the
+    candidates left, in index order. Compatibility is pairwise intersection,
+    read from one row per member of the members meeting it; for d >= 3 a
+    pick also keeps only the members that meet each (d-1)-fold meet it
+    closes (`Meeting.narrow`). While at least three picks remain, a greedy
+    colouring of the candidates' intersection graph bounds how many of them
+    fit together.
 
     One node is one tick of `counter`: the root, which also rules out a
-    vertex in every member, one core step or one compatibility step.
+    vertex in every member, one core step or one compatibility step. A
+    child whose narrowed candidates are too few to reach t is neither
+    visited nor ticked.
 
     On FOUND only, the witness is rebuilt into the first in lexicographic
     order over the caller's list by fixing one member at a time, at most t*m
@@ -140,20 +145,33 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
         return None
     full = (1 << m) - 1
     meeting = Meeting(vmasks)
-    holders, narrow, kept = meeting.holders, meeting.narrow, meeting.kept
+    holders, narrow = meeting.holders, meeting.narrow
+    # rows[j]: the members meeting member j
+    rows = [meeting[x] for x in vmasks]
+    wide = d > 2
 
     def step(chosen: tuple[int, ...], common: int, cand: int) -> tuple[int, ...] | None:
         counter.tick()
         need = t - len(chosen)
         if not need:
             return None if common else chosen
-        if cand.bit_count() < need:
+        have = cand.bit_count()
+        if have < need:
             return None
         if common:
-            # a core vertex that every candidate contains stays common
-            if kept(common, cand):
-                return None
-            miss = cand & ~holders[(common & -common).bit_length()]
+            # branch on the core vertex that the fewest candidates miss; a
+            # vertex that no candidate misses stays common, so the branch ends
+            miss, fewest = 0, have + 1
+            rest = common
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                out = cand & ~holders[low.bit_length()]
+                size = out.bit_count()
+                if size < fewest:
+                    if not size:
+                        return None
+                    miss, fewest = out, size
             rest = miss
             while rest:
                 low = rest & -rest
@@ -162,10 +180,13 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
                 if left.bit_count() < need:
                     return None
                 b = low.bit_length() - 1
-                hit = step(chosen + (b,), common & vmasks[b],
-                           narrow(left & ~low, chosen, b, d))
-                if hit:
-                    return hit
+                child = left & ~low & rows[b]
+                if wide:
+                    child = narrow(child, chosen, b, d)
+                if child.bit_count() >= need - 1:
+                    hit = step(chosen + (b,), common & vmasks[b], child)
+                    if hit:
+                        return hit
             return None
         if need >= 3:
             # the picks left are pairwise intersecting, so at most one per
@@ -180,7 +201,7 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
                 while q:
                     low = q & -q
                     left ^= low
-                    q &= ~meeting[vmasks[low.bit_length() - 1]]
+                    q &= ~rows[low.bit_length() - 1]
             else:
                 return None
         rest = cand
@@ -188,9 +209,13 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
             low = rest & -rest
             rest ^= low
             j = low.bit_length() - 1
-            hit = step(chosen + (j,), 0, narrow(rest, chosen, j, d))
-            if hit:
-                return hit
+            child = rest & rows[j]
+            if wide:
+                child = narrow(child, chosen, j, d)
+            if child.bit_count() >= need - 1:
+                hit = step(chosen + (j,), 0, child)
+                if hit:
+                    return hit
             if rest.bit_count() < need:
                 return None
         return None
@@ -299,20 +324,23 @@ class KMFamily:
         if len(set(m.values())) != len(m):
             raise ParameterError("core mapping must be injective")
         object.__setattr__(self, "mapping", m)
+        # built once per family: the core label of each mapped vertex, and
+        # the exceptional members as vertex sets
+        object.__setattr__(self, "_label", {v: c for c, v in m.items()})
+        object.__setattr__(self, "_exceptional", frozenset(
+            frozenset(m[c] for c in trip) for trip in _EXCEPTIONAL[self.tag]))
 
     def exceptional_edges(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(self.mapping[c] for c in trip)
-                         for trip in _EXCEPTIONAL[self.tag])
+        return self._exceptional
 
     def contains_edge(self, edge: Iterable[int]) -> bool:
-        e = set(vertex_tuple(edge))
+        e = frozenset(vertex_tuple(edge))
         if len(e) != 3:
             raise ParameterError(f"templates classify triples, got {sorted(e)}")
-        inverse = {v: c for c, v in self.mapping.items()}
-        core = frozenset(inverse[v] for v in e if v in inverse)
-        if _main_member(self.tag, core):
+        label = self._label
+        if _main_member(self.tag, frozenset(label[v] for v in e if v in label)):
             return True
-        return frozenset(e) in self.exceptional_edges()
+        return e in self._exceptional
 
     def contains_family(self, h: Hypergraph) -> bool:
         return all(self.contains_edge(e) for e in h.edges)

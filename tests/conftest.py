@@ -11,7 +11,7 @@ from deltasys import (BudgetExceeded, ExtremalResult, Hypergraph, NodeCounter,
                       SunflowerCluster, check_cluster, mask_of)
 from deltasys.cli import main as cli_main
 from deltasys.extremal import _nontrivial_kills, conflict_sets
-from deltasys.hypergraph import Meeting
+from deltasys.hypergraph import Meeting, meet
 
 
 def random_hypergraph(rng, n=None, k=None, max_edges=40):
@@ -24,6 +24,101 @@ def random_hypergraph(rng, n=None, k=None, max_edges=40):
     pool = list(combinations(range(1, n + 1), k))
     m = rng.randint(1, min(len(pool), max_edges))
     return Hypergraph(n, k, rng.sample(pool, m))
+
+
+def reference_nontrivial_search_masks(vmasks, n, t, d, counter):
+    """The nontrivial-subfamily kernel as it was before it branched on the
+    core vertex fewest candidates miss, kept as the differential oracle of
+    `nontrivial_search_masks`.
+
+    The core branches on the lowest common vertex, a branch ends when some
+    common vertex lies in every candidate, and every child is visited and
+    ticked. Same witness contract: on FOUND, the lexicographically first
+    family over the caller's list.
+    """
+    m = len(vmasks)
+    if m < t:
+        return None
+    full = (1 << m) - 1
+    meeting = Meeting(vmasks)
+    holders, narrow, kept = meeting.holders, meeting.narrow, meeting.kept
+
+    def step(chosen, common, cand):
+        counter.tick()
+        need = t - len(chosen)
+        if not need:
+            return None if common else chosen
+        if cand.bit_count() < need:
+            return None
+        if common:
+            if kept(common, cand):
+                return None
+            miss = cand & ~holders[(common & -common).bit_length()]
+            rest = miss
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                left = cand & ~(miss & (low - 1))
+                if left.bit_count() < need:
+                    return None
+                b = low.bit_length() - 1
+                hit = step(chosen + (b,), common & vmasks[b],
+                           narrow(left & ~low, chosen, b, d))
+                if hit:
+                    return hit
+            return None
+        if need >= 3:
+            colours = 0
+            left = cand
+            while left:
+                colours += 1
+                if colours == need:
+                    break
+                q = left
+                while q:
+                    low = q & -q
+                    left ^= low
+                    q &= ~meeting[vmasks[low.bit_length() - 1]]
+            else:
+                return None
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            hit = step(chosen + (j,), 0, narrow(rest, chosen, j, d))
+            if hit:
+                return hit
+            if rest.bit_count() < need:
+                return None
+        return None
+
+    counter.tick()
+    if meet(vmasks):
+        return None
+    prefix = ()
+    witness = None
+    cand, common = full, -1
+    for pos in range(t):
+        rest = cand if witness is None else cand & ((1 << witness[pos]) - 1)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            above = cand & ~((low << 1) - 1)
+            if above.bit_count() < t - pos - 1:
+                break
+            b = low.bit_length() - 1
+            hit = step(prefix + (b,), common & vmasks[b], narrow(above, prefix, b, d))
+            if hit:
+                witness = sorted(hit)
+                break
+        if witness is None:
+            return None
+        b = witness[pos]
+        cand = narrow(cand & ~((2 << b) - 1), prefix, b, d)
+        common &= vmasks[b]
+        prefix += (b,)
+    return prefix
 
 
 def random_blocks(rng, host, part_sizes):

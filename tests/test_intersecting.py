@@ -15,6 +15,7 @@ from deltasys import (
     ParameterError,
     SearchStatus,
     TEMPLATE_TAGS,
+    build_counterexample,
     build_star,
     check_km_codegree_bounds,
     check_nontrivial,
@@ -31,7 +32,7 @@ from deltasys import (
 from deltasys import intersecting
 from deltasys.intersecting import nontrivial_search_masks
 from deltasys.search import NodeCounter
-from conftest import random_hypergraph
+from conftest import random_hypergraph, reference_nontrivial_search_masks
 
 
 def h0_family(n=8):
@@ -326,6 +327,77 @@ class TestSubfamilySearch:
             find_nontrivial_subfamily(h, 3, 1)
 
 
+def certify_job_inputs():
+    """The inputs of the benchmark's seven `certify` jobs at seed 0, as
+    (name, h, t, d): cx(n, m) searched at t = 3m+1, cx(15,5) also at m = 4,
+    and two seeded random graphs searched with d = 3."""
+    cx = {(n, m): build_counterexample(n, m, seed=0).system
+          for n, m in ((9, 4), (15, 5), (27, 4), (15, 6))}
+    jobs = [(f"cx-{n}-{m}", h, 3 * m + 1, 2) for (n, m), h in cx.items()]
+    jobs.append(("cx-15-5-m4", cx[15, 5], 13, 2))
+    for name, n, k, size, t, salt in (("nontrivial-3g", 10, 3, 60, 5, 1),
+                                      ("nontrivial-4g", 10, 4, 200, 6, 2)):
+        pool = list(combinations(range(1, n + 1), k))
+        jobs.append((name, Hypergraph(n, k, random.Random(salt).sample(pool, size)), t, 3))
+    return jobs
+
+
+class TestKernelAgainstItsPredecessor:
+    """`nontrivial_search_masks` against the kernel it replaced, on instances
+    beyond brute-force reach: the same status and the same witness."""
+
+    def test_seeded_grid(self):
+        rng = random.Random(1616)
+        found = {True: 0, False: 0}
+        for _ in range(200):
+            n, k = rng.randint(9, 12), rng.choice((3, 4))
+            d = rng.randint(2, 4)
+            t = rng.randint(d + 1, d + 5)
+            pool = list(combinations(range(1, n + 1), k))
+            h = Hypergraph(n, k, rng.sample(pool, rng.randint(30, min(120, len(pool)))))
+            hit = nontrivial_search_masks(h.edge_masks, n, t, d, NodeCounter())
+            expected = reference_nontrivial_search_masks(h.edge_masks, n, t, d, NodeCounter())
+            assert hit == expected, (h.edges, t, d)
+            found[hit is not None] += 1
+        assert min(found.values()) >= 50, found
+
+    def test_picks_after_the_core_keep_every_three_fold_meet(self):
+        # pairwise intersecting with no common vertex, but (1,2,3,4),
+        # (1,2,5,6) and (3,4,5,6) share no vertex; the core ends before the
+        # last two are picked, so only the compatibility step can refuse them
+        h = Hypergraph(6, 4, [(1, 2, 3, 4), (1, 2, 4, 6), (1, 2, 5, 6), (1, 3, 4, 6),
+                              (2, 3, 5, 6), (3, 4, 5, 6)])
+        assert find_nontrivial_subfamily(h, 6, 2).witness == h.edges
+        for kernel in (nontrivial_search_masks, reference_nontrivial_search_masks):
+            assert kernel(h.edge_masks, h.n, 6, 3, NodeCounter()) is None
+
+    def test_counterexamples(self):
+        for n, m in ((9, 4), (15, 5), (21, 4)):
+            h = build_counterexample(n, m, seed=0).system
+            for kernel in (nontrivial_search_masks, reference_nontrivial_search_masks):
+                assert kernel(h.edge_masks, h.n, 3 * m + 1, 2, NodeCounter()) is None, (n, m)
+        h = build_counterexample(15, 5, seed=0).system
+        hit = nontrivial_search_masks(h.edge_masks, h.n, 13, 2, NodeCounter())
+        assert hit is not None
+        assert hit == reference_nontrivial_search_masks(h.edge_masks, h.n, 13, 2, NodeCounter())
+        assert check_nontrivial([h.edges[i] for i in hit], 2).nontrivial
+
+
+class TestNodeCounts:
+    def test_certify_node_counts_are_pinned(self):
+        # seed-0 nodes and statuses of the benchmark's certify jobs; a kernel
+        # change that moves them updates this table on purpose
+        pinned = {"cx-9-4": (302, False), "cx-15-5": (4_981, False),
+                  "cx-27-4": (16_433, False), "cx-15-6": (9_260, False),
+                  "cx-15-5-m4": (31, True), "nontrivial-3g": (704, False),
+                  "nontrivial-4g": (5_228, True)}
+        nodes = {}
+        for name, h, t, d in certify_job_inputs():
+            out = find_nontrivial_subfamily(h, t, d)
+            nodes[name] = out.nodes, out.found
+        assert nodes == pinned
+
+
 class TestClassification:
     def test_each_template_is_recognized(self):
         cases = [
@@ -446,38 +518,46 @@ def brute_force_classify(h):
     return None
 
 
-class TestClassificationOracle:
-    TEMPLATES = (build_star(7, 3), h0_family(), h1_family(), h2_family(),
-                 h3_family(), h4_family(), h5_family())
+TEMPLATES = (build_star(7, 3), h0_family(), h1_family(), h2_family(),
+             h3_family(), h4_family(), h5_family())
 
+
+def oracle_families():
+    """The 70 seeded families the classification oracle is run on: the seven
+    templates, relabellings and subfamilies of them, and greedy maximal
+    intersecting families on 8 vertices grown without a template."""
+    rng = random.Random(2718)
+    families = list(TEMPLATES)
+    for h in TEMPLATES:
+        for _ in range(3):
+            perm = rng.sample(range(1, 13), h.n)
+            families.append(Hypergraph(
+                12, 3, [tuple(sorted(perm[v - 1] for v in e)) for e in h.edges]))
+    for h in (build_star(8, 3), h0_family(), h1_family(), h2_family(),
+              h3_family(), h4_family(8), h5_family(8)):
+        for _ in range(4):
+            families.append(Hypergraph(8, 3, rng.sample(h.edges, rng.randint(11, len(h.edges)))))
+    pool = list(combinations(range(1, 9), 3))
+    while len(families) < 70:
+        rng.shuffle(pool)
+        edges = []
+        for e in pool:
+            if all(set(e) & set(f) for f in edges):
+                edges.append(e)
+        if len(edges) >= 11:
+            families.append(Hypergraph(8, 3, edges))
+    return families
+
+
+class TestClassificationOracle:
     def test_oracle_tells_the_templates_apart(self):
-        assert [brute_force_classify(h).tag for h in self.TEMPLATES] == list(TEMPLATE_TAGS)
+        assert [brute_force_classify(h).tag for h in TEMPLATES] == list(TEMPLATE_TAGS)
         fano = Hypergraph(7, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6),
                                  (2, 5, 7), (3, 4, 7), (3, 5, 6)])
         assert brute_force_classify(fano) is None
 
     def test_classify_matches_the_oracle(self):
-        rng = random.Random(2718)
-        families = list(self.TEMPLATES)
-        for h in self.TEMPLATES:
-            for _ in range(3):
-                perm = rng.sample(range(1, 13), h.n)
-                families.append(Hypergraph(
-                    12, 3, [tuple(sorted(perm[v - 1] for v in e)) for e in h.edges]))
-        for h in (build_star(8, 3), h0_family(), h1_family(), h2_family(),
-                  h3_family(), h4_family(8), h5_family(8)):
-            for _ in range(4):
-                families.append(Hypergraph(8, 3, rng.sample(h.edges, rng.randint(11, len(h.edges)))))
-        # greedy maximal intersecting families on 8 vertices, grown without a template
-        pool = list(combinations(range(1, 9), 3))
-        while len(families) < 70:
-            rng.shuffle(pool)
-            edges = []
-            for e in pool:
-                if all(set(e) & set(f) for f in edges):
-                    edges.append(e)
-            if len(edges) >= 11:
-                families.append(Hypergraph(8, 3, edges))
+        families = oracle_families()
         seen = set()
         for h in families:
             expected = brute_force_classify(h)
@@ -490,6 +570,42 @@ class TestClassificationOracle:
             assert km.contains_family(h)
             seen.add(km.tag)
         assert seen == set(TEMPLATE_TAGS)
+
+
+def reference_contains_edge(km, edge):
+    """`KMFamily.contains_edge` as it was when it rebuilt the inverse core
+    map and the exceptional members on every call."""
+    e = set(edge)
+    inverse = {v: c for c, v in km.mapping.items()}
+    core = frozenset(inverse[v] for v in e if v in inverse)
+    if intersecting._main_member(km.tag, core):
+        return True
+    return frozenset(e) in frozenset(frozenset(km.mapping[c] for c in trip)
+                                     for trip in intersecting._EXCEPTIONAL[km.tag])
+
+
+class TestTemplateMembership:
+    def test_answers_match_the_per_call_rebuild(self):
+        # the oracle's families (the seven templates first), each under its
+        # own classification and two seeded core maps per tag onto its
+        # vertices; every triple on 1..n for the templates, the members else
+        rng = random.Random(307)
+        answers = {True: 0, False: 0}
+        for h in oracle_families():
+            verts = sorted(set().union(*h.edges))
+            maps = [classify_intersecting(h)]
+            for tag in TEMPLATE_TAGS:
+                for _ in range(2):
+                    images = rng.sample(verts, intersecting._CORE_SIZE[tag])
+                    maps.append(KMFamily(tag, dict(enumerate(images, 1))))
+            triples = list(combinations(range(1, h.n + 1), 3)) if h in TEMPLATES else h.edges
+            for km in maps:
+                for e in triples:
+                    assert km.contains_edge(e) == reference_contains_edge(km, e), (km, e)
+                held = km.contains_family(h)
+                assert held == all(reference_contains_edge(km, e) for e in h.edges), km
+                answers[held] += 1
+        assert min(answers.values()) >= 70, answers
 
 
 class TestCodegreeBounds:
