@@ -129,16 +129,18 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
     pick also keeps only the members that meet each (d-1)-fold meet it
     closes (`Meeting.narrow`). While at least three picks remain, a greedy
     colouring of the candidates' intersection graph bounds how many of them
-    fit together.
+    fit together. The candidates only ever hold members that fit the chosen
+    ones, so the last member is read from the holder bitsets: the lowest
+    candidate that misses every common vertex.
 
     One node is one tick of `counter`: the root, which also rules out a
     vertex in every member, one core step or one compatibility step. A
     child whose narrowed candidates are too few to reach t is neither
-    visited nor ticked.
+    visited nor ticked, and the last member takes no node.
 
     On FOUND only, the witness is rebuilt into the first in lexicographic
-    order over the caller's list by fixing one member at a time, at most t*m
-    further searches.
+    order over the caller's list by fixing one member at a time, at most
+    (t-1)*m further searches.
     """
     m = len(vmasks)
     if m < t:
@@ -150,11 +152,20 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
     rows = [meeting[x] for x in vmasks]
     wide = d > 2
 
+    def last(cand: int, common: int) -> int:
+        # the lowest candidate missing every common vertex, or -1
+        while common:
+            low = common & -common
+            common ^= low
+            cand &= ~holders[low.bit_length()]
+        return (cand & -cand).bit_length() - 1
+
     def step(chosen: tuple[int, ...], common: int, cand: int) -> tuple[int, ...] | None:
         counter.tick()
         need = t - len(chosen)
-        if not need:
-            return None if common else chosen
+        if need == 1:
+            b = last(cand, common)
+            return None if b < 0 else chosen + (b,)
         have = cand.bit_count()
         if have < need:
             return None
@@ -225,11 +236,12 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
         return None
     # the existence search fixes the lowest member; on FOUND, each later
     # position of the witness drops to the first member that still completes
-    # a family, which gives the lexicographically first one
+    # a family, which gives the lexicographically first one; the last
+    # position is the lowest candidate left that misses every common vertex
     prefix: tuple[int, ...] = ()
     witness: list[int] | None = None
     cand, common = full, -1
-    for pos in range(t):
+    for pos in range(t - 1):
         rest = cand if witness is None else cand & ((1 << witness[pos]) - 1)
         while rest:
             low = rest & -rest
@@ -248,7 +260,7 @@ def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
         cand = narrow(cand & ~((2 << b) - 1), prefix, b, d)
         common &= vmasks[b]
         prefix += (b,)
-    return prefix
+    return prefix + (last(cand, common),)
 
 
 def find_nontrivial_subfamily(h: Hypergraph, t: int, d: int,

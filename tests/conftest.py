@@ -4,6 +4,7 @@ Everything here is deterministic given the caller's Random instance, so
 tests stay reproducible across runs and thread counts.
 """
 
+import random
 import time
 from itertools import combinations, permutations
 
@@ -24,6 +25,19 @@ def random_hypergraph(rng, n=None, k=None, max_edges=40):
     pool = list(combinations(range(1, n + 1), k))
     m = rng.randint(1, min(len(pool), max_edges))
     return Hypergraph(n, k, rng.sample(pool, m))
+
+
+# the benchmark's two `find-nontrivial` jobs in `certify`: name -> (n, k,
+# members, size t, wise d, salt)
+CERTIFY_RANDOM_SHAPES = {"nontrivial-3g": (10, 3, 60, 5, 3, 1),
+                         "nontrivial-4g": (10, 4, 200, 6, 3, 2)}
+
+
+def certify_random_graph(n, k, size, seed, salt):
+    """`size` distinct k-subsets of 1..n, drawn as the benchmark draws the
+    input of a `find-nontrivial` job at `seed`."""
+    rng = random.Random(seed * 1_000_003 + salt)
+    return Hypergraph(n, k, rng.sample(list(combinations(range(1, n + 1), k)), size))
 
 
 def reference_nontrivial_search_masks(vmasks, n, t, d, counter):

@@ -29,6 +29,8 @@ from deltasys import (
     weight_identity,
 )
 from conftest import (
+    CERTIFY_RANDOM_SHAPES,
+    certify_random_graph,
     labelled_images,
     random_full_cluster,
     random_hypergraph,
@@ -436,4 +438,24 @@ def test_acceptance_18_paper_bound_at_n10_k3_by_orbital_branching():
     print(
         f"criterion 18: PASS - maximum 36 = C(9,2) at n=10, k=3 with 4 members "
         f"and stars only ({res.nodes} nodes, {elapsed:.2f}s < 15s)"
+    )
+
+
+def test_acceptance_19_found_searches_read_their_last_member():
+    # the benchmark's nontrivial-4g shape, find-nontrivial --wise 3 --size 6
+    # on 200 of the 210 4-sets of 10 points, over seeds 0-29: 155,829 nodes
+    # while each try of a last member was a node, and 10,374 since it is
+    # read from the holder bitsets
+    n, k, size, t, d, salt = CERTIFY_RANDOM_SHAPES["nontrivial-4g"]
+    started = time.perf_counter()
+    total = 0
+    for seed in range(30):
+        out = find_nontrivial_subfamily(certify_random_graph(n, k, size, seed, salt), t, d)
+        assert out.found, seed
+        total += out.nodes
+    assert total < 20_000, total
+    elapsed = time.perf_counter() - started
+    print(
+        f"criterion 19: PASS - 30 seeded FOUND searches for 6 3-wise intersecting "
+        f"4-sets without a common vertex in {total} nodes ({elapsed:.2f}s)"
     )

@@ -32,7 +32,8 @@ from deltasys import (
 from deltasys import intersecting
 from deltasys.intersecting import nontrivial_search_masks
 from deltasys.search import NodeCounter
-from conftest import random_hypergraph, reference_nontrivial_search_masks
+from conftest import (CERTIFY_RANDOM_SHAPES, certify_random_graph, random_hypergraph,
+                      reference_nontrivial_search_masks)
 
 
 def h0_family(n=8):
@@ -335,10 +336,8 @@ def certify_job_inputs():
           for n, m in ((9, 4), (15, 5), (27, 4), (15, 6))}
     jobs = [(f"cx-{n}-{m}", h, 3 * m + 1, 2) for (n, m), h in cx.items()]
     jobs.append(("cx-15-5-m4", cx[15, 5], 13, 2))
-    for name, n, k, size, t, salt in (("nontrivial-3g", 10, 3, 60, 5, 1),
-                                      ("nontrivial-4g", 10, 4, 200, 6, 2)):
-        pool = list(combinations(range(1, n + 1), k))
-        jobs.append((name, Hypergraph(n, k, random.Random(salt).sample(pool, size)), t, 3))
+    for name, (n, k, size, t, d, salt) in CERTIFY_RANDOM_SHAPES.items():
+        jobs.append((name, certify_random_graph(n, k, size, 0, salt), t, d))
     return jobs
 
 
@@ -360,6 +359,36 @@ class TestKernelAgainstItsPredecessor:
             assert hit == expected, (h.edges, t, d)
             found[hit is not None] += 1
         assert min(found.values()) >= 50, found
+
+    def test_three_sizes_above_each_wise(self):
+        # t = d+1..d+3 for each d in {2, 3, 4}; members of 3 to n-3 vertices
+        # give every cell both FOUND and NONE instances
+        rng = random.Random(1717)
+        found = {}
+        for d in (2, 3, 4):
+            for t in range(d + 1, d + 4):
+                for _ in range(100):
+                    n = rng.randint(7, 10)
+                    k = rng.randint(3, n - 3)
+                    pool = list(combinations(range(1, n + 1), k))
+                    h = Hypergraph(n, k, rng.sample(pool, rng.randint(t, min(60, len(pool)))))
+                    hit = nontrivial_search_masks(h.edge_masks, n, t, d, NodeCounter())
+                    expected = reference_nontrivial_search_masks(h.edge_masks, n, t, d,
+                                                                 NodeCounter())
+                    assert hit == expected, (h.edges, t, d)
+                    key = d, t, hit is not None
+                    found[key] = found.get(key, 0) + 1
+        assert sum(c for (_, _, hit), c in found.items() if hit) >= 500, found
+        assert len(found) == 18, found
+
+    def test_benchmark_random_graphs_over_thirty_seeds(self):
+        for n, k, size, t, d, salt in CERTIFY_RANDOM_SHAPES.values():
+            for seed in range(30):
+                h = certify_random_graph(n, k, size, seed, salt)
+                hit = nontrivial_search_masks(h.edge_masks, n, t, d, NodeCounter())
+                expected = reference_nontrivial_search_masks(h.edge_masks, n, t, d,
+                                                             NodeCounter())
+                assert hit == expected, (n, k, seed)
 
     def test_picks_after_the_core_keep_every_three_fold_meet(self):
         # pairwise intersecting with no common vertex, but (1,2,3,4),
@@ -383,14 +412,45 @@ class TestKernelAgainstItsPredecessor:
         assert check_nontrivial([h.edges[i] for i in hit], 2).nontrivial
 
 
+class TestLastPick:
+    """The last member is read from the holder bitsets: the lowest candidate
+    that misses every common vertex. It takes no node."""
+
+    # the 3-subsets of 1..4: any three of them share a vertex
+    K4 = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+
+    def test_a_candidate_holding_another_common_vertex_is_skipped(self):
+        # (1,2,3) branches through (2,3,4), the one member missing 1, which
+        # leaves 2 and 3 common; of the candidates left, (1,3,4) misses 2,
+        # the vertex the fewest of them miss, but holds 3, and (1,2,4) holds 2
+        h = Hypergraph(4, 3, self.K4)
+        assert nontrivial_search_masks(h.edge_masks, h.n, 3, 2, NodeCounter()) is None
+        # (1,4,5) misses both, so it is the last member
+        h = Hypergraph(5, 3, self.K4 + [(1, 4, 5)])
+        hit = nontrivial_search_masks(h.edge_masks, h.n, 3, 2, NodeCounter())
+        assert [h.edges[i] for i in hit] == [(1, 2, 3), (1, 4, 5), (2, 3, 4)]
+
+    def test_budget_boundary_on_a_found_search(self):
+        # a budget of exactly the node count finds the witness; one less
+        # runs out, and the aborting tick is counted
+        n, k, size, t, d, salt = CERTIFY_RANDOM_SHAPES["nontrivial-4g"]
+        h = certify_random_graph(n, k, size, 0, salt)
+        out = find_nontrivial_subfamily(h, t, d)
+        assert out.found
+        assert find_nontrivial_subfamily(h, t, d, budget=out.nodes) == out
+        cut = find_nontrivial_subfamily(h, t, d, budget=out.nodes - 1)
+        assert cut.status is SearchStatus.BUDGET and cut.witness is None
+        assert cut.nodes == out.nodes
+
+
 class TestNodeCounts:
     def test_certify_node_counts_are_pinned(self):
         # seed-0 nodes and statuses of the benchmark's certify jobs; a kernel
         # change that moves them updates this table on purpose
         pinned = {"cx-9-4": (302, False), "cx-15-5": (4_981, False),
                   "cx-27-4": (16_433, False), "cx-15-6": (9_260, False),
-                  "cx-15-5-m4": (31, True), "nontrivial-3g": (704, False),
-                  "nontrivial-4g": (5_228, True)}
+                  "cx-15-5-m4": (17, True), "nontrivial-3g": (704, False),
+                  "nontrivial-4g": (367, True)}
         nodes = {}
         for name, h, t, d in certify_job_inputs():
             out = find_nontrivial_subfamily(h, t, d)
