@@ -17,9 +17,8 @@ pretty-prints one. --output stores the command's primary artifact:
 constructed hypergraphs as text files, search witnesses and certificates
 as JSON, and the full report for purely informational commands and
 negative outcomes. An artifact is serialized only when --output is given.
---threads is accepted and validated for interface stability; execution is
-sequential either way, which keeps reports bit-identical across thread
-counts. --budget and --seed belong only to the commands that read them.
+Every command runs on one thread. --budget and --seed belong only to the
+commands that read them.
 `main(argv)` may be called many times in one process: the parser is built
 on the first call and reused by every later one.
 """
@@ -321,9 +320,6 @@ def cmd_homogeneous_extract(args, h) -> _Answer:
 @functools.cache
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=_at_least_one, default=1,
-                        help="worker count; accepted for compatibility, "
-                             "execution is sequential")
     common.add_argument("--output", default=None,
                         help="write the command's primary artifact to this path")
     budget = argparse.ArgumentParser(add_help=False)

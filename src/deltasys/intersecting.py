@@ -12,20 +12,22 @@ with the search.
 
 Large pairwise-intersecting families of triples fall into a short list of
 shapes: a star, or one of six sporadic templates built from at most six
-special vertices. `classify_intersecting` finds which template contains a
-given family, and `check_km_codegree_bounds` verifies the maximum pair
-codegree forced by each non-star template.
+special core vertices. `classify_intersecting` finds the first template
+that contains a given family by one search over core maps, pruned by the
+label sets each template allows a member to carry, and
+`check_km_codegree_bounds` verifies the maximum pair codegree forced by
+each non-star template.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, ClassificationError, ParameterError
 from .hypergraph import (Edge, Hypergraph, Meeting, mask_of, max_codegree2,
-                         meet, subset_degrees, vertex_tuple, vertices_of)
+                         meet, vertex_tuple, vertices_of)
 from .search import NodeCounter, SearchOutcome, SearchStatus
 
 
@@ -342,9 +344,6 @@ class KMFamily:
         object.__setattr__(self, "_exceptional", frozenset(
             frozenset(m[c] for c in trip) for trip in _EXCEPTIONAL[self.tag]))
 
-    def exceptional_edges(self) -> frozenset[frozenset[int]]:
-        return self._exceptional
-
     def contains_edge(self, edge: Iterable[int]) -> bool:
         e = frozenset(vertex_tuple(edge))
         if len(e) != 3:
@@ -358,139 +357,71 @@ class KMFamily:
         return all(self.contains_edge(e) for e in h.edges)
 
 
-def _pad_mapping(mapping: dict[int, int], tag: str, n: int) -> dict[int, int] | None:
-    """Fill unused core labels with fresh vertices so the map is total and injective."""
-    used = set(mapping.values())
-    out = dict(mapping)
-    fresh = 1
-    for c in range(1, _CORE_SIZE[tag] + 1):
-        if c in out:
-            continue
-        while fresh in used:
-            fresh += 1
-        if fresh > n:
-            return None
-        out[c] = fresh
-        used.add(fresh)
-    return out
+def _label_prefixes(tag: str) -> list[frozenset[int]]:
+    """[j]: the label sets a member of the template may carry, cut to labels
+    1..j, as bitmasks with label c at bit c-1."""
+    c = _CORE_SIZE[tag]
+    allowed = [mask_of(s) for r in range(4) for s in combinations(range(1, c + 1), r)
+               if _main_member(tag, frozenset(s)) or s in _EXCEPTIONAL[tag]]
+    return [frozenset(a & ((1 << j) - 1) for a in allowed) for j in range(c + 1)]
 
 
-def _match_ekr(h: Hypergraph) -> KMFamily | None:
-    total = meet(h.edge_masks)
-    if not total:
-        return None
-    v = (total & -total).bit_length()
-    return KMFamily("EKR", {1: v})
+_PREFIXES = {tag: _label_prefixes(tag) for tag in TEMPLATE_TAGS}
 
 
-def _match_h0(h: Hypergraph) -> KMFamily | None:
-    # the core shares two vertices with every member, in particular the first
-    first = h.edges[0]
-    for pair in combinations(first, 2):
-        pm = mask_of(pair)
-        for w in range(1, h.n + 1):
-            if (pm >> (w - 1)) & 1:
-                continue
-            core = pm | (1 << (w - 1))
-            if all((m & core).bit_count() >= 2 for m in h.edge_masks):
-                c = vertices_of(core)
-                return KMFamily("H0", {1: c[0], 2: c[1], 3: c[2]})
-    return None
+def _core_map(h: Hypergraph, tag: str) -> dict[int, int] | None:
+    """The first core map that puts every member of `h` inside template `tag`, or None.
 
+    Labels 1..c go on vertices in turn, each in ascending vertex order. The
+    members are split into cells by the labels they carry, and placing label
+    j keeps only cells whose labels are an allowed label set cut to 1..j (a
+    triple with i labels has 3 - i vertices left for the rest). A cell that
+    needs j must take it on every member, so only vertices of its lowest
+    member that hold them all are tried. Vertices that no member holds are
+    interchangeable, so only the lowest unused one is tried.
+    """
+    prefixes = _PREFIXES[tag]
+    c = _CORE_SIZE[tag]
+    holders = Meeting(h.edge_masks).holders
+    mapping: dict[int, int] = {}
 
-def _match_h1(h: Hypergraph) -> KMFamily | None:
-    # apex in all members but one; that one member is the exceptional triple,
-    # and pairwise intersection supplies the kernel condition for the rest
-    for x in range(1, h.n + 1):
-        missing = [e for e, m in zip(h.edges, h.edge_masks) if not (m >> (x - 1)) & 1]
-        if len(missing) != 1:
-            continue
-        y, z, t = missing[0]
-        return KMFamily("H1", {1: x, 2: y, 3: z, 4: t})
-    return None
-
-
-def _match_h2(h: Hypergraph) -> KMFamily | None:
-    for x in range(1, h.n + 1):
-        missing = [e for e, m in zip(h.edges, h.edge_masks) if not (m >> (x - 1)) & 1]
-        if not missing or len(missing) > 2:
-            continue
-        if len(missing) == 2:
-            shared = set(missing[0]) & set(missing[1])
-            if len(shared) != 2 or x in shared:
-                continue
-            y, z = sorted(shared)
-            ts = sorted((set(missing[0]) | set(missing[1])) - shared)
-            fam = _finish_h2(h, x, y, z, ts[0], ts[1])
-            if fam is not None:
-                return fam
+    def place(j: int, cells: dict[int, int]) -> dict[int, int] | None:
+        if j > c:
+            return dict(mapping)
+        ok = prefixes[j]
+        bit = 1 << (j - 1)
+        must = 0
+        for s, bits in cells.items():
+            if s not in ok:
+                must |= bits
+        used = set(mapping.values())
+        if must:
+            low = must & -must
+            tried = vertices_of(h.edge_masks[low.bit_length() - 1])
         else:
-            # one missing member: two of its vertices act as the kernel pair
-            for pair in combinations(missing[0], 2):
-                y, z = pair
-                (t,) = set(missing[0]) - set(pair)
-                fam = _finish_h2(h, x, y, z, t, None)
-                if fam is not None:
-                    return fam
-    return None
-
-
-def _finish_h2(h: Hypergraph, x: int, y: int, z: int, t: int,
-               u: int | None) -> KMFamily | None:
-    kernel = {y, z}
-    bad = [set(e) for e, m in zip(h.edges, h.edge_masks)
-           if (m >> (x - 1)) & 1 and not (set(e) & kernel)]
-    if len(bad) > 1:
+            fresh = 1
+            while fresh in holders or fresh in used:
+                fresh += 1
+            tried = sorted([*holders, fresh])
+        for v in tried:
+            hv = holders.get(v, 0)
+            if v in used or must & ~hv:
+                continue
+            split = {}
+            for s, bits in cells.items():
+                if bits & hv:
+                    split[s | bit] = bits & hv
+                if bits & ~hv:
+                    split[s] = bits & ~hv
+            if all(s in ok for s in split):
+                mapping[j] = v
+                found = place(j + 1, split)
+                if found:
+                    return found
+                del mapping[j]
         return None
-    if bad:
-        b = bad[0]
-        if x not in b or t not in b:
-            return None
-        (u_found,) = b - {x, t}
-        if u is not None and u_found != u:
-            return None
-        u = u_found
-    if u is None:
-        candidates = [v for v in range(1, h.n + 1) if v not in {x, y, z, t}]
-        if not candidates:
-            return None
-        u = candidates[0]
-    if len({x, y, z, t, u}) != 5:
-        return None
-    return KMFamily("H2", {1: x, 2: y, 3: z, 4: t, 5: u})
 
-
-def _anchored_candidates(h: Hypergraph) -> list[tuple[int, int]]:
-    """Vertex pairs contained in all but at most six members, lex order."""
-    size = len(h)
-    return sorted(p for p, c in subset_degrees(h, 2).items() if c >= size - 6)
-
-
-def _match_anchored(h: Hypergraph, tag: str) -> KMFamily | None:
-    slots = tuple(range(3, _CORE_SIZE[tag] + 1))
-    table = _EXCEPTIONAL[tag]
-    for base in _anchored_candidates(h):
-        for x, y in (base, (base[1], base[0])):
-            anchors = {x, y}
-            leftovers = [set(e) for e in h.edges if not anchors <= set(e)]
-            if len(leftovers) > 6:
-                continue
-            if any(len(b & anchors) != 1 for b in leftovers):
-                continue
-            outside = sorted(set().union(*leftovers) - anchors) if leftovers else []
-            if len(outside) > len(slots):
-                continue
-            for perm in permutations(slots, len(outside)):
-                mapping = {1: x, 2: y}
-                for slot, v in zip(perm, outside):
-                    mapping[slot] = v
-                full = _pad_mapping(mapping, tag, max(h.n, 6))
-                if full is None:
-                    continue
-                exceptional = {frozenset(full[c] for c in trip) for trip in table}
-                if all(frozenset(b) in exceptional for b in leftovers):
-                    return KMFamily(tag, full)
-    return None
+    return place(1, {0: (1 << len(h)) - 1})
 
 
 def classify_intersecting(h: Hypergraph) -> KMFamily:
@@ -505,17 +436,13 @@ def classify_intersecting(h: Hypergraph) -> KMFamily:
         raise ParameterError(f"classification needs triples, got k={h.k}")
     if len(h) < 11:
         raise ParameterError(f"classification needs at least 11 members, got {len(h)}")
-    for (ea, ma), (eb, mb) in combinations(zip(h.edges, h.edge_masks), 2):
-        if not ma & mb:
-            raise ParameterError(f"family is not intersecting: {ea} and {eb} are disjoint")
-    for matcher in (_match_ekr, _match_h0, _match_h1, _match_h2):
-        fam = matcher(h)
-        if fam is not None:
-            return fam
-    for tag in ("H3", "H4", "H5"):
-        fam = _match_anchored(h, tag)
-        if fam is not None:
-            return fam
+    pair = check_nontrivial(h.edges, 2).violating
+    if pair is not None:
+        raise ParameterError(f"family is not intersecting: {pair[0]} and {pair[1]} are disjoint")
+    for tag in TEMPLATE_TAGS:
+        mapping = _core_map(h, tag)
+        if mapping is not None:
+            return KMFamily(tag, mapping)
     raise ClassificationError(
         "family fits no template",
         diagnostics={"n": h.n, "size": len(h),

@@ -48,7 +48,6 @@ FLAG_VALUES = {
     "restarts": usually(st.integers(0, 2), st.just(-1)),
     "n": usually(st.integers(1, 7), st.integers(-1, 0)),
     "seed": st.integers(0, 3),
-    "threads": usually(st.integers(1, 3), st.integers(-1, 0)),
 }
 INT = usually(st.integers(1, 6), st.integers(-2, 8))
 FLOAT = usually(st.floats(0, 1), st.sampled_from(["nan", "inf", "-0.5", "2"]))

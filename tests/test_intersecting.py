@@ -498,6 +498,42 @@ class TestClassification:
                 km = classify_intersecting(sub)
                 assert km.contains_family(sub)
 
+    def test_templates_map_their_core_onto_themselves(self):
+        for h, tag in zip(TEMPLATES, TEMPLATE_TAGS):
+            km = classify_intersecting(h)
+            c = intersecting._CORE_SIZE[tag]
+            assert (km.tag, km.mapping) == (tag, {i: i for i in range(1, c + 1)})
+
+    def test_templates_on_80_points_are_fast(self):
+        # the star has 3,081 members; a disjoint-pair check over every pair
+        # of them took about 0.2 s on its own
+        for h in (build_star(80, 3), h0_family(80), h1_family(80), h2_family(80),
+                  h3_family(80), h4_family(80), h5_family(80)):
+            started = time.perf_counter()
+            km = classify_intersecting(h)
+            seconds = time.perf_counter() - started
+            assert km.contains_family(h)
+            assert seconds < 0.1, (km.tag, seconds)
+
+    def test_the_fano_plane_has_no_core_map(self):
+        # the exhaustive search that valid input (11 members or more) does not reach
+        for tag in TEMPLATE_TAGS:
+            assert intersecting._core_map(FANO, tag) is None, tag
+
+    def test_labels_go_on_the_lowest_unheld_vertices_too(self):
+        # (2, 4, 6) holds at most three labels; the rest go on 1, 3 and 5,
+        # each tried in ascending order among the member's own vertices
+        h = Hypergraph(6, 3, [(2, 4, 6)])
+        assert [intersecting._core_map(h, tag) for tag in TEMPLATE_TAGS] == [
+            {1: 2},
+            {1: 1, 2: 2, 3: 4},
+            {1: 1, 2: 2, 3: 4, 4: 6},
+            {1: 1, 2: 2, 3: 4, 4: 3, 5: 6},
+            {1: 1, 2: 2, 3: 3, 4: 4, 5: 6},
+            {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6},
+            {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6},
+        ]
+
     def test_star_with_fewer_vertices_is_still_ekr(self):
         km = classify_intersecting(Hypergraph(12, 3, [(2, x, y) for x, y in combinations(range(3, 9), 2)]))
         assert km.tag == "EKR"
@@ -511,7 +547,8 @@ class TestClassification:
         big_not_intersecting = Hypergraph(
             9, 3, [(1, 2, x) for x in range(3, 9)] + [(1, 3, x) for x in range(4, 9)] + [(4, 5, 6), (7, 8, 9)]
         )
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^family is not intersecting: "
+                           r"\(1, 2, 3\) and \(4, 5, 6\) are disjoint$"):
             classify_intersecting(big_not_intersecting)
 
 
@@ -581,6 +618,25 @@ def brute_force_classify(h):
 TEMPLATES = (build_star(7, 3), h0_family(), h1_family(), h2_family(),
              h3_family(), h4_family(), h5_family())
 
+FANO = Hypergraph(7, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6),
+                         (2, 5, 7), (3, 4, 7), (3, 5, 6)])
+
+
+def relabelled(h, n, rng):
+    """`h` moved onto n points by a seeded injective relabelling."""
+    perm = rng.sample(range(1, n + 1), h.n)
+    return Hypergraph(n, 3, [tuple(sorted(perm[v - 1] for v in e)) for e in h.edges])
+
+
+def greedy_intersecting(pool, rng):
+    """Shuffle `pool` and keep each triple that meets every one kept before."""
+    rng.shuffle(pool)
+    edges = []
+    for e in pool:
+        if all(set(e) & set(f) for f in edges):
+            edges.append(e)
+    return edges
+
 
 def oracle_families():
     """The 70 seeded families the classification oracle is run on: the seven
@@ -590,34 +646,46 @@ def oracle_families():
     families = list(TEMPLATES)
     for h in TEMPLATES:
         for _ in range(3):
-            perm = rng.sample(range(1, 13), h.n)
-            families.append(Hypergraph(
-                12, 3, [tuple(sorted(perm[v - 1] for v in e)) for e in h.edges]))
+            families.append(relabelled(h, 12, rng))
     for h in (build_star(8, 3), h0_family(), h1_family(), h2_family(),
               h3_family(), h4_family(8), h5_family(8)):
         for _ in range(4):
             families.append(Hypergraph(8, 3, rng.sample(h.edges, rng.randint(11, len(h.edges)))))
     pool = list(combinations(range(1, 9), 3))
     while len(families) < 70:
-        rng.shuffle(pool)
-        edges = []
-        for e in pool:
-            if all(set(e) & set(f) for f in edges):
-                edges.append(e)
+        edges = greedy_intersecting(pool, rng)
         if len(edges) >= 11:
             families.append(Hypergraph(8, 3, edges))
+    return families
+
+
+def wider_oracle_families():
+    """The oracle's 70 families, the seven templates on 20 points relabelled,
+    and twelve greedy maximal intersecting families of at least 11 members on
+    each of 9..12 vertices."""
+    rng = random.Random(1414)
+    families = oracle_families()
+    for h in (build_star(20, 3), h0_family(20), h1_family(20), h2_family(20),
+              h3_family(20), h4_family(20), h5_family(20)):
+        families.append(relabelled(h, 20, rng))
+    for n in range(9, 13):
+        pool = list(combinations(range(1, n + 1), 3))
+        grown = 0
+        while grown < 12:
+            edges = greedy_intersecting(pool, rng)
+            if len(edges) >= 11:
+                families.append(Hypergraph(n, 3, edges))
+                grown += 1
     return families
 
 
 class TestClassificationOracle:
     def test_oracle_tells_the_templates_apart(self):
         assert [brute_force_classify(h).tag for h in TEMPLATES] == list(TEMPLATE_TAGS)
-        fano = Hypergraph(7, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6),
-                                 (2, 5, 7), (3, 4, 7), (3, 5, 6)])
-        assert brute_force_classify(fano) is None
+        assert brute_force_classify(FANO) is None
 
     def test_classify_matches_the_oracle(self):
-        families = oracle_families()
+        families = wider_oracle_families()
         seen = set()
         for h in families:
             expected = brute_force_classify(h)
