@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParameterError
-from .hypergraph import Edge, Hypergraph, Meeting, mask_of, meet, shadow, vertices_of
+from .hypergraph import Edge, Hypergraph, Meeting, mask_of, shadow, vertices_of
 from .patterns import IntersectionPattern, rank, validate_vertex_partition
 from .sunflowers import disjoint_picks
 
@@ -61,32 +61,27 @@ class HomogeneousCheck:
 class _MaskIndex:
     """Bitmask view of one subgraph under one vertex partition.
 
-    `holders[v]` is the set of edge indices holding vertex v, as one int
-    with bit j for edge j: the holder table of `hypergraph.Meeting`.
-    `meets[i]` holds the masks of edge i's intersections with the other
-    edges, the set `intersection_structure` lists. They come from splitting
-    the other edges' bitset by each vertex v of edge i in turn, into the
-    part inside `holders[v]` and the part outside it; empty parts are
-    dropped, and each part left at the end is the set of edges that meet
-    edge i in one mask. That is at most k * min(2^k, |E|) big-int ANDs per
-    edge, not |E|. A meet is projected to part indices through the part
-    masks, as `project` does, once per distinct mask. The candidates
-    through a center, (edge, residue) pairs in edge order, are the set bits
-    of the AND of `holders[v]` over the center's vertices, every edge for
-    the empty center; they are built on first use and shared by every edge
-    that needs that center.
+    `meets[i]` maps each mask of edge i's intersections with the other
+    edges, the set `intersection_structure` lists, to the bitset of the
+    edges that meet edge i in exactly that mask (bit j for edge j). It
+    comes from splitting the other edges' bitset by each vertex v of edge i
+    in turn, into the part inside v's holders (`hypergraph.Meeting`) and
+    the part outside; empty parts are dropped, and each part left is one
+    entry. That is at most k * min(2^k, |E|) big-int ANDs per edge, not
+    |E|. A meet is projected to part indices, as `project` does, once per
+    distinct mask.
     """
 
-    __slots__ = ("edges", "masks", "part_masks", "holders", "meets", "_proj", "_cands")
+    __slots__ = ("edges", "masks", "part_masks", "meets", "_proj")
 
     def __init__(self, edges: Sequence[Edge], masks: Sequence[int],
                  parts: Sequence[Edge]):
         self.edges = edges
         self.masks = masks
         self.part_masks = tuple(mask_of(p) for p in parts)
-        self.holders = holders = Meeting(masks).holders
+        holders = Meeting(masks).holders
         everything = (1 << len(edges)) - 1
-        self.meets: list[set[int]] = []
+        self.meets: list[dict[int, int]] = []
         for i, e in enumerate(edges):
             # (edges, meet so far), starting from every edge but i; the leaf
             # inside every split is empty, as edges are distinct k-sets, so
@@ -103,9 +98,8 @@ class _MaskIndex:
                     if inside != bits:
                         split.append((bits ^ inside, m))
                 branches = split
-            self.meets.append({m for _, m in branches})
+            self.meets.append({m: bits for bits, m in branches})
         self._proj: dict[int, frozenset[int]] = {}
-        self._cands: dict[int, list[tuple[Edge, int]]] = {}
 
     def project(self, mask: int) -> frozenset[int]:
         """The 1-based indices of the parts the vertex mask meets."""
@@ -123,20 +117,18 @@ class _MaskIndex:
         return sorted((vertices_of(x), x) for x in self.meets[i])
 
     def petals(self, i: int, center: int, s: int) -> tuple[Edge, ...] | None:
-        """The lex-first s-petal sunflower through edge i at the center mask."""
-        cands = self._cands.get(center)
-        if cands is None:
-            # the meet of no bitsets is -1, so the empty center takes every edge
-            bits = meet(self.holders[v] for v in vertices_of(center)) & ((1 << len(self.edges)) - 1)
-            cands = []
-            while bits:
-                low = bits & -bits
-                j = low.bit_length() - 1
-                cands.append((self.edges[j], self.masks[j] & ~center))
-                bits ^= low
-            self._cands[center] = cands
-        # edge i stays among the candidates; its residue is in `used`
-        pick = next(disjoint_picks(cands, 0, s - 1, self.masks[i] & ~center, None), None)
+        """The lex-first s-petal sunflower through edge i at its meet `center`.
+
+        Its other petals meet edge i in exactly the center, so they are
+        picked from `meets[i][center]`: the lowest edge for s = 2.
+        """
+        bits = self.meets[i][center]
+        if s == 2:
+            j = (bits & -bits).bit_length() - 1
+            return tuple(sorted((self.edges[i], self.edges[j])))
+        # `vertices_of` lists the set bits 1-based: j for edge j - 1
+        cands = [(self.edges[j - 1], self.masks[j - 1] & ~center) for j in vertices_of(bits)]
+        pick = next(disjoint_picks(cands, 0, s - 1, 0, None), None)
         if pick is None:
             return None
         return tuple(sorted((self.edges[i],) + pick[0]))
@@ -197,26 +189,28 @@ def _pattern_key(pat: frozenset[frozenset[int]]) -> tuple:
     return tuple(sorted((tuple(sorted(x)) for x in pat), key=lambda t: (len(t), t)))
 
 
-def _rainbow(edge: Edge, assign: dict[int, int], k: int) -> bool:
-    return len({assign[v] for v in edge}) == k
-
-
-def _climb_partition(h: Hypergraph, rng: random.Random) -> dict[int, int]:
-    """Random part assignment improved by single-vertex moves, best gain first.
-
-    A vertex's edges are kept as the tuples of their other vertices. Such
-    an edge is rainbow exactly when the others take k-1 distinct parts and
-    the vertex takes the one part left. `counts[v][p]` is the number of v's
-    edges that would be rainbow with v in part p; it is built once, with one
-    pass over v's tuples. A move of w changes only the counts of w's
-    co-members: through each edge of w, every other member u loses the
-    edge's contribution under w's old part and gains it under the new one.
-    """
-    assign = {v: rng.randrange(h.k) for v in range(1, h.n + 1)}
+def _co_members(h: Hypergraph) -> dict[int, list[Edge]]:
+    """others[v]: each edge through vertex v as the tuple of its other vertices."""
     others: dict[int, list[Edge]] = {v: [] for v in range(1, h.n + 1)}
     for e in h.edges:
         for v in e:
             others[v].append(tuple(u for u in e if u != v))
+    return others
+
+
+def _climb_partition(h: Hypergraph, rng: random.Random,
+                     others: dict[int, list[Edge]]) -> dict[int, int]:
+    """Random part assignment improved by single-vertex moves, best gain first.
+
+    An edge in `others[v]` (from `_co_members`) is rainbow exactly when its
+    members take k-1 distinct parts and v takes the one part left.
+    `counts[v][p]` is the number of v's edges that would be rainbow with v
+    in part p; it is built once, with one pass over v's tuples. A move of w
+    changes only the counts of w's co-members: through each edge of w, every
+    other member u loses the edge's contribution under w's old part and
+    gains it under the new one.
+    """
+    assign = {v: rng.randrange(h.k) for v in range(1, h.n + 1)}
     part_sum = h.k * (h.k - 1) // 2
 
     def rainbow_by_part(v: int) -> list[int]:
@@ -273,13 +267,12 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
     single edge with its tailor-made partition is the fallback, so the
     result is never empty. Deterministic for fixed seed and restarts.
 
-    Each refinement step builds one bitmask index of the current edges from
-    per-vertex edge bitsets, the holder table of `hypergraph.Meeting`; it
-    gives the patterns, the intersections and the sunflower witnesses, the
-    last through the petal picker `disjoint_picks` that `find_sunflower`
-    also runs. Building it costs at most k * min(2^k, |E|) bitset ANDs per
-    edge, so a step is no longer quadratic in the edge count.
-    `is_homogeneous` rechecks the final subgraph.
+    Each refinement step builds one `_MaskIndex` of the current edges, at
+    most k * min(2^k, |E|) bitset ANDs per edge; it gives the patterns and
+    the sunflower witnesses. With s = 2 every meet is a sunflower center,
+    so only s > 2 scans for a center without petals. The climb's co-member
+    table is built once for all restarts. `is_homogeneous` rechecks the
+    final subgraph on an index of its own.
     """
     if s < 2:
         raise ParameterError(f"petal count s must be at least 2, got {s}")
@@ -288,13 +281,14 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
     if restarts < 0:
         raise ParameterError(f"restarts must be nonnegative, got {restarts}")
     mask = dict(zip(h.edges, h.edge_masks))
+    others = _co_members(h)
     best: tuple[int, HomogeneousCertificate] | None = None
     for r in range(restarts):
         rng = random.Random(seed * 1_000_003 + r)
-        assign = _climb_partition(h, rng)
+        assign = _climb_partition(h, rng, others)
         parts = tuple(tuple(v for v in range(1, h.n + 1) if assign[v] == i)
                       for i in range(h.k))
-        edges = [e for e in h.edges if _rainbow(e, assign, h.k)]
+        edges = [e for e in h.edges if len({assign[v] for v in e}) == h.k]
         while edges:
             idx = _MaskIndex(edges, [mask[e] for e in edges], parts)
             groups: dict[frozenset, list[Edge]] = {}
@@ -311,12 +305,13 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
             if not pattern.is_closed:
                 edges = edges[:-1]
                 continue
-            bad = next((e for i, e in enumerate(edges)
-                        if any(idx.petals(i, cm, s) is None for _, cm in idx.centers(i))),
-                       None)
-            if bad is not None:
-                edges = [e for e in edges if e != bad]
-                continue
+            if s > 2:
+                bad = next((e for i, e in enumerate(edges)
+                            if any(idx.petals(i, cm, s) is None for cm in idx.meets[i])),
+                           None)
+                if bad is not None:
+                    edges = [e for e in edges if e != bad]
+                    continue
             break
         if not edges:
             continue

@@ -369,7 +369,7 @@ def _label_prefixes(tag: str) -> list[frozenset[int]]:
 _PREFIXES = {tag: _label_prefixes(tag) for tag in TEMPLATE_TAGS}
 
 
-def _core_map(h: Hypergraph, tag: str) -> dict[int, int] | None:
+def _core_map(h: Hypergraph, tag: str, holders: dict[int, int]) -> dict[int, int] | None:
     """The first core map that puts every member of `h` inside template `tag`, or None.
 
     Labels 1..c go on vertices in turn, each in ascending vertex order. The
@@ -377,12 +377,12 @@ def _core_map(h: Hypergraph, tag: str) -> dict[int, int] | None:
     j keeps only cells whose labels are an allowed label set cut to 1..j (a
     triple with i labels has 3 - i vertices left for the rest). A cell that
     needs j must take it on every member, so only vertices of its lowest
-    member that hold them all are tried. Vertices that no member holds are
-    interchangeable, so only the lowest unused one is tried.
+    member that hold them all are tried. Vertices that no member holds (in
+    `holders`, from `Meeting(h.edge_masks)`) are interchangeable, so only
+    the lowest unused one is tried.
     """
     prefixes = _PREFIXES[tag]
     c = _CORE_SIZE[tag]
-    holders = Meeting(h.edge_masks).holders
     mapping: dict[int, int] = {}
 
     def place(j: int, cells: dict[int, int]) -> dict[int, int] | None:
@@ -436,11 +436,16 @@ def classify_intersecting(h: Hypergraph) -> KMFamily:
         raise ParameterError(f"classification needs triples, got k={h.k}")
     if len(h) < 11:
         raise ParameterError(f"classification needs at least 11 members, got {len(h)}")
-    pair = check_nontrivial(h.edges, 2).violating
-    if pair is not None:
-        raise ParameterError(f"family is not intersecting: {pair[0]} and {pair[1]} are disjoint")
+    holders = Meeting(h.edge_masks).holders
+    everyone = (1 << len(h)) - 1
+    for e in h.edges:
+        # the first member to miss others misses only later ones
+        missed = everyone & ~(holders[e[0]] | holders[e[1]] | holders[e[2]])
+        if missed:
+            other = h.edges[(missed & -missed).bit_length() - 1]
+            raise ParameterError(f"family is not intersecting: {e} and {other} are disjoint")
     for tag in TEMPLATE_TAGS:
-        mapping = _core_map(h, tag)
+        mapping = _core_map(h, tag, holders)
         if mapping is not None:
             return KMFamily(tag, mapping)
     raise ClassificationError(

@@ -1,5 +1,7 @@
 """Pattern-homogeneous subgraphs: validation, size bound, extraction."""
 
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -19,7 +21,7 @@ from deltasys import (
     project,
     rank,
 )
-from deltasys.homogeneous import _MaskIndex, _climb_partition
+from deltasys.homogeneous import _MaskIndex, _climb_partition, _co_members
 from conftest import random_hypergraph
 
 
@@ -198,6 +200,24 @@ class TestExtraction:
             for member in cert.pattern.sets:
                 assert hub_part in member
 
+    @pytest.mark.parametrize("seed, size, witnesses, digest", [
+        (0, 442, 3094, "dfe171d902023cac"),
+        (1, 442, 3094, "ec1742f63fec6b15"),
+        (2, 438, 3066, "2d3b71ca83c5e278"),
+        (3, 430, 3010, "d8b5a53face2975d"),
+    ])
+    def test_pinned_on_the_benchmark_input_shape(self, seed, size, witnesses, digest):
+        # 1,500 triples on 30 points, drawn as the benchmark's
+        # homogeneous-extract job draws them; the digest covers the whole
+        # certificate, witnesses included
+        rng = random.Random(seed * 1_000_003 + 13)
+        h = Hypergraph(30, 3, sorted(rng.sample(list(combinations(range(1, 31), 3)), 1500)))
+        cert = extract_homogeneous(h, 2, seed=seed, restarts=2)
+        assert len(cert.subgraph) == size
+        assert len(cert.witnesses) == witnesses
+        text = json.dumps(cert.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     def test_validation(self):
         h, _ = complete_tripartite(2)
         with pytest.raises(ParameterError):
@@ -283,15 +303,43 @@ class TestMaskIndex:
         assert checked > 1000
         assert empty_centers > 0
 
+    def test_meets_keep_each_meet_class_exactly(self):
+        # the inputs of the reference test above, drawn in the same order
+        rng = random.Random(5150)
+        inputs = []
+        for k in (2, 3, 4):
+            for _ in range(16):
+                h = random_hypergraph(rng, n=rng.randint(k + 1, 11), k=k, max_edges=30)
+                inputs.append((h, random_partition(rng, h.n, k)))
+        for trial, (n, k, size) in enumerate(((30, 3, 400), (20, 4, 300))):
+            dense = random.Random(5160 + trial)
+            h = Hypergraph(n, k, dense.sample(list(combinations(range(1, n + 1), k)), size))
+            inputs.append((h, random_partition(dense, n, k)))
+        for h, parts in inputs:
+            masks = h.edge_masks
+            idx = _MaskIndex(h.edges, masks, parts)
+            for i, mi in enumerate(masks):
+                others = ((1 << len(h)) - 1) ^ (1 << i)
+                covered = 0
+                for m, bits in idx.meets[i].items():
+                    assert bits == sum(1 << j for j, mj in enumerate(masks)
+                                       if j != i and mj & mi == m)
+                    assert not bits & covered
+                    covered |= bits
+                    assert idx.petals(i, m, 2) is not None
+                assert covered == others
+
     def test_climb_matches_the_recount_rule(self):
         rng = random.Random(8080)
         for trial in range(30):
             k = (2, 3, 4)[trial % 3]
             h = random_hypergraph(rng, n=rng.randint(k + 1, 14), k=k, max_edges=60)
-            assert _climb_partition(h, random.Random(trial)) == recount_climb(h, random.Random(trial))
+            climbed = _climb_partition(h, random.Random(trial), _co_members(h))
+            assert climbed == recount_climb(h, random.Random(trial))
         # dense inputs: each move (8 and 4 here) updates the counts of every
         # co-member through a hundred or more edges
         for trial, (n, k, size) in enumerate(((30, 3, 1500), (20, 4, 1000))):
             rng = random.Random(4040 + trial)
             h = Hypergraph(n, k, rng.sample(list(combinations(range(1, n + 1), k)), size))
-            assert _climb_partition(h, random.Random(trial)) == recount_climb(h, random.Random(trial))
+            climbed = _climb_partition(h, random.Random(trial), _co_members(h))
+            assert climbed == recount_climb(h, random.Random(trial))

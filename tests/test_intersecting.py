@@ -1,6 +1,7 @@
 """d-wise intersecting families, simplexes, subfamily search, classification."""
 
 import random
+import re
 import time
 from itertools import combinations
 
@@ -30,6 +31,7 @@ from deltasys import (
     vertices_of,
 )
 from deltasys import intersecting
+from deltasys.hypergraph import Meeting
 from deltasys.intersecting import nontrivial_search_masks
 from deltasys.search import NodeCounter
 from conftest import (CERTIFY_RANDOM_SHAPES, certify_random_graph, random_hypergraph,
@@ -518,13 +520,14 @@ class TestClassification:
     def test_the_fano_plane_has_no_core_map(self):
         # the exhaustive search that valid input (11 members or more) does not reach
         for tag in TEMPLATE_TAGS:
-            assert intersecting._core_map(FANO, tag) is None, tag
+            assert intersecting._core_map(FANO, tag, Meeting(FANO.edge_masks).holders) is None, tag
 
     def test_labels_go_on_the_lowest_unheld_vertices_too(self):
         # (2, 4, 6) holds at most three labels; the rest go on 1, 3 and 5,
         # each tried in ascending order among the member's own vertices
         h = Hypergraph(6, 3, [(2, 4, 6)])
-        assert [intersecting._core_map(h, tag) for tag in TEMPLATE_TAGS] == [
+        holders = Meeting(h.edge_masks).holders
+        assert [intersecting._core_map(h, tag, holders) for tag in TEMPLATE_TAGS] == [
             {1: 2},
             {1: 1, 2: 2, 3: 4},
             {1: 1, 2: 2, 3: 4, 4: 6},
@@ -550,6 +553,20 @@ class TestClassification:
         with pytest.raises(ParameterError, match=r"^family is not intersecting: "
                            r"\(1, 2, 3\) and \(4, 5, 6\) are disjoint$"):
             classify_intersecting(big_not_intersecting)
+
+    def test_the_disjoint_pair_named_is_the_first_in_combinations_order(self):
+        # a star on a random hub with one to three triples that avoid the
+        # hub mixed in, so the first disjoint pair falls anywhere in the order
+        rng = random.Random(4711)
+        for _ in range(60):
+            n = rng.randint(8, 10)
+            hub = rng.randint(1, n)
+            star = [e for e in combinations(range(1, n + 1), 3) if hub in e]
+            rest = [e for e in combinations(range(1, n + 1), 3) if hub not in e]
+            h = Hypergraph(n, 3, rng.sample(star, rng.randint(11, 20)) + rng.sample(rest, rng.randint(1, 3)))
+            first, second = check_nontrivial(h.edges, 2).violating
+            with pytest.raises(ParameterError, match=re.escape(f"{first} and {second} are disjoint")):
+                classify_intersecting(h)
 
 
 def template_label_sets(tag):
