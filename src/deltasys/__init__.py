@@ -6,9 +6,9 @@ from .constructions import (Check, ConstructionReport, DesignSpec,
                             build_star, build_triple_system,
                             complement_triples, find_perfect_matching,
                             verify_counterexample)
-from .errors import (AdmissibilityError, BudgetExceeded, ClassificationError,
-                     ConstructionError, FormatError, ParameterError,
-                     PreconditionError, UniformityError)
+from .errors import (AdmissibilityError, BudgetExceeded, ConstructionError,
+                     FormatError, ParameterError, PreconditionError,
+                     UniformityError)
 from .extremal import (CONFIG_KINDS, ExtremalResult, ForbiddenConfig,
                        StabilityReport, max_avoiding, stability_scan)
 from .hgio import (load_hypergraph, parse_hypergraph, save_hypergraph,

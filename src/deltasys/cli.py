@@ -34,8 +34,7 @@ from typing import NamedTuple
 
 from .constructions import (DesignSpec, build_counterexample,
                             build_triple_system, verify_counterexample)
-from .errors import (BudgetExceeded, ClassificationError, ConstructionError,
-                     ParameterError)
+from .errors import BudgetExceeded, ConstructionError, ParameterError
 from .extremal import (CONFIG_KINDS, ForbiddenConfig, max_avoiding,
                        stability_scan)
 from .hgio import load_hypergraph, serialize_hypergraph
@@ -58,8 +57,8 @@ _EXIT = {
     **dict.fromkeys(("ok", "found", "verified", "classified", "completed",
                      "built", "conditional", "exact", "within-delta",
                      "extracted"), EXIT_OK),
-    **dict.fromkeys(("none", "failed", "refuted", "unclassified",
-                     "outside-delta"), EXIT_NEGATIVE),
+    **dict.fromkeys(("none", "failed", "refuted", "outside-delta"),
+                    EXIT_NEGATIVE),
     "budget-exhausted": EXIT_BUDGET,
 }
 
@@ -228,11 +227,7 @@ def cmd_check_intersecting(args, h) -> _Answer:
 
 
 def cmd_classify_km(args, h) -> _Answer:
-    try:
-        km = classify_intersecting(h)
-    except ClassificationError as exc:
-        return _Answer("unclassified",
-                       {"template": None, "diagnostics": exc.diagnostics})
+    km = classify_intersecting(h)
     checks = [_check("containment", True,
                      "every member lies in the named template")]
     try:
@@ -273,10 +268,8 @@ def cmd_build_counterexample(args, h) -> _Answer:
 
 def cmd_verify_counterexample(args, h) -> _Answer:
     vr = verify_counterexample(h, args.m, mode=args.mode, budget=args.budget)
-    checks = [_check(c.name, c.ok, c.claim,
-                     **({"detail": c.detail} if c.detail else {}))
-              for c in vr.checks]
-    return _Answer(vr.verdict, vr.to_json(), checks)
+    result = vr.to_json()
+    return _Answer(vr.verdict, result, result["checks"])
 
 
 def cmd_extremal(args, h) -> _Answer:

@@ -154,8 +154,6 @@ def _backtrack_triples(n: int, lam: int, rng: random.Random,
         for w in best_ws:
             t = tuple(sorted((u, v, w)))
             ps = list(combinations(t, 2))
-            if any(need[q] == 0 for q in ps):
-                continue
             for q in ps:
                 need[q] -= 1
             chosen.append(t)
@@ -216,8 +214,6 @@ def build_triple_system(spec: DesignSpec, seed: int = 0) -> Hypergraph:
             complete = True
             for _ in range(lam):
                 layer = (_cyclic_sts(n) if not used else None)
-                if layer is not None and any(b in used for b in layer):
-                    layer = None
                 if layer is None:
                     layer = _backtrack_triples(n, 1, rng, frozenset(used))
                 if layer is None:

@@ -31,14 +31,6 @@ class ConstructionError(RuntimeError):
     """A construction search exhausted its options without a result."""
 
 
-class ClassificationError(RuntimeError):
-    """An intersecting family matched no known template; carries diagnostics."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        self.diagnostics = diagnostics or {}
-        super().__init__(message)
-
-
 class BudgetExceeded(RuntimeError):
     """A bounded search ran out of its node budget before finishing."""
 

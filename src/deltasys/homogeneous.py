@@ -185,10 +185,6 @@ def homogeneous_size_bound(cert: HomogeneousCertificate) -> int:
     return len(shadow(cert.subgraph, cert.subgraph.k - r))
 
 
-def _pattern_key(pat: frozenset[frozenset[int]]) -> tuple:
-    return tuple(sorted((tuple(sorted(x)) for x in pat), key=lambda t: (len(t), t)))
-
-
 def _co_members(h: Hypergraph) -> dict[int, list[Edge]]:
     """others[v]: each edge through vertex v as the tuple of its other vertices."""
     others: dict[int, list[Edge]] = {v: [] for v in range(1, h.n + 1)}
@@ -297,9 +293,9 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
             if len(groups) > 1:
                 # keep the biggest pattern class; tie-break on the pattern itself
                 size = max(len(g) for g in groups.values())
-                tied = sorted((key for key, g in groups.items() if len(g) == size),
-                              key=_pattern_key)
-                edges = groups[tied[0]]
+                first = min((key for key, g in groups.items() if len(g) == size),
+                            key=lambda pat: IntersectionPattern.of(h.k, pat).sorted_sets())
+                edges = groups[first]
                 continue
             pattern = IntersectionPattern.of(h.k, next(iter(groups)))
             if not pattern.is_closed:

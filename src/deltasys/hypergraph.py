@@ -15,8 +15,8 @@ from .errors import ParameterError, UniformityError
 
 Edge = tuple[int, ...]
 
-#: Vertex labels live in 1..n; n may not exceed this unless a caller raises the cap.
-DEFAULT_MAX_VERTICES = 128
+#: Vertex labels live in 1..n, and n may not exceed this cap.
+MAX_VERTICES = 128
 
 
 def vertex_tuple(vertices: Iterable[int]) -> Edge:
@@ -115,12 +115,12 @@ class Meeting(dict):
         return out
 
 
-def check_order(n: int, k: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> None:
+def check_order(n: int, k: int) -> None:
     """Refuse a vertex count or uniformity no hypergraph on {1..n} may have."""
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"n must be a positive integer, got {n!r}")
-    if n > max_vertices:
-        raise ParameterError(f"n={n} exceeds the vertex cap {max_vertices}")
+    if n > MAX_VERTICES:
+        raise ParameterError(f"n={n} exceeds the vertex cap {MAX_VERTICES}")
     if not isinstance(k, int) or not 1 <= k <= n:
         raise ParameterError(f"k must satisfy 1 <= k <= n, got k={k!r}, n={n}")
 
@@ -143,9 +143,8 @@ class Hypergraph:
 
     __slots__ = ("n", "k", "edges", "edge_masks", "_edge_set")
 
-    def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]],
-                 max_vertices: int = DEFAULT_MAX_VERTICES):
-        check_order(n, k, max_vertices)
+    def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]]):
+        check_order(n, k)
         normalized = []
         for raw in edges:
             e = vertex_tuple(raw)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BudgetExceeded, ClassificationError, ParameterError
+from .errors import BudgetExceeded, ParameterError
 from .hypergraph import (Edge, Hypergraph, Meeting, mask_of, max_codegree2,
                          meet, vertex_tuple, vertices_of)
 from .search import NodeCounter, SearchOutcome, SearchStatus
@@ -429,8 +429,10 @@ def classify_intersecting(h: Hypergraph) -> KMFamily:
 
     Tags are tried in the fixed order EKR, H0..H5 and the first containing
     template is returned, so the answer is deterministic. Families too small
-    or not pairwise intersecting are rejected; a family matching no template
-    raises ClassificationError carrying diagnostics.
+    or not pairwise intersecting are rejected. Every other family lies in a
+    star or in one of H0..H5: each pairwise-intersecting family of at least
+    11 triples does (Frankl 1980; Kostochka and Mubayi 2017), so a family
+    that fits none means the core-map search is wrong.
     """
     if h.k != 3:
         raise ParameterError(f"classification needs triples, got k={h.k}")
@@ -448,12 +450,7 @@ def classify_intersecting(h: Hypergraph) -> KMFamily:
         mapping = _core_map(h, tag, holders)
         if mapping is not None:
             return KMFamily(tag, mapping)
-    raise ClassificationError(
-        "family fits no template",
-        diagnostics={"n": h.n, "size": len(h),
-                     "max_degree": max(h.degree(v) for v in range(1, h.n + 1)),
-                     "max_codegree2": max_codegree2(h),
-                     "edges": [list(e) for e in h.edges]})
+    raise AssertionError("core-map search placed an intersecting family in no template")
 
 
 def km_codegree_bound(tag: str, size: int) -> int:

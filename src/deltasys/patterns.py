@@ -61,7 +61,7 @@ def project(vertices: Iterable[int], parts: Sequence[Iterable[int]],
 
 @dataclass(frozen=True)
 class IntersectionPattern:
-    """A family of proper subsets of {1..k}, closed-ness optionally enforced.
+    """A family of proper subsets of {1..k}.
 
     Members are projections of edge intersections, so the full set {1..k}
     never appears; the empty set may.
@@ -81,12 +81,8 @@ class IntersectionPattern:
                 raise ParameterError("pattern members must be proper subsets")
 
     @classmethod
-    def of(cls, k: int, sets: Iterable[Iterable[int]],
-           require_closed: bool = False) -> "IntersectionPattern":
-        pat = cls(k, frozenset(frozenset(s) for s in sets))
-        if require_closed and not pat.is_closed:
-            raise ParameterError("pattern is not closed under intersection")
-        return pat
+    def of(cls, k: int, sets: Iterable[Iterable[int]]) -> "IntersectionPattern":
+        return cls(k, frozenset(frozenset(s) for s in sets))
 
     @property
     def is_closed(self) -> bool:

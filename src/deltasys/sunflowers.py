@@ -245,10 +245,11 @@ def complete_cluster(c: SunflowerCluster, group_sizes: Sequence[int]) -> Sunflow
 
     Requires, for each block i (1-based, with a = block sizes, b = requested
     sizes, c = available group sizes): c_i >= b_i + sum over j < i of a_j*b_j.
-    Under that bound a single greedy sweep in lexicographic order always
-    succeeds: every previously chosen residue of size a_j can block at most
-    a_j candidates of a later group, because residues within one group are
-    already pairwise disjoint.
+    Under that bound a greedy sweep in lexicographic order always succeeds:
+    every previously chosen residue of size a_j can block at most a_j
+    candidates of a later group, because residues within one group are
+    already pairwise disjoint. The lex-first choice of `_group_picks` is
+    therefore that sweep's, reached without backtracking.
     """
     semi = check_semi_cluster(c)
     if not semi.ok:
@@ -267,21 +268,11 @@ def complete_cluster(c: SunflowerCluster, group_sizes: Sequence[int]) -> Sunflow
                 f"{b[i] + blocked} (requested {b[i]} plus {blocked} possibly blocked)")
         blocked += a[i] * b[i]
     host_mask = mask_of(c.host)
-    used = 0
-    new_groups: list[tuple[Edge, ...]] = []
-    for i in range(p):
-        chosen: list[Edge] = []
-        for e in sorted(c.groups[i]):
-            if len(chosen) == b[i]:
-                break
-            res = mask_of(e) & ~host_mask
-            if res & used == 0:
-                chosen.append(e)
-                used |= res
-        if len(chosen) < b[i]:
-            raise AssertionError("greedy completion fell short despite the precondition")
-        new_groups.append(tuple(chosen))
-    out = SunflowerCluster(c.host, c.blocks, tuple(new_groups))
+    cands = [[(e, mask_of(e) & ~host_mask) for e in sorted(g)] for g in c.groups]
+    groups = next(_group_picks(cands, b, 0, None), None)
+    if groups is None:
+        raise AssertionError("completion fell short despite the precondition")
+    out = SunflowerCluster(c.host, c.blocks, groups)
     verdict = check_cluster(out, sum(b))
     if not verdict.ok:
         raise AssertionError(f"completion produced an invalid cluster: {verdict.reason}")
@@ -330,8 +321,8 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _group_picks(cands: Sequence[Sequence[tuple[int, int]]], sizes: Sequence[int],
-                 used: int, counter: NodeCounter):
+def _group_picks(cands: Sequence[Sequence[tuple[Any, int]]], sizes: Sequence[int],
+                 used: int, counter: NodeCounter | None):
     """Every choice of sizes[i] members from each cands[i] with all residues
     disjoint, group by group in lexicographic order."""
     if not cands:

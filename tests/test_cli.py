@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -369,6 +370,7 @@ class TestVerifyCounterexample:
             "max-codegree", "codegree-triangles", "template-thresholds",
             "exhaustive-search",
         }
+        assert rep["checks"] == rep["result"]["checks"]
 
     def test_star_refuted(self, star9, capsys):
         code, out = run_cli(
@@ -388,6 +390,7 @@ class TestVerifyCounterexample:
         rep = report_of(out)
         assert rep["verdict"] == "conditional"
         assert rep["result"]["budget_exhausted"] is True
+        assert rep["checks"] == rep["result"]["checks"]
 
 
 class TestExtremal:
@@ -814,3 +817,16 @@ def test_every_benchmark_job_parses(tmp_path, monkeypatch):
         workdir.mkdir()
         for job in setup(str(workdir), 0, "tiny"):
             assert parser.parse_args(list(job.argv)).command == job.argv[0], job.name
+
+
+def test_readme_exit_table_matches_the_code():
+    # each row's verdicts column names its verdicts before any "; " note
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].isdecimal():
+            for verdict in re.findall(r"`([^`]+)`", cells[2].split(";")[0]):
+                assert verdict not in listed, verdict
+                listed[verdict] = int(cells[0])
+    assert listed == cli._EXIT

@@ -75,8 +75,6 @@ class TestPattern:
         assert not open_pattern.is_closed
         closed = IntersectionPattern.of(3, fs((), {1}, {2}))
         assert closed.is_closed
-        with pytest.raises(ParameterError):
-            IntersectionPattern.of(3, fs({1}, {2}), require_closed=True)
 
     def test_sorted_sets_order(self):
         p = IntersectionPattern.of(3, fs({2, 3}, {3}, (), {1}))

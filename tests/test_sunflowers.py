@@ -22,6 +22,7 @@ from deltasys import (
     find_cluster,
     find_sunflower,
     is_sunflower,
+    mask_of,
 )
 from deltasys.sunflowers import disjoint_clusters
 from conftest import (block_shapes, forms_cluster, random_full_cluster, random_hypergraph,
@@ -239,6 +240,26 @@ class TestCompletion:
         with pytest.raises(ParameterError):
             complete_cluster(c, (0, 1))
 
+    @staticmethod
+    def greedy_completion(c, want):
+        """One sweep per group in lexicographic order, taking each edge whose
+        residue misses every residue taken so far."""
+        host_mask = mask_of(c.host)
+        used = 0
+        groups = []
+        for group, b in zip(c.groups, want):
+            chosen = []
+            for e in sorted(group):
+                if len(chosen) == b:
+                    break
+                res = mask_of(e) & ~host_mask
+                if res & used == 0:
+                    chosen.append(e)
+                    used |= res
+            assert len(chosen) == b
+            groups.append(tuple(chosen))
+        return tuple(groups)
+
     def test_random_semi_completions(self):
         rng = random.Random(20240819)
         shapes = [(2, 1), (2, 2), (3, 1), (2, 1, 1)]
@@ -253,6 +274,7 @@ class TestCompletion:
             done = complete_cluster(c, want)
             assert check_cluster(done, sum(want)).ok
             assert done.group_sizes == want
+            assert done.groups == self.greedy_completion(c, want)
             # the selection must come from the original groups
             for sel, orig in zip(done.groups, c.groups):
                 assert set(sel) <= set(orig)
