@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .errors import ParameterError
-from .hypergraph import Edge, Hypergraph, Meeting, mask_of, shadow, vertices_of
+from .hypergraph import Edge, Hypergraph, holders_of, mask_of, shadow, vertices_of
 from .patterns import IntersectionPattern, rank, validate_vertex_partition
 from .sunflowers import disjoint_picks
 
@@ -65,56 +66,51 @@ class _MaskIndex:
     edges, the set `intersection_structure` lists, to the bitset of the
     edges that meet edge i in exactly that mask (bit j for edge j). It
     comes from splitting the other edges' bitset by each vertex v of edge i
-    in turn, into the part inside v's holders (`hypergraph.Meeting`) and
-    the part outside; empty parts are dropped, and each part left is one
-    entry. That is at most k * min(2^k, |E|) big-int ANDs per edge, not
-    |E|. A meet is projected to part indices, as `project` does, once per
-    distinct mask.
+    in turn, into the part inside v's holders (`holders_of` the edge
+    tuples) and the part outside; empty parts are dropped, and each part
+    left is one entry. That is at most k * min(2^k, |E|) big-int ANDs per
+    edge, not |E|. `project(mask)` is the part mask of a vertex mask, bit
+    p-1 for each part p it meets, and `pattern(i)` is the set of the part
+    masks of edge i's meets (`vertices_of` decodes a part mask). A part
+    mask and a meet's vertex tuple are computed once per distinct mask.
     """
 
-    __slots__ = ("edges", "masks", "part_masks", "meets", "_proj")
+    __slots__ = ("edges", "masks", "meets", "project", "_vertices")
 
     def __init__(self, edges: Sequence[Edge], masks: Sequence[int],
                  parts: Sequence[Edge]):
         self.edges = edges
         self.masks = masks
-        self.part_masks = tuple(mask_of(p) for p in parts)
-        holders = Meeting(masks).holders
+        holders = holders_of(edges)
         everything = (1 << len(edges)) - 1
         self.meets: list[dict[int, int]] = []
         for i, e in enumerate(edges):
-            # (edges, meet so far), starting from every edge but i; the leaf
+            # meet so far -> edges, starting from every edge but i; the leaf
             # inside every split is empty, as edges are distinct k-sets, so
             # no meet is edge i's own mask
-            branches = [(everything ^ (1 << i), 0)]
+            branches = {0: everything ^ (1 << i)}
             for v in e:
                 held = holders[v]
                 vbit = 1 << (v - 1)
-                split = []
-                for bits, m in branches:
+                split = {}
+                for m, bits in branches.items():
                     inside = bits & held
                     if inside:
-                        split.append((inside, m | vbit))
+                        split[m | vbit] = inside
                     if inside != bits:
-                        split.append((bits ^ inside, m))
+                        split[m] = bits ^ inside
                 branches = split
-            self.meets.append({m: bits for bits, m in branches})
-        self._proj: dict[int, frozenset[int]] = {}
+            self.meets.append(branches)
+        part_bits = tuple((1 << p, mask_of(part)) for p, part in enumerate(parts))
+        self.project = cache(lambda mask: sum(bit for bit, pm in part_bits if mask & pm))
+        self._vertices = cache(vertices_of)
 
-    def project(self, mask: int) -> frozenset[int]:
-        """The 1-based indices of the parts the vertex mask meets."""
-        out = self._proj.get(mask)
-        if out is None:
-            out = frozenset(i for i, pm in enumerate(self.part_masks, start=1) if mask & pm)
-            self._proj[mask] = out
-        return out
-
-    def pattern(self, i: int) -> frozenset[frozenset[int]]:
-        return frozenset(self.project(x) for x in self.meets[i])
+    def pattern(self, i: int) -> frozenset[int]:
+        return frozenset(map(self.project, self.meets[i]))
 
     def centers(self, i: int) -> list[tuple[Edge, int]]:
         """Edge i's intersections as (vertex tuple, mask), in vertex-tuple order."""
-        return sorted((vertices_of(x), x) for x in self.meets[i])
+        return sorted((self._vertices(x), x) for x in self.meets[i])
 
     def petals(self, i: int, center: int, s: int) -> tuple[Edge, ...] | None:
         """The lex-first s-petal sunflower through edge i at its meet `center`.
@@ -145,7 +141,7 @@ def is_homogeneous(h: Hypergraph, s: int, parts) -> HomogeneousCheck:
         raise ParameterError(f"need exactly {h.k} parts, got {len(norm)}")
     idx = _MaskIndex(h.edges, h.edge_masks, norm)
     for e, m in zip(h.edges, h.edge_masks):
-        if len(idx.project(m)) != h.k:
+        if idx.project(m) != (1 << h.k) - 1:
             return HomogeneousCheck(False, failure="not-k-partite",
                                     detail=f"edge {e} does not meet every part exactly once")
     common = idx.pattern(0)
@@ -154,7 +150,7 @@ def is_homogeneous(h: Hypergraph, s: int, parts) -> HomogeneousCheck:
             return HomogeneousCheck(False, failure="pattern-mismatch",
                                     detail=f"edge {h.edges[i]} projects to a different pattern "
                                            f"than edge {h.edges[0]}")
-    pattern = IntersectionPattern.of(h.k, common)
+    pattern = IntersectionPattern.of(h.k, map(vertices_of, common))
     if not pattern.is_closed:
         for a in pattern.sorted_sets():
             for b in pattern.sorted_sets():
@@ -265,10 +261,12 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
 
     Each refinement step builds one `_MaskIndex` of the current edges, at
     most k * min(2^k, |E|) bitset ANDs per edge; it gives the patterns and
-    the sunflower witnesses. With s = 2 every meet is a sunflower center,
-    so only s > 2 scans for a center without petals. The climb's co-member
-    table is built once for all restarts. `is_homogeneous` rechecks the
-    final subgraph on an index of its own.
+    the sunflower witnesses. Classes are keyed by sets of part masks, and
+    only the class left and tied classes are decoded to patterns. With
+    s = 2 every meet is a sunflower center, so only s > 2 scans for a
+    center without petals. The climb's co-member table is built once for
+    all restarts. `is_homogeneous` rechecks the final subgraph on an index
+    of its own.
     """
     if s < 2:
         raise ParameterError(f"petal count s must be at least 2, got {s}")
@@ -287,17 +285,18 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
         edges = [e for e in h.edges if len({assign[v] for v in e}) == h.k]
         while edges:
             idx = _MaskIndex(edges, [mask[e] for e in edges], parts)
-            groups: dict[frozenset, list[Edge]] = {}
+            groups: dict[frozenset[int], list[Edge]] = {}
             for i, e in enumerate(edges):
                 groups.setdefault(idx.pattern(i), []).append(e)
             if len(groups) > 1:
                 # keep the biggest pattern class; tie-break on the pattern itself
                 size = max(len(g) for g in groups.values())
                 first = min((key for key, g in groups.items() if len(g) == size),
-                            key=lambda pat: IntersectionPattern.of(h.k, pat).sorted_sets())
+                            key=lambda pat: IntersectionPattern.of(
+                                h.k, map(vertices_of, pat)).sorted_sets())
                 edges = groups[first]
                 continue
-            pattern = IntersectionPattern.of(h.k, next(iter(groups)))
+            pattern = IntersectionPattern.of(h.k, map(vertices_of, next(iter(groups))))
             if not pattern.is_closed:
                 edges = edges[:-1]
                 continue

@@ -54,23 +54,28 @@ def meet(masks: Iterable[int]) -> int:
     return reduce(and_, masks, -1)
 
 
+def holders_of(members: Iterable[Iterable[int]]) -> dict[int, int]:
+    """holders[v]: the bitset of the members holding vertex v (bit i for
+    member i), for every vertex some member holds, in one pass."""
+    holders: dict[int, int] = {}
+    bit = 1
+    for e in members:
+        for v in e:
+            holders[v] = holders.get(v, 0) | bit
+        bit <<= 1
+    return holders
+
+
 class Meeting(dict):
     """meeting[x]: the members meeting the vertex set x, built on first use.
 
     Members are the vertex bitmasks `masks`; a set of members is a bitmask
-    over their positions. `holders[v]` is the members holding vertex v, for
-    every vertex some member holds, built in one pass over the members.
+    over their positions. `holders` is `holders_of` the members.
     """
 
     def __init__(self, masks: Sequence[int]):
-        super().__init__()
         self.masks = masks
-        holders: dict[int, int] = {}
-        for i, m in enumerate(masks):
-            bit = 1 << i
-            for v in vertices_of(m):
-                holders[v] = holders.get(v, 0) | bit
-        self.holders = holders
+        self.holders = holders_of(map(vertices_of, masks))
 
     def __missing__(self, x: int) -> int:
         holders = self.holders

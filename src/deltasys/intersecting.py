@@ -26,8 +26,8 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, ParameterError
-from .hypergraph import (Edge, Hypergraph, Meeting, mask_of, max_codegree2,
-                         meet, vertex_tuple, vertices_of)
+from .hypergraph import (Edge, Hypergraph, Meeting, holders_of, mask_of,
+                         max_codegree2, meet, vertex_tuple, vertices_of)
 from .search import NodeCounter, SearchOutcome, SearchStatus
 
 
@@ -378,7 +378,7 @@ def _core_map(h: Hypergraph, tag: str, holders: dict[int, int]) -> dict[int, int
     triple with i labels has 3 - i vertices left for the rest). A cell that
     needs j must take it on every member, so only vertices of its lowest
     member that hold them all are tried. Vertices that no member holds (in
-    `holders`, from `Meeting(h.edge_masks)`) are interchangeable, so only
+    `holders`, from `holders_of(h.edges)`) are interchangeable, so only
     the lowest unused one is tried.
     """
     prefixes = _PREFIXES[tag]
@@ -438,7 +438,7 @@ def classify_intersecting(h: Hypergraph) -> KMFamily:
         raise ParameterError(f"classification needs triples, got k={h.k}")
     if len(h) < 11:
         raise ParameterError(f"classification needs at least 11 members, got {len(h)}")
-    holders = Meeting(h.edge_masks).holders
+    holders = holders_of(h.edges)
     everyone = (1 << len(h)) - 1
     for e in h.edges:
         # the first member to miss others misses only later ones

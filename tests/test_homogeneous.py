@@ -9,6 +9,7 @@ import pytest
 
 from deltasys import (
     Hypergraph,
+    IntersectionPattern,
     ParameterError,
     build_star,
     extract_homogeneous,
@@ -20,6 +21,7 @@ from deltasys import (
     mask_of,
     project,
     rank,
+    vertices_of,
 )
 from deltasys.homogeneous import _MaskIndex, _climb_partition, _co_members
 from conftest import random_hypergraph
@@ -86,6 +88,15 @@ class TestIsHomogeneous:
         # full-rank homogeneity cannot dodge cluster structure
         out = find_cluster(h, (1, 1, 1), 3)
         assert out.found
+
+    def test_wide_meets_stay_part_masks(self):
+        # two 40-vertex edges meeting in 39 parts: the pattern holds one part
+        # mask near 2^39, so it is a set of part masks, not a bit per mask
+        base = tuple(range(1, 41))
+        h = Hypergraph(41, 40, [base, base[:-1] + (41,)])
+        chk = is_homogeneous(h, 2, ((40, 41),) + tuple((v,) for v in range(1, 40)))
+        assert chk.ok
+        assert chk.certificate.pattern.sorted_sets() == (tuple(range(2, 41)),)
 
     def test_not_k_partite(self):
         h = Hypergraph(4, 3, [(1, 2, 3)])
@@ -218,6 +229,46 @@ class TestExtraction:
         text = json.dumps(cert.to_json(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("seed, size, witnesses, digest", [
+        (0, 120, 840, "c2716c2ab3307377"),
+        (1, 114, 798, "f59a4ff10e00ea6d"),
+        (2, 113, 791, "69e4f53b638ce6c6"),
+    ])
+    def test_pinned_with_three_petals(self, seed, size, witnesses, digest):
+        # 400 triples on 15 points, drawn as above; with s = 3 the sunflower
+        # scan removes edges and the petals come from `disjoint_picks`
+        rng = random.Random(seed * 1_000_003 + 13)
+        h = Hypergraph(15, 3, sorted(rng.sample(list(combinations(range(1, 16), 3)), 400)))
+        cert = extract_homogeneous(h, 3, seed=seed, restarts=2)
+        assert len(cert.subgraph) == size
+        assert len(cert.witnesses) == witnesses
+        text = json.dumps(cert.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    def test_tied_classes_keep_the_first_in_canonical_order(self):
+        # two 3-edge sunflowers on disjoint vertices, one with center {1}
+        # and one with center {8, 9}; when a partition makes all six edges
+        # rainbow, the two pattern classes tie, with patterns {(), P(1)} and
+        # {(), P(8, 9)} for the projection P
+        star = ((1, 2, 5), (1, 3, 6), (1, 4, 7))
+        book = ((8, 9, 10), (8, 9, 11), (8, 9, 12))
+        h = Hypergraph(12, 3, star + book)
+        tied = disagree = 0
+        for seed in range(40):
+            cert = extract_homogeneous(h, 2, seed=seed, restarts=1)
+            part = {v: p for p, vs in enumerate(cert.partition, start=1) for v in vs}
+            if any(len({part[v] for v in e}) < 3 for e in star + book):
+                continue
+            tied += 1
+            pats = {star: ((), (part[1],)), book: ((), tuple(sorted((part[8], part[9]))))}
+            kept = min(pats, key=pats.get)
+            assert cert.subgraph.edges == kept, seed
+            # with one bit per part mask, integer order puts {(2,)} (bit 2)
+            # before {(1, 2)} (bit 3), against `sorted_sets`
+            as_int = {cls: sum(1 << mask_of(m) for m in p) for cls, p in pats.items()}
+            disagree += min(as_int, key=as_int.get) != kept
+        assert tied > 10 and disagree > 0
+
     def test_validation(self):
         h, _ = complete_tripartite(2)
         with pytest.raises(ParameterError):
@@ -274,10 +325,14 @@ class TestMaskIndex:
         def compare(h, parts, s):
             nonlocal checked, empty_centers
             idx = _MaskIndex(h.edges, h.edge_masks, parts)
+            patterns = []
             for i, e in enumerate(h.edges):
-                assert idx.project(h.edge_masks[i]) == project(e, parts)
+                # part masks decode with `vertices_of`, as the code does
+                assert frozenset(vertices_of(idx.project(h.edge_masks[i]))) == project(e, parts)
                 inters = intersection_structure(h, e)
-                assert idx.pattern(i) == frozenset(project(x, parts) for x in inters)
+                reference = frozenset(project(x, parts) for x in inters)
+                assert IntersectionPattern.of(h.k, map(vertices_of, idx.pattern(i))).sets == reference
+                patterns.append((idx.pattern(i), reference))
                 centers = idx.centers(i)
                 assert [c for c, _ in centers] == sorted(inters)
                 for center, cm in centers:
@@ -287,6 +342,7 @@ class TestMaskIndex:
                     assert idx.petals(i, cm, s) == expected, (h.edges, e, center, s)
                     checked += 1
                     empty_centers += cm == 0
+            return patterns
 
         for k in (2, 3, 4):
             for s in (2, 3):
@@ -299,7 +355,11 @@ class TestMaskIndex:
             dense = random.Random(5160 + trial)
             h = Hypergraph(n, k, dense.sample(list(combinations(range(1, n + 1), k)), size))
             for s in (2, 3):
-                compare(h, random_partition(dense, n, k), s)
+                patterns = compare(h, random_partition(dense, n, k), s)
+                # two edges share a set of part masks exactly when they share
+                # the reference pattern
+                assert (len(set(patterns)) == len({p for p, _ in patterns})
+                        == len({ref for _, ref in patterns}) > 1)
         assert checked > 1000
         assert empty_centers > 0
 

@@ -21,7 +21,7 @@ from deltasys import (
     subset_degrees,
     weight_identity,
 )
-from deltasys.hypergraph import Meeting
+from deltasys.hypergraph import Meeting, holders_of
 from conftest import random_hypergraph
 
 
@@ -205,6 +205,17 @@ class TestMeeting:
                     and all(masks[j] & masks[s] & meet(masks[i] for i in sub)
                             for r in range(d - 1) for sub in combinations(picked, r))
                 ), (trial, picked, s, d)
+
+    def test_holders_of_member_tuples(self):
+        # the tuples `_MaskIndex` and `classify_intersecting` pass give the
+        # table `Meeting` builds from the same members' masks
+        rng = random.Random(3031)
+        for trial in range(60):
+            h = random_hypergraph(rng, k=(2, 3, 4)[trial % 3], max_edges=60)
+            held = holders_of(h.edges)
+            assert held == Meeting(h.edge_masks).holders, trial
+            assert held == {v: sum(1 << i for i, e in enumerate(h.edges) if v in e)
+                            for v in range(1, h.n + 1) if h.degree(v)}, trial
 
 
 class TestWeights:
