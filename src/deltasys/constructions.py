@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import (AdmissibilityError, ConstructionError, ParameterError)
-from .hypergraph import (Edge, Hypergraph, _pair_histogram, _pair_table,
-                         subset_degrees)
+from .errors import AdmissibilityError, BudgetExceeded, ConstructionError, ParameterError
+from .hypergraph import (Edge, Hypergraph, _pair_histogram, _pair_table, check_order,
+                         holders_of, subset_degrees)
 from .intersecting import find_nontrivial_subfamily, km_codegree_bound
-from .search import SearchOutcome, SearchStatus
+from .search import NodeCounter, SearchOutcome, SearchStatus
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ class DesignSpec:
             raise AdmissibilityError(
                 f"no triple system on {self.n} vertices with multiplicity "
                 f"{self.lam}: divisibility fails")
+        check_order(self.n, 3)
 
     @property
     def block_count(self) -> int:
@@ -106,18 +107,15 @@ def _cyclic_sts(n: int) -> list[Edge] | None:
     return blocks
 
 
-class _Abort(Exception):
-    pass
-
-
 def _backtrack_triples(n: int, lam: int, rng: random.Random,
                        forbidden: frozenset[Edge] = frozenset(),
                        node_cap: int = 200_000) -> list[Edge] | None:
-    """Pair-exact cover by distinct triples, most-constrained pair first."""
+    """Pair-exact cover by distinct triples, most-constrained pair first, or
+    None once the attempt's own `NodeCounter(node_cap)` runs out."""
     need = {p: lam for p in combinations(range(1, n + 1), 2)}
     chosen: list[Edge] = []
     chosen_set: set[Edge] = set()
-    nodes = 0
+    counter = NodeCounter(node_cap)
 
     def candidates(u: int, v: int) -> list[int]:
         out = []
@@ -133,10 +131,7 @@ def _backtrack_triples(n: int, lam: int, rng: random.Random,
         return out
 
     def rec() -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise _Abort
+        counter.tick()
         best_pair = None
         best_ws: list[int] | None = None
         for p, cnt in need.items():
@@ -168,7 +163,7 @@ def _backtrack_triples(n: int, lam: int, rng: random.Random,
 
     try:
         return chosen if rec() else None
-    except _Abort:
+    except BudgetExceeded:
         return None
 
 
@@ -244,13 +239,7 @@ def find_perfect_matching(h: Hypergraph) -> tuple[Edge, ...] | None:
     """Disjoint edges covering every vertex, or None; exact backtracking."""
     if h.n % h.k:
         raise ParameterError(f"{h.k} must divide n={h.n} for a perfect matching")
-    by_vertex: dict[int, list[int]] = {v: [] for v in range(1, h.n + 1)}
-    for i, m in enumerate(h.edge_masks):
-        mm = m
-        while mm:
-            v = (mm & -mm).bit_length()
-            mm &= mm - 1
-            by_vertex[v].append(i)
+    holders = holders_of(h.edges)
     chosen: list[int] = []
 
     def rec(covered: int) -> bool:
@@ -259,7 +248,10 @@ def find_perfect_matching(h: Hypergraph) -> tuple[Edge, ...] | None:
         v = 1
         while (covered >> (v - 1)) & 1:
             v += 1
-        for i in by_vertex[v]:
+        rest = holders.get(v, 0)
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
             m = h.edge_masks[i]
             if m & covered:
                 continue

@@ -113,12 +113,12 @@ def is_d_simplex(edges: Sequence[Iterable[int]], d: int | None = None) -> bool:
     return not meet(masks) and all(meet(sub) for sub in combinations(masks, d))
 
 
-def nontrivial_search_masks(vmasks: Sequence[int], n: int, t: int, d: int,
+def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
                             counter: NodeCounter) -> tuple[int, ...] | None:
     """Indices of a t-subfamily, d-wise intersecting, empty common intersection.
 
-    `vmasks` are the members as vertex bitmasks over 1..n. Each family F is
-    reached exactly once, through its core. The core starts at F's lowest
+    `vmasks` are the members as vertex bitmasks. Each family F is reached
+    exactly once, through its core. The core starts at F's lowest
     member; then, while the core has a common vertex, the common vertex v
     that the fewest candidates miss (the lowest one on ties) picks the
     lowest member of F missing v, and every lower member missing v is
@@ -276,7 +276,7 @@ def find_nontrivial_subfamily(h: Hypergraph, t: int, d: int,
             f"of at most {d} sets has a common vertex")
     counter = NodeCounter(budget)
     try:
-        hit = nontrivial_search_masks(h.edge_masks, h.n, t, d, counter)
+        hit = nontrivial_search_masks(h.edge_masks, t, d, counter=counter)
     except BudgetExceeded:
         return SearchOutcome(SearchStatus.BUDGET, None, counter.nodes)
     if hit is None:

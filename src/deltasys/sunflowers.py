@@ -286,27 +286,20 @@ def _host_partitions(host: Edge, sizes: Sequence[int]):
     visited once per distinct size arrangement.
     """
     acc: list[Edge] = []
-    last_min: dict[int, int] = {}
 
     def rec(remaining: tuple[int, ...], i: int):
         if i == len(sizes):
             yield tuple(acc)
             return
         size = sizes[i]
-        floor = last_min.get(size, 0)
+        floor = max((b[0] for b in acc if len(b) == size), default=0)
         for combo in combinations(remaining, size):
             if combo[0] <= floor:
                 continue
             rest = tuple(v for v in remaining if v not in combo)
             acc.append(combo)
-            prev = last_min.get(size)
-            last_min[size] = combo[0]
             yield from rec(rest, i + 1)
             acc.pop()
-            if prev is None:
-                del last_min[size]
-            else:
-                last_min[size] = prev
 
     yield from rec(host, 0)
 
@@ -334,7 +327,7 @@ def _group_picks(cands: Sequence[Sequence[tuple[Any, int]]], sizes: Sequence[int
 
 
 def disjoint_clusters(masks: Sequence[int], part_sizes: Sequence[int], d: int,
-                      counter: NodeCounter, require: int | None = None):
+                      counter: NodeCounter):
     """Every disjoint cluster over a mask list, as (host index, blocks, groups of indices).
 
     Indices refer to positions in `masks`, which must be in the caller's
@@ -342,49 +335,31 @@ def disjoint_clusters(masks: Sequence[int], part_sizes: Sequence[int], d: int,
     partitions, then the compositions of d into group sizes, then the
     petals group by group; a composition that asks a group for more members
     than it has candidates is skipped. The same member set may come more
-    than once. With `require`, only the clusters that hold that member are
-    listed, in the same order: a host and partition for which it is neither
-    the host nor a candidate of any block is skipped, and otherwise it goes
-    into the group of the block it misses, with its residue charged to
-    `used` before the first group is picked. `counter` ticks once per host,
-    once per partition walked and once per petal picked.
+    than once. `counter` ticks once per host, once per partition walked and
+    once per petal picked.
     """
     for hi, host_mask in enumerate(masks):
         counter.tick()
         for blocks in _host_partitions(vertices_of(host_mask), part_sizes):
             centers = [host_mask & ~mask_of(b) for b in blocks]
-            forced, used = None, 0
-            if require not in (None, hi):
-                if masks[require] & host_mask not in centers:
-                    continue
-                forced = centers.index(masks[require] & host_mask)
-                used = masks[require] & ~host_mask
             counter.tick()
             cands = [[(j, m & ~host_mask) for j, m in enumerate(masks)
                       if j != hi and m & host_mask == cm] for cm in centers]
             for sizes in _compositions(d, len(blocks)):
                 if any(len(c) < b for c, b in zip(cands, sizes)):
                     continue
-                if forced is not None:
-                    # the required member fills one place of its group; the
-                    # others skip it, as its residue is already in `used`
-                    sizes = sizes[:forced] + (sizes[forced] - 1,) + sizes[forced + 1:]
-                for groups in _group_picks(cands, sizes, used, counter):
-                    if forced is not None:
-                        groups = (groups[:forced] + (tuple(sorted(groups[forced] + (require,))),)
-                                  + groups[forced + 1:])
+                for groups in _group_picks(cands, sizes, 0, counter):
                     yield hi, blocks, groups
 
 
 def find_cluster(h: Hypergraph, part_sizes: Sequence[int], d: int,
-                 budget: int | None = None,
-                 require_edge: Iterable[int] | None = None) -> SearchOutcome:
+                 budget: int | None = None) -> SearchOutcome:
     """Exact budgeted search for a disjoint cluster with the given block sizes.
 
     part_sizes must be positive, have length p >= 2, and sum to k; d >= p.
     Hosts, partitions, group-size compositions, and group members are all
-    scanned in deterministic lexicographic order, so the first witness found
-    is the same on every run.
+    scanned in deterministic lexicographic order, so the witness, the first
+    cluster `disjoint_clusters` lists, is the same on every run.
     """
     a = tuple(int(x) for x in part_sizes)
     p = len(a)
@@ -397,14 +372,8 @@ def find_cluster(h: Hypergraph, part_sizes: Sequence[int], d: int,
     if d < p:
         raise ParameterError(f"petal count d={d} must be at least the number of blocks {p}")
     counter = NodeCounter(budget)
-    require = None
-    if require_edge is not None:
-        req = vertex_tuple(require_edge)
-        if req not in h:
-            raise ParameterError(f"required edge {req} is not in the hypergraph")
-        require = h.edges.index(req)
     try:
-        hit = next(disjoint_clusters(h.edge_masks, a, d, counter, require), None)
+        hit = next(disjoint_clusters(h.edge_masks, a, d, counter), None)
     except BudgetExceeded:
         return SearchOutcome(SearchStatus.BUDGET, None, counter.nodes)
     if hit is None:

@@ -40,7 +40,7 @@ def certify_random_graph(n, k, size, seed, salt):
     return Hypergraph(n, k, rng.sample(list(combinations(range(1, n + 1), k)), size))
 
 
-def reference_nontrivial_search_masks(vmasks, n, t, d, counter):
+def reference_nontrivial_search_masks(vmasks, t, d, counter):
     """The nontrivial-subfamily kernel as it was before it branched on the
     core vertex fewest candidates miss, kept as the differential oracle of
     `nontrivial_search_masks`.

@@ -1,5 +1,7 @@
 """Triple systems, the lower-bound construction, and its verification."""
 
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -54,6 +56,11 @@ class TestDesignSpec:
         with pytest.raises(ParameterError):
             DesignSpec(7, 0)
 
+    def test_order_above_the_vertex_cap_is_refused_before_building(self):
+        # 129 is admissible for lam = 1, but no hypergraph may have 129 vertices
+        with pytest.raises(ParameterError, match="n=129 exceeds the vertex cap 128"):
+            DesignSpec(129, 1)
+
 
 class TestTripleSystems:
     @pytest.mark.parametrize("n", [7, 9, 13, 15])
@@ -77,6 +84,42 @@ class TestTripleSystems:
         assert len(h) == 10
         assert all(1 in e for e in h.edges)
         assert build_star(6, 3).n == 6
+
+
+def edges_digest(h):
+    return hashlib.sha256(json.dumps([list(e) for e in h.edges]).encode()).hexdigest()[:16]
+
+
+class TestPinnedConstructions:
+    """The constructed systems and the backtrack's node cap, pinned so that a
+    change to how the builders search or count shows."""
+
+    @pytest.mark.parametrize("n,m,digest", [
+        (9, 4, "9e68f22adb931b8e"), (15, 5, "ee524e8cbc6fadc2"),
+        (27, 4, "f2809b0008cc25b2"), (15, 6, "9719aa1c0dc43fa4"),
+    ], ids=str)
+    def test_counterexamples(self, n, m, digest):
+        assert edges_digest(build_counterexample(n, m, 0).system) == digest
+
+    # (9, 1) is the lambda = 1 backtrack, (12, 2) the direct backtrack and
+    # (7, 2) the stacked layers
+    @pytest.mark.parametrize("n,lam,seed,digest", [
+        (9, 1, 0, "019aa19e360fc699"), (9, 1, 1, "8cfa8c72b25e9a12"),
+        (12, 2, 0, "e004f306e8e552ec"), (12, 2, 1, "4d9c6de0170fac31"),
+        (7, 2, 0, "9db47a6c54ac4e91"), (7, 2, 1, "c668ac6d741ea223"),
+    ], ids=str)
+    def test_triple_systems(self, n, lam, seed, digest):
+        assert edges_digest(build_triple_system(DesignSpec(n, lam), seed)) == digest
+
+    @pytest.mark.parametrize("n,lam,seed,nodes", [(9, 1, 0, 13), (12, 2, 0, 52), (7, 2, 1, 134)],
+                             ids=str)
+    def test_backtrack_cap_boundary(self, n, lam, seed, nodes):
+        # an attempt that needs `nodes` nodes succeeds at that cap and aborts
+        # on its (cap+1)-th node one below it
+        found = constructions._backtrack_triples(n, lam, random.Random(seed), node_cap=nodes)
+        assert found is not None and len(found) == DesignSpec(n, lam).block_count
+        assert constructions._backtrack_triples(n, lam, random.Random(seed),
+                                                node_cap=nodes - 1) is None
 
 
 class TestComplement:

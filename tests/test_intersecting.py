@@ -1,9 +1,11 @@
 """d-wise intersecting families, simplexes, subfamily search, classification."""
 
+import ast
 import random
 import re
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -300,7 +302,7 @@ class TestSubfamilySearch:
         # the root's common-vertex check settles a star without branching
         h = build_star(7, 3)
         counter = NodeCounter(10)
-        assert nontrivial_search_masks(h.edge_masks, h.n, 3, 2, counter) is None
+        assert nontrivial_search_masks(h.edge_masks, 3, 2, counter) is None
         assert counter.nodes == 1
 
     def test_budget_exhaustion(self):
@@ -355,8 +357,8 @@ class TestKernelAgainstItsPredecessor:
             t = rng.randint(d + 1, d + 5)
             pool = list(combinations(range(1, n + 1), k))
             h = Hypergraph(n, k, rng.sample(pool, rng.randint(30, min(120, len(pool)))))
-            hit = nontrivial_search_masks(h.edge_masks, n, t, d, NodeCounter())
-            expected = reference_nontrivial_search_masks(h.edge_masks, n, t, d, NodeCounter())
+            hit = nontrivial_search_masks(h.edge_masks, t, d, NodeCounter())
+            expected = reference_nontrivial_search_masks(h.edge_masks, t, d, NodeCounter())
             assert hit == expected, (h.edges, t, d)
             found[hit is not None] += 1
         assert min(found.values()) >= 50, found
@@ -373,9 +375,8 @@ class TestKernelAgainstItsPredecessor:
                     k = rng.randint(3, n - 3)
                     pool = list(combinations(range(1, n + 1), k))
                     h = Hypergraph(n, k, rng.sample(pool, rng.randint(t, min(60, len(pool)))))
-                    hit = nontrivial_search_masks(h.edge_masks, n, t, d, NodeCounter())
-                    expected = reference_nontrivial_search_masks(h.edge_masks, n, t, d,
-                                                                 NodeCounter())
+                    hit = nontrivial_search_masks(h.edge_masks, t, d, NodeCounter())
+                    expected = reference_nontrivial_search_masks(h.edge_masks, t, d, NodeCounter())
                     assert hit == expected, (h.edges, t, d)
                     key = d, t, hit is not None
                     found[key] = found.get(key, 0) + 1
@@ -386,9 +387,8 @@ class TestKernelAgainstItsPredecessor:
         for n, k, size, t, d, salt in CERTIFY_RANDOM_SHAPES.values():
             for seed in range(30):
                 h = certify_random_graph(n, k, size, seed, salt)
-                hit = nontrivial_search_masks(h.edge_masks, n, t, d, NodeCounter())
-                expected = reference_nontrivial_search_masks(h.edge_masks, n, t, d,
-                                                             NodeCounter())
+                hit = nontrivial_search_masks(h.edge_masks, t, d, NodeCounter())
+                expected = reference_nontrivial_search_masks(h.edge_masks, t, d, NodeCounter())
                 assert hit == expected, (n, k, seed)
 
     def test_picks_after_the_core_keep_every_three_fold_meet(self):
@@ -399,17 +399,17 @@ class TestKernelAgainstItsPredecessor:
                               (2, 3, 5, 6), (3, 4, 5, 6)])
         assert find_nontrivial_subfamily(h, 6, 2).witness == h.edges
         for kernel in (nontrivial_search_masks, reference_nontrivial_search_masks):
-            assert kernel(h.edge_masks, h.n, 6, 3, NodeCounter()) is None
+            assert kernel(h.edge_masks, 6, 3, NodeCounter()) is None
 
     def test_counterexamples(self):
         for n, m in ((9, 4), (15, 5), (21, 4)):
             h = build_counterexample(n, m, seed=0).system
             for kernel in (nontrivial_search_masks, reference_nontrivial_search_masks):
-                assert kernel(h.edge_masks, h.n, 3 * m + 1, 2, NodeCounter()) is None, (n, m)
+                assert kernel(h.edge_masks, 3 * m + 1, 2, NodeCounter()) is None, (n, m)
         h = build_counterexample(15, 5, seed=0).system
-        hit = nontrivial_search_masks(h.edge_masks, h.n, 13, 2, NodeCounter())
+        hit = nontrivial_search_masks(h.edge_masks, 13, 2, NodeCounter())
         assert hit is not None
-        assert hit == reference_nontrivial_search_masks(h.edge_masks, h.n, 13, 2, NodeCounter())
+        assert hit == reference_nontrivial_search_masks(h.edge_masks, 13, 2, NodeCounter())
         assert check_nontrivial([h.edges[i] for i in hit], 2).nontrivial
 
 
@@ -425,10 +425,10 @@ class TestLastPick:
         # leaves 2 and 3 common; of the candidates left, (1,3,4) misses 2,
         # the vertex the fewest of them miss, but holds 3, and (1,2,4) holds 2
         h = Hypergraph(4, 3, self.K4)
-        assert nontrivial_search_masks(h.edge_masks, h.n, 3, 2, NodeCounter()) is None
+        assert nontrivial_search_masks(h.edge_masks, 3, 2, NodeCounter()) is None
         # (1,4,5) misses both, so it is the last member
         h = Hypergraph(5, 3, self.K4 + [(1, 4, 5)])
-        hit = nontrivial_search_masks(h.edge_masks, h.n, 3, 2, NodeCounter())
+        hit = nontrivial_search_masks(h.edge_masks, 3, 2, NodeCounter())
         assert [h.edges[i] for i in hit] == [(1, 2, 3), (1, 4, 5), (2, 3, 4)]
 
     def test_budget_boundary_on_a_found_search(self):
@@ -457,6 +457,18 @@ class TestNodeCounts:
             out = find_nontrivial_subfamily(h, t, d)
             nodes[name] = out.nodes, out.found
         assert nodes == pinned
+
+    def test_every_kernel_call_passes_its_counter_by_name(self):
+        # the benchmark's tracer reads a traced kernel's nodes from its
+        # `counter` keyword argument
+        calls = []
+        for path in sorted(Path(intersecting.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call) and "nontrivial_search_masks" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    calls.append((path.name, node.lineno,
+                                  any(kw.arg == "counter" for kw in node.keywords)))
+        assert calls and all(by_name for _, _, by_name in calls), calls
 
 
 class TestClassification:

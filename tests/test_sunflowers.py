@@ -367,63 +367,20 @@ class TestFindCluster:
     @pytest.mark.parametrize("shape,d", ORACLE_SHAPES, ids=str)
     def test_matches_the_brute_force_oracle(self, shape, d):
         for trial, h in enumerate(oracle_graphs(shape, d)):
-            clusters = [set(sub) for sub in combinations(h.edges, d + 1)
-                        if forms_cluster(sub, shape, d)]
+            clusters = {frozenset(sub) for sub in combinations(h.edges, d + 1)
+                        if forms_cluster(sub, shape, d)}
             assert find_cluster(h, shape, d).found == bool(clusters), trial
-            for e in h.edges:
-                out = find_cluster(h, shape, d, require_edge=e)
-                assert out.found == any(e in c for c in clusters), (trial, e)
-                assert not out.found or e in out.witness.all_edges
-
-    @pytest.mark.parametrize("shape,d", ORACLE_SHAPES, ids=str)
-    def test_require_takes_the_first_cluster_that_holds_the_edge(self, shape, d):
-        # the hosts and partitions a required edge lets the search skip hold
-        # no cluster through it, so the witness is the first of all clusters
-        # that holds the edge
-        for trial, h in enumerate(oracle_graphs(shape, d)):
-            clusters = list(disjoint_clusters(h.edge_masks, shape, d, NodeCounter()))
-            for i, e in enumerate(h.edges):
-                first = next((c for c in clusters if c[0] == i or any(i in g for g in c[2])),
-                             None)
-                out = find_cluster(h, shape, d, require_edge=e)
-                if first is None:
-                    assert out.status is SearchStatus.NONE, (trial, e)
-                    continue
-                hi, blocks, groups = first
-                assert out.witness == SunflowerCluster(
-                    h.edges[hi], blocks, tuple(tuple(h.edges[j] for j in g) for g in groups)
-                ), (trial, e)
-
-    # on the complete graphs on 10 points, a filter over every cluster took
-    # 11,745 and 7,120 nodes to reach these witnesses, and skipping only the
-    # partitions without the edge 315 and 124
-    @pytest.mark.parametrize("shape,d,edge,nodes", [
-        ((2, 1), 3, (8, 9, 10), 9),
-        ((2, 2), 2, (7, 8, 9, 10), 25),
-    ], ids=str)
-    def test_require_skips_hosts_and_partitions_without_the_edge(self, shape, d, edge, nodes):
-        k = sum(shape)
-        h = Hypergraph(10, k, list(combinations(range(1, 11), k)))
-        out = find_cluster(h, shape, d, require_edge=edge)
-        assert out.found and edge in out.witness.all_edges
-        assert out.nodes == nodes
+            # every cluster is listed, and nothing else
+            listed = {frozenset((h.edges[hi],) + tuple(h.edges[j] for g in groups for j in g))
+                      for hi, _, groups in disjoint_clusters(h.edge_masks, shape, d,
+                                                             NodeCounter())}
+            assert listed == clusters, trial
 
     def test_composition_prune(self):
         # in a star every host partition leaves some group without candidates,
         # so no composition gets as far as picking a petal
         out = find_cluster(build_star(12, 3), (2, 1), 3, budget=1000)
         assert out.status is SearchStatus.NONE
-
-    def test_require_edge_constrains_witness(self):
-        c = SunflowerCluster(
-            (1, 2, 3), ((1, 2), (3,)), (((3, 4, 5),), ((1, 2, 6),))
-        )
-        h = Hypergraph(8, 3, c.all_edges + ((1, 2, 7), (1, 2, 8)))
-        out = find_cluster(h, (2, 1), 2, require_edge=(3, 4, 5))
-        assert out.found
-        assert (3, 4, 5) in out.witness.all_edges
-        with pytest.raises(ParameterError):
-            find_cluster(h, (2, 1), 2, require_edge=(4, 5, 6))
 
     def test_sub_count_monotone(self):
         # a found (a, d)-cluster with d > #groups also yields d-1
