@@ -131,9 +131,13 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
     pick also keeps only the members that meet each (d-1)-fold meet it
     closes (`Meeting.narrow`). While at least three picks remain, a greedy
     colouring of the candidates' intersection graph bounds how many of them
-    fit together. The candidates only ever hold members that fit the chosen
-    ones, so the last member is read from the holder bitsets: the lowest
-    candidate that misses every common vertex.
+    fit together (Tomita and Seki's bound for maximum clique). Each colour
+    class takes at least one candidate, so the colouring stops, and the step
+    ends, once the classes so far plus the candidates still uncoloured fall
+    short of the picks left; it prunes exactly where colouring every
+    candidate would. The candidates only ever hold members that fit the
+    chosen ones, so the last member is read from the holder bitsets: the
+    lowest candidate that misses every common vertex.
 
     One node is one tick of `counter`: the root, which also rules out a
     vertex in every member, one core step or one compatibility step. A
@@ -149,9 +153,12 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
         return None
     full = (1 << m) - 1
     meeting = Meeting(vmasks)
-    holders, narrow = meeting.holders, meeting.narrow
-    # rows[j]: the members meeting member j
+    narrow = meeting.narrow
+    # rows[j]: the members meeting member j; apart[j]: those missing it;
+    # misses[v]: the members missing vertex v
     rows = [meeting[x] for x in vmasks]
+    apart = [~r for r in rows]
+    misses = {v: ~h for v, h in meeting.holders.items()}
     wide = d > 2
 
     def last(cand: int, common: int) -> int:
@@ -159,7 +166,7 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
         while common:
             low = common & -common
             common ^= low
-            cand &= ~holders[low.bit_length()]
+            cand &= misses[low.bit_length()]
         return (cand & -cand).bit_length() - 1
 
     def step(chosen: tuple[int, ...], common: int, cand: int) -> tuple[int, ...] | None:
@@ -179,21 +186,23 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
             while rest:
                 low = rest & -rest
                 rest ^= low
-                out = cand & ~holders[low.bit_length()]
+                out = cand & misses[low.bit_length()]
                 size = out.bit_count()
                 if size < fewest:
                     if not size:
                         return None
                     miss, fewest = out, size
-            rest = miss
+            # left: the candidates less the misses already tried; have: its size
+            rest, left = miss, cand
             while rest:
+                if have < need:
+                    return None
                 low = rest & -rest
                 rest ^= low
-                left = cand & ~(miss & (low - 1))
-                if left.bit_count() < need:
-                    return None
+                left ^= low
+                have -= 1
                 b = low.bit_length() - 1
-                child = left & ~low & rows[b]
+                child = left & rows[b]
                 if wide:
                     child = narrow(child, chosen, b, d)
                 if child.bit_count() >= need - 1:
@@ -203,20 +212,18 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
             return None
         if need >= 3:
             # the picks left are pairwise intersecting, so at most one per
-            # colour class of pairwise disjoint candidates
-            colours = 0
+            # colour class of pairwise disjoint candidates; each class takes
+            # at least one candidate, so once the classes so far plus the
+            # candidates still uncoloured fall short, the colouring does too
             left = cand
-            while left:
-                colours += 1
-                if colours == need:
-                    break
+            for colours in range(1, need):
                 q = left
                 while q:
                     low = q & -q
                     left ^= low
-                    q &= ~rows[low.bit_length() - 1]
-            else:
-                return None
+                    q &= apart[low.bit_length() - 1]
+                if colours + left.bit_count() < need:
+                    return None
         rest = cand
         while rest:
             low = rest & -rest

@@ -344,19 +344,37 @@ def certify_job_inputs():
     return jobs
 
 
+def seeded_grid_instances():
+    """200 seeded (h, t, d) with 30 to 120 members on 9 to 12 points."""
+    rng = random.Random(1616)
+    for _ in range(200):
+        n, k = rng.randint(9, 12), rng.choice((3, 4))
+        d = rng.randint(2, 4)
+        t = rng.randint(d + 1, d + 5)
+        pool = list(combinations(range(1, n + 1), k))
+        yield Hypergraph(n, k, rng.sample(pool, rng.randint(30, min(120, len(pool))))), t, d
+
+
+def three_sizes_instances():
+    """100 seeded (h, t, d) for each t = d+1..d+3 and d in {2, 3, 4}; members
+    of 3 to n-3 vertices give every cell both FOUND and NONE instances."""
+    rng = random.Random(1717)
+    for d in (2, 3, 4):
+        for t in range(d + 1, d + 4):
+            for _ in range(100):
+                n = rng.randint(7, 10)
+                k = rng.randint(3, n - 3)
+                pool = list(combinations(range(1, n + 1), k))
+                yield Hypergraph(n, k, rng.sample(pool, rng.randint(t, min(60, len(pool))))), t, d
+
+
 class TestKernelAgainstItsPredecessor:
     """`nontrivial_search_masks` against the kernel it replaced, on instances
     beyond brute-force reach: the same status and the same witness."""
 
     def test_seeded_grid(self):
-        rng = random.Random(1616)
         found = {True: 0, False: 0}
-        for _ in range(200):
-            n, k = rng.randint(9, 12), rng.choice((3, 4))
-            d = rng.randint(2, 4)
-            t = rng.randint(d + 1, d + 5)
-            pool = list(combinations(range(1, n + 1), k))
-            h = Hypergraph(n, k, rng.sample(pool, rng.randint(30, min(120, len(pool)))))
+        for h, t, d in seeded_grid_instances():
             hit = nontrivial_search_masks(h.edge_masks, t, d, NodeCounter())
             expected = reference_nontrivial_search_masks(h.edge_masks, t, d, NodeCounter())
             assert hit == expected, (h.edges, t, d)
@@ -364,22 +382,13 @@ class TestKernelAgainstItsPredecessor:
         assert min(found.values()) >= 50, found
 
     def test_three_sizes_above_each_wise(self):
-        # t = d+1..d+3 for each d in {2, 3, 4}; members of 3 to n-3 vertices
-        # give every cell both FOUND and NONE instances
-        rng = random.Random(1717)
         found = {}
-        for d in (2, 3, 4):
-            for t in range(d + 1, d + 4):
-                for _ in range(100):
-                    n = rng.randint(7, 10)
-                    k = rng.randint(3, n - 3)
-                    pool = list(combinations(range(1, n + 1), k))
-                    h = Hypergraph(n, k, rng.sample(pool, rng.randint(t, min(60, len(pool)))))
-                    hit = nontrivial_search_masks(h.edge_masks, t, d, NodeCounter())
-                    expected = reference_nontrivial_search_masks(h.edge_masks, t, d, NodeCounter())
-                    assert hit == expected, (h.edges, t, d)
-                    key = d, t, hit is not None
-                    found[key] = found.get(key, 0) + 1
+        for h, t, d in three_sizes_instances():
+            hit = nontrivial_search_masks(h.edge_masks, t, d, NodeCounter())
+            expected = reference_nontrivial_search_masks(h.edge_masks, t, d, NodeCounter())
+            assert hit == expected, (h.edges, t, d)
+            key = d, t, hit is not None
+            found[key] = found.get(key, 0) + 1
         assert sum(c for (_, _, hit), c in found.items() if hit) >= 500, found
         assert len(found) == 18, found
 
@@ -444,6 +453,35 @@ class TestLastPick:
         assert cut.nodes == out.nodes
 
 
+class TestColouringStop:
+    """The colouring bound stops as soon as the classes so far plus the
+    candidates still uncoloured fall short of the members left to pick. It
+    prunes exactly where colouring every candidate would."""
+
+    FANO = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
+
+    def test_the_fano_plane_reaches_the_bound_exactly(self):
+        # its lines pairwise meet, so each class holds one candidate; at
+        # t = 7 every colouring has exactly as many candidates as members
+        # left to pick (4 of 4, then 3 of 3), so the sum never falls short
+        h = Hypergraph(7, 3, self.FANO)
+        for t in (7, 6):
+            counter = NodeCounter()
+            assert nontrivial_search_masks(h.edge_masks, t, 2, counter) == tuple(range(t))
+            assert counter.nodes == t
+
+    def test_a_stop_at_the_first_class_boundary(self):
+        # after the core (1,2,4), (2,5,6), (1,3,5), three members are left to
+        # pick from (1,2,5), (1,2,6) and (3,4,6); the first class takes
+        # (1,2,5) and (3,4,6), and 1 + 1 uncoloured < 3; status and nodes are
+        # those of colouring every candidate
+        h = Hypergraph(6, 3, [(1, 2, 4), (1, 2, 5), (1, 2, 6), (1, 3, 5), (2, 5, 6),
+                              (3, 4, 6)])
+        counter = NodeCounter()
+        assert nontrivial_search_masks(h.edge_masks, 6, 2, counter) is None
+        assert counter.nodes == 4
+
+
 class TestNodeCounts:
     def test_certify_node_counts_are_pinned(self):
         # seed-0 nodes and statuses of the benchmark's certify jobs; a kernel
@@ -457,6 +495,23 @@ class TestNodeCounts:
             out = find_nontrivial_subfamily(h, t, d)
             nodes[name] = out.nodes, out.found
         assert nodes == pinned
+
+    def test_differential_grid_node_totals_are_pinned(self):
+        # the kernel's nodes summed over the differential tests' seeded
+        # instances, so that a faster kernel keeps every prune decision
+        # beyond the seven benchmark jobs too
+        for instances, pinned in ((seeded_grid_instances, 210_127),
+                                  (three_sizes_instances, 108_133)):
+            total = 0
+            for h, t, d in instances():
+                counter = NodeCounter()
+                nontrivial_search_masks(h.edge_masks, t, d, counter=counter)
+                total += counter.nodes
+            assert total == pinned, instances.__name__
+
+    def test_counterexample_21_4_nodes_are_pinned(self):
+        out = find_nontrivial_subfamily(build_counterexample(21, 4, seed=0).system, 13, 2)
+        assert (out.status, out.nodes) == (SearchStatus.NONE, 7_214)
 
     def test_every_kernel_call_passes_its_counter_by_name(self):
         # the benchmark's tracer reads a traced kernel's nodes from its
