@@ -27,8 +27,7 @@ from .intersecting import (FamilyWitness, KMFamily, TEMPLATE_TAGS,
                            km_codegree_bound)
 from .patterns import (IntersectionPattern, intersection_structure, project,
                        rank, validate_vertex_partition)
-from .search import (NodeCounter, SearchOutcome, SearchStatus,
-                     default_budget)
+from .search import NodeCounter, SearchOutcome, SearchStatus
 from .sunflowers import (ClusterCheck, Sunflower, SunflowerCheck,
                          SunflowerCluster, check_cluster, check_semi_cluster,
                          check_sunflower, complete_cluster, find_cluster,

@@ -34,15 +34,16 @@ from typing import NamedTuple
 
 from .constructions import (DesignSpec, build_counterexample,
                             build_triple_system, verify_counterexample)
-from .errors import BudgetExceeded, ConstructionError, ParameterError
+from .errors import ConstructionError, ParameterError
 from .extremal import (CONFIG_KINDS, ForbiddenConfig, max_avoiding,
                        stability_scan)
 from .hgio import load_hypergraph, serialize_hypergraph
 from .homogeneous import extract_homogeneous, homogeneous_size_bound
 from .hypergraph import Hypergraph, shadow, weight_identity
-from .intersecting import (check_km_codegree_bounds, check_nontrivial,
-                           classify_intersecting, find_nontrivial_subfamily)
-from .search import NodeCounter, SearchStatus
+from .intersecting import (CODEGREE_BOUND_TAGS, check_km_codegree_bounds,
+                           check_nontrivial, classify_intersecting,
+                           find_nontrivial_subfamily)
+from .search import bounded
 from .sunflowers import (SunflowerCluster, complete_cluster, find_cluster,
                          find_sunflower)
 
@@ -207,13 +208,10 @@ def cmd_find_nontrivial(args, h) -> _Answer:
 
 
 def cmd_check_intersecting(args, h) -> _Answer:
-    counter = NodeCounter(args.budget)
-    try:
-        w = check_nontrivial(h.edges, args.wise, counter)
-    except BudgetExceeded:
-        status = SearchStatus.BUDGET.value
-        return _Answer(status, {"status": status, "nodes": counter.nodes})
-    t = min(args.wise, len(h))
+    out = bounded(args.budget, lambda counter: check_nontrivial(h.edges, args.wise, counter))
+    if not out.found:
+        return _Answer(out.status.value, {"status": out.status.value, "nodes": out.nodes})
+    w, t = out.witness, min(args.wise, len(h))
     checks = [
         _check("d-wise-intersecting", w.intersecting,
                f"every {t} members share a vertex",
@@ -228,18 +226,16 @@ def cmd_check_intersecting(args, h) -> _Answer:
 
 def cmd_classify_km(args, h) -> _Answer:
     km = classify_intersecting(h)
-    checks = [_check("containment", True,
+    contained = km.contains_family(h)
+    checks = [_check("containment", contained,
                      "every member lies in the named template")]
-    try:
-        bound_ok = check_km_codegree_bounds(h, km)
-        checks.append(_check("codegree-bound", bound_ok,
+    if contained and km.tag in CODEGREE_BOUND_TAGS:
+        checks.append(_check("codegree-bound", check_km_codegree_bounds(h, km),
                              "the template forces its minimum value of the "
                              "maximum pair codegree"))
-    except ParameterError:
-        pass  # no bound applies to star-like templates
     result = {"template": km.tag,
               "mapping": {str(c): v for c, v in sorted(km.mapping.items())}}
-    return _Answer("classified", result, checks)
+    return _Answer("classified" if contained else "failed", result, checks)
 
 
 def cmd_build_steiner(args, h) -> _Answer:
@@ -317,7 +313,7 @@ def _build_parser() -> _Parser:
                         help="write the command's primary artifact to this path")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=_at_least_one,
-                        help="search node budget (default: DELTASYS_NODE_BUDGET or 10^8)")
+                        help="search node budget (default 10^8)")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 

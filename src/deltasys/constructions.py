@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import AdmissibilityError, BudgetExceeded, ConstructionError, ParameterError
+from .errors import AdmissibilityError, ConstructionError, ParameterError
 from .hypergraph import (Edge, Hypergraph, _pair_histogram, _pair_table, check_order,
                          holders_of, subset_degrees)
-from .intersecting import find_nontrivial_subfamily, km_codegree_bound
-from .search import NodeCounter, SearchOutcome, SearchStatus
+from .intersecting import CODEGREE_BOUND_TAGS, find_nontrivial_subfamily, km_codegree_bound
+from .search import NodeCounter, SearchOutcome, SearchStatus, bounded
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,10 @@ def _backtrack_triples(n: int, lam: int, rng: random.Random,
                        forbidden: frozenset[Edge] = frozenset(),
                        node_cap: int = 200_000) -> list[Edge] | None:
     """Pair-exact cover by distinct triples, most-constrained pair first, or
-    None once the attempt's own `NodeCounter(node_cap)` runs out."""
+    None once the attempt's own budget of `node_cap` nodes runs out."""
     need = {p: lam for p in combinations(range(1, n + 1), 2)}
     chosen: list[Edge] = []
     chosen_set: set[Edge] = set()
-    counter = NodeCounter(node_cap)
 
     def candidates(u: int, v: int) -> list[int]:
         out = []
@@ -130,7 +129,7 @@ def _backtrack_triples(n: int, lam: int, rng: random.Random,
                     out.append(w)
         return out
 
-    def rec() -> bool:
+    def rec(counter: NodeCounter) -> bool:
         counter.tick()
         best_pair = None
         best_ws: list[int] | None = None
@@ -153,7 +152,7 @@ def _backtrack_triples(n: int, lam: int, rng: random.Random,
                 need[q] -= 1
             chosen.append(t)
             chosen_set.add(t)
-            if rec():
+            if rec(counter):
                 return True
             chosen_set.remove(t)
             chosen.pop()
@@ -161,10 +160,7 @@ def _backtrack_triples(n: int, lam: int, rng: random.Random,
                 need[q] += 1
         return False
 
-    try:
-        return chosen if rec() else None
-    except BudgetExceeded:
-        return None
+    return bounded(node_cap, lambda counter: chosen if rec(counter) else None).witness
 
 
 def _check_pair_exact(h: Hypergraph, lam: int) -> bool:
@@ -177,52 +173,35 @@ def build_triple_system(spec: DesignSpec, seed: int = 0) -> Hypergraph:
     """Pair-exact triple system for the given parameters; deterministic
     for a fixed seed.
 
-    Multiplicity one tries a cyclic difference family first and falls back
-    to seeded backtracking. Higher multiplicity stacks pairwise
-    block-disjoint single-multiplicity layers when those exist, otherwise
-    backtracks directly. The output is always revalidated by counting.
+    For n 1 or 3 mod 6, up to 64 seeded attempts stack lam block-disjoint
+    single-multiplicity layers, the first cyclic when it can be; then up to
+    64 backtrack directly. The output is always revalidated by counting.
     """
     n, lam = spec.n, spec.lam
+    cyclic = _cyclic_sts(n)
 
-    def finish(blocks: list[Edge]) -> Hypergraph:
-        h = Hypergraph(n, 3, blocks)
-        if not _check_pair_exact(h, lam):
-            raise ConstructionError("construction produced an invalid triple system")
-        return h
+    def stack(rng: random.Random) -> list[Edge] | None:
+        layers: list[Edge] = []
+        for _ in range(lam):
+            layer = (cyclic if cyclic and not layers
+                     else _backtrack_triples(n, 1, rng, frozenset(layers)))
+            if layer is None:
+                return None
+            layers.extend(layer)
+        return layers
 
-    if lam == 1:
-        blocks = _cyclic_sts(n)
-        if blocks is not None:
-            return finish(blocks)
-        for attempt in range(64):
-            blocks = _backtrack_triples(n, 1, random.Random(seed * 97 + attempt))
-            if blocks is not None:
-                return finish(blocks)
-        raise ConstructionError(f"no triple system found on {n} vertices")
-
+    # (seed salt, builder) pairs, in the order tried
+    ways = [(7_919, lambda rng: _backtrack_triples(n, lam, rng, node_cap=500_000))]
     if n % 6 in (1, 3):
-        # stack lam mutually block-disjoint single layers
+        ways.insert(0, (97 if lam == 1 else 1_000_003, stack))
+    for salt, build in ways:
         for attempt in range(64):
-            rng = random.Random(seed * 1_000_003 + attempt)
-            used: set[Edge] = set()
-            layers: list[Edge] = []
-            complete = True
-            for _ in range(lam):
-                layer = (_cyclic_sts(n) if not used else None)
-                if layer is None:
-                    layer = _backtrack_triples(n, 1, rng, frozenset(used))
-                if layer is None:
-                    complete = False
-                    break
-                used.update(layer)
-                layers.extend(layer)
-            if complete:
-                return finish(layers)
-    for attempt in range(64):
-        rng = random.Random(seed * 7_919 + attempt)
-        blocks = _backtrack_triples(n, lam, rng, node_cap=500_000)
-        if blocks is not None:
-            return finish(blocks)
+            blocks = build(random.Random(seed * salt + attempt))
+            if blocks is not None:
+                h = Hypergraph(n, 3, blocks)
+                if not _check_pair_exact(h, lam):
+                    raise ConstructionError("construction produced an invalid triple system")
+                return h
     raise ConstructionError(
         f"no triple system with multiplicity {lam} found on {n} vertices")
 
@@ -385,8 +364,7 @@ def _degree_checks(h: Hypergraph, m: int) -> list[Check]:
     checks.append(Check("codegree-triangles", tri_ok,
                         f"pairs of codegree {m} form disjoint triangles covering "
                         f"all {h.n} vertices", why))
-    bounds = {tag: km_codegree_bound(tag, t) for tag in ("H0", "H2", "H3")}
-    threshold = min(bounds.values())
+    threshold = min(km_codegree_bound(tag, t) for tag in CODEGREE_BOUND_TAGS)
     checks.append(Check(
         "template-thresholds", threshold > m,
         f"every non-star template containing {t} members forces a pair of "

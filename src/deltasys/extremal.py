@@ -26,7 +26,6 @@ the best vertex, its degree, and how many members miss it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -101,7 +100,6 @@ class ExtremalResult:
     max_size: int
     families: tuple[tuple[Edge, ...], ...]
     nodes: int
-    runtime_seconds: float
     exact: bool
 
     def to_json(self) -> dict:
@@ -117,7 +115,6 @@ class ExtremalResult:
             "exact": self.exact,
             "families": [[list(e) for e in fam] for fam in self.families],
             "nodes": self.nodes,
-            "runtime_seconds": self.runtime_seconds,
         }
 
 
@@ -276,7 +273,6 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     if config.kind == "avd-system" and sum(config.part_sizes) != k:
         raise ParameterError(
             f"block sizes {config.part_sizes} must sum to k={k}")
-    start = time.perf_counter()
     cand = list(combinations(range(1, n + 1), k))
     masks = [mask_of(e) for e in cand]
     total = len(cand)
@@ -355,8 +351,7 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     except BudgetExceeded:
         exact = False
     families = tuple(sorted(found.values()))
-    return ExtremalResult(n, k, config, best, families, counter.nodes,
-                          time.perf_counter() - start, exact)
+    return ExtremalResult(n, k, config, best, families, counter.nodes, exact)
 
 
 @dataclass(frozen=True)

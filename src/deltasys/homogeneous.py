@@ -151,14 +151,13 @@ def is_homogeneous(h: Hypergraph, s: int, parts) -> HomogeneousCheck:
                                     detail=f"edge {h.edges[i]} projects to a different pattern "
                                            f"than edge {h.edges[0]}")
     pattern = IntersectionPattern.of(h.k, map(vertices_of, common))
-    if not pattern.is_closed:
-        for a in pattern.sorted_sets():
-            for b in pattern.sorted_sets():
-                if frozenset(set(a) & set(b)) not in pattern.sets:
-                    return HomogeneousCheck(
-                        False, failure="pattern-not-closed",
-                        detail=f"{a} and {b} are in the pattern but their "
-                               f"intersection {tuple(sorted(set(a) & set(b)))} is not")
+    pair = pattern.open_pair()
+    if pair is not None:
+        a, b = pair
+        return HomogeneousCheck(
+            False, failure="pattern-not-closed",
+            detail=f"{a} and {b} are in the pattern but their "
+                   f"intersection {tuple(sorted(set(a) & set(b)))} is not")
     witnesses: list[SunflowerWitness] = []
     for i, e in enumerate(h.edges):
         for center, cm in idx.centers(i):

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BudgetExceeded, ParameterError
+from .errors import ParameterError
 from .hypergraph import (Edge, Hypergraph, Meeting, holders_of, mask_of,
                          max_codegree2, meet, vertex_tuple, vertices_of)
-from .search import NodeCounter, SearchOutcome, SearchStatus
+from .search import NodeCounter, SearchOutcome, bounded
 
 
 def _normalized_family(edges: Sequence[Iterable[int]]) -> list[Edge]:
@@ -281,18 +281,15 @@ def find_nontrivial_subfamily(h: Hypergraph, t: int, d: int,
         raise ParameterError(
             f"target size {t} below {d + 1}: any {d}-wise intersecting family "
             f"of at most {d} sets has a common vertex")
-    counter = NodeCounter(budget)
-    try:
+
+    def search(counter: NodeCounter) -> tuple[Edge, ...] | None:
         hit = nontrivial_search_masks(h.edge_masks, t, d, counter=counter)
-    except BudgetExceeded:
-        return SearchOutcome(SearchStatus.BUDGET, None, counter.nodes)
-    if hit is None:
-        return SearchOutcome(SearchStatus.NONE, None, counter.nodes)
-    witness = tuple(h.edges[i] for i in hit)
-    verdict = check_nontrivial(witness, d)
-    if not verdict.nontrivial:
+        return None if hit is None else tuple(h.edges[i] for i in hit)
+
+    out = bounded(budget, search)
+    if out.found and not check_nontrivial(out.witness, d).nontrivial:
         raise AssertionError("search produced an invalid subfamily")
-    return SearchOutcome(SearchStatus.FOUND, witness, counter.nodes)
+    return out
 
 
 # --- template classification for pairwise-intersecting triple families ---
@@ -345,20 +342,16 @@ class KMFamily:
         if len(set(m.values())) != len(m):
             raise ParameterError("core mapping must be injective")
         object.__setattr__(self, "mapping", m)
-        # built once per family: the core label of each mapped vertex, and
-        # the exceptional members as vertex sets
-        object.__setattr__(self, "_label", {v: c for c, v in m.items()})
-        object.__setattr__(self, "_exceptional", frozenset(
-            frozenset(m[c] for c in trip) for trip in _EXCEPTIONAL[self.tag]))
+        # built once per family: the bit of each mapped vertex's core label
+        object.__setattr__(self, "_bit", {v: 1 << (c - 1) for c, v in m.items()})
 
     def contains_edge(self, edge: Iterable[int]) -> bool:
-        e = frozenset(vertex_tuple(edge))
+        """Is the triple's label set one the template allows (`_PREFIXES`)?"""
+        e = vertex_tuple(edge)
         if len(e) != 3:
-            raise ParameterError(f"templates classify triples, got {sorted(e)}")
-        label = self._label
-        if _main_member(self.tag, frozenset(label[v] for v in e if v in label)):
-            return True
-        return e in self._exceptional
+            raise ParameterError(f"templates classify triples, got {list(e)}")
+        bit = self._bit
+        return sum(bit.get(v, 0) for v in e) in _PREFIXES[self.tag][-1]
 
     def contains_family(self, h: Hypergraph) -> bool:
         return all(self.contains_edge(e) for e in h.edges)
@@ -460,15 +453,19 @@ def classify_intersecting(h: Hypergraph) -> KMFamily:
     raise AssertionError("core-map search placed an intersecting family in no template")
 
 
+# the templates whose size forces a pair codegree: all but the star-like ones
+CODEGREE_BOUND_TAGS = ("H0", "H2", "H3", "H4", "H5")
+
+
 def km_codegree_bound(tag: str, size: int) -> int:
     """Least possible maximum pair codegree of a size-`size` family inside the template."""
+    if tag not in CODEGREE_BOUND_TAGS:
+        raise ParameterError(f"no codegree bound applies to template {tag}")
     if tag == "H0":
         return -(-size // 3)
     if tag == "H2":
         return -(-(size - 3) // 2)
-    if tag in ("H3", "H4", "H5"):
-        return size - 6
-    raise ParameterError(f"no codegree bound applies to template {tag}")
+    return size - 6
 
 
 def check_km_codegree_bounds(h: Hypergraph, km: KMFamily) -> bool:

@@ -87,11 +87,15 @@ class IntersectionPattern:
     @property
     def is_closed(self) -> bool:
         """True when the intersection of any two members is again a member."""
-        members = list(self.sets)
-        for a, b in combinations(members, 2):
-            if a & b not in self.sets:
-                return False
-        return True
+        return self.open_pair() is None
+
+    def open_pair(self) -> tuple[Edge, Edge] | None:
+        """The first pair of `sorted_sets()`, in combinations order, whose
+        intersection is not a member, or None when the pattern is closed."""
+        for a, b in combinations(self.sorted_sets(), 2):
+            if frozenset(a).intersection(b) not in self.sets:
+                return a, b
+        return None
 
     def sorted_sets(self) -> tuple[Edge, ...]:
         """Canonical presentation: members sorted by size then lexicographically."""

@@ -2,29 +2,13 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 from .errors import BudgetExceeded, ParameterError
 
-ENV_BUDGET = "DELTASYS_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10**8
-
-
-def default_budget() -> int:
-    """Node budget from the environment, else the package default."""
-    raw = os.environ.get(ENV_BUDGET)
-    if raw is None:
-        return DEFAULT_NODE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterError(f"{ENV_BUDGET} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ParameterError(f"{ENV_BUDGET} must be positive, got {value}")
-    return value
 
 
 class SearchStatus(str, Enum):
@@ -52,13 +36,13 @@ class SearchOutcome:
 
 class NodeCounter:
     """Counts search nodes and raises BudgetExceeded past the limit, which
-    defaults to `default_budget()`."""
+    defaults to `DEFAULT_NODE_BUDGET`."""
 
     __slots__ = ("nodes", "limit")
 
     def __init__(self, limit: int | None = None):
         if limit is None:
-            limit = default_budget()
+            limit = DEFAULT_NODE_BUDGET
         if limit < 1:
             raise ParameterError(f"node budget must be positive, got {limit}")
         self.nodes = 0
@@ -68,3 +52,16 @@ class NodeCounter:
         self.nodes += 1
         if self.nodes > self.limit:
             raise BudgetExceeded(self.nodes)
+
+
+def bounded(budget: int | None, search: Callable[[NodeCounter], Any]) -> SearchOutcome:
+    """Run `search` on a fresh `NodeCounter(budget)`: FOUND with the value it
+    returns, NONE when that is None, BUDGET once the counter runs out."""
+    counter = NodeCounter(budget)
+    try:
+        value = search(counter)
+    except BudgetExceeded:
+        return SearchOutcome(SearchStatus.BUDGET, None, counter.nodes)
+    if value is None:
+        return SearchOutcome(SearchStatus.NONE, None, counter.nodes)
+    return SearchOutcome(SearchStatus.FOUND, value, counter.nodes)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Iterable, Sequence
 
-from .errors import BudgetExceeded, ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError
 from .hypergraph import Edge, Hypergraph, mask_of, vertex_tuple, vertices_of
-from .search import NodeCounter, SearchOutcome, SearchStatus
+from .search import NodeCounter, SearchOutcome, bounded
 
 
 @dataclass(frozen=True)
@@ -371,17 +371,17 @@ def find_cluster(h: Hypergraph, part_sizes: Sequence[int], d: int,
         raise ParameterError(f"block sizes {a} must sum to the uniformity {h.k}")
     if d < p:
         raise ParameterError(f"petal count d={d} must be at least the number of blocks {p}")
-    counter = NodeCounter(budget)
-    try:
+
+    def search(counter: NodeCounter) -> SunflowerCluster | None:
         hit = next(disjoint_clusters(h.edge_masks, a, d, counter), None)
-    except BudgetExceeded:
-        return SearchOutcome(SearchStatus.BUDGET, None, counter.nodes)
-    if hit is None:
-        return SearchOutcome(SearchStatus.NONE, None, counter.nodes)
-    hi, blocks, groups = hit
-    witness = SunflowerCluster(h.edges[hi], blocks,
-                               tuple(tuple(h.edges[j] for j in g) for g in groups))
-    verdict = check_cluster(witness, d)
-    if not verdict.ok:
-        raise AssertionError(f"search produced an invalid cluster: {verdict.reason}")
-    return SearchOutcome(SearchStatus.FOUND, witness, counter.nodes)
+        if hit is None:
+            return None
+        hi, blocks, groups = hit
+        witness = SunflowerCluster(h.edges[hi], blocks,
+                                   tuple(tuple(h.edges[j] for j in g) for g in groups))
+        verdict = check_cluster(witness, d)
+        if not verdict.ok:
+            raise AssertionError(f"search produced an invalid cluster: {verdict.reason}")
+        return witness
+
+    return bounded(budget, search)

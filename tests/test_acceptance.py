@@ -204,8 +204,6 @@ def test_acceptance_10_cli_rerun_determinism(tmp_path, capsys):
     def normalized(raw):
         rep = json.loads(raw)
         rep.pop("timing")
-        if isinstance(rep.get("result"), dict):
-            rep["result"].pop("runtime_seconds", None)
         return rep
 
     spath = tmp_path / "sys9.txt"

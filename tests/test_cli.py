@@ -17,6 +17,7 @@ import pytest
 
 from deltasys import (
     Hypergraph,
+    KMFamily,
     SunflowerCluster,
     build_star,
     check_cluster,
@@ -291,6 +292,19 @@ class TestClassifyKm:
         rep = report_of(out)
         assert rep["result"]["template"] == "EKR"
         assert rep["result"]["mapping"] == {"1": "1"} or rep["result"]["mapping"] == {"1": 1}
+        assert [(c["name"], c["verdict"]) for c in rep["checks"]] == [("containment", "pass")]
+
+    def test_template_that_misses_members_fails_containment(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # the star through 1 on 7 points, placed in the star through 2: the
+        # members without 2 lie outside it, so the command must say so
+        hpath = tmp_path / "h.txt"
+        save_hypergraph(build_star(7, 3), hpath)
+        monkeypatch.setattr(cli, "classify_intersecting", lambda h: KMFamily("EKR", {1: 2}))
+        code, out = run_cli(["classify-km", str(hpath)], capsys)
+        rep = report_of(out)
+        assert (code, rep["verdict"]) == (1, "failed")
+        assert [(c["name"], c["verdict"]) for c in rep["checks"]] == [("containment", "fail")]
 
     def test_h0_reports_codegree_bound(self, tmp_path, capsys):
         from itertools import combinations
@@ -444,7 +458,6 @@ class TestExtremal:
             assert code == 0
             rep = report_of(out)
             assert "budget" in rep["params"] and "seed" not in rep["params"]
-            rep["result"].pop("runtime_seconds")
             results.append(rep["result"])
         assert results[0] == results[1]
         assert results[0]["config"] == {"kind": "nontrivial-intersecting", "t": 3, "d": 2}
@@ -629,8 +642,6 @@ class TestReportLayout:
 def normalized(out):
     rep = json.loads(out)
     rep.pop("timing")
-    if isinstance(rep.get("result"), dict):
-        rep["result"].pop("runtime_seconds", None)
     return rep
 
 
@@ -780,7 +791,6 @@ class TestParserReuse:
             extremal,
         ]
         monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
-        monkeypatch.delenv("DELTASYS_NODE_BUDGET", raising=False)
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
         runs = []

@@ -118,6 +118,8 @@ class TestIsHomogeneous:
         chk = is_homogeneous(h, 2, ((1,), (2, 3), (4, 5), (6, 7)))
         assert not chk.ok
         assert chk.failure == "pattern-not-closed"
+        assert chk.detail == ("(1, 2) and (1, 3) are in the pattern but their "
+                              "intersection (1,) is not")
 
     def test_missing_sunflower(self):
         h = Hypergraph(4, 3, [(1, 2, 3), (1, 2, 4)])

@@ -312,16 +312,28 @@ class TestSubfamilySearch:
         assert out.witness is None
         assert out.nodes <= 4  # the aborting tick is counted
 
-    def test_default_budget_comes_from_the_environment(self, monkeypatch):
+    def test_environment_sets_no_budget(self, monkeypatch):
+        # a budget of 3 would cut this search short; the variable that once
+        # set the default budget must leave the outcome as it is unset
         h = Hypergraph(9, 3, list(combinations(range(1, 9), 3))[:30])
+        monkeypatch.delenv("DELTASYS_NODE_BUDGET", raising=False)
+        unset = find_nontrivial_subfamily(h, 5, 2)
+        assert unset.status is not SearchStatus.BUDGET
+        assert find_nontrivial_subfamily(h, 5, 2, budget=3).status is SearchStatus.BUDGET
         monkeypatch.setenv("DELTASYS_NODE_BUDGET", "3")
-        assert NodeCounter().limit == 3
-        assert find_nontrivial_subfamily(h, 5, 2) == find_nontrivial_subfamily(h, 5, 2, budget=3)
-        monkeypatch.delenv("DELTASYS_NODE_BUDGET")
+        assert find_nontrivial_subfamily(h, 5, 2) == unset
         assert NodeCounter().limit == 10**8
         for bad in (0, -1):
             with pytest.raises(ParameterError):
                 NodeCounter(bad)
+
+    def test_no_module_reads_the_environment(self):
+        src = Path(intersecting.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            assert not names & {"environ", "environb", "getenv"}, path.name
 
     def test_validation(self):
         h = build_star(5, 3)
@@ -780,19 +792,56 @@ class TestClassificationOracle:
         assert seen == set(TEMPLATE_TAGS)
 
 
+# Each template written out as the rule it was first coded by: a main part
+# read off the core labels a triple carries, plus exceptional triples of
+# core vertices.
+REFERENCE_EXCEPTIONAL = {
+    "EKR": (),
+    "H0": (),
+    "H1": ((2, 3, 4),),
+    "H2": ((2, 3, 4), (2, 3, 5), (1, 4, 5)),
+    "H3": ((1, 3, 4), (1, 3, 5), (1, 4, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5)),
+    "H4": ((1, 3, 4), (1, 5, 6), (2, 3, 5), (2, 3, 6), (2, 4, 5), (2, 4, 6)),
+    "H5": ((1, 3, 4), (1, 5, 6), (1, 3, 6), (2, 3, 5), (2, 3, 6), (2, 4, 6)),
+}
+
+
+def reference_main_member(tag, core):
+    if tag == "EKR":
+        return 1 in core
+    if tag == "H0":
+        return len(core & {1, 2, 3}) >= 2
+    if tag == "H1":
+        return 1 in core and bool(core & {2, 3, 4})
+    if tag == "H2":
+        return 1 in core and bool(core & {2, 3})
+    return {1, 2} <= core
+
+
 def reference_contains_edge(km, edge):
-    """`KMFamily.contains_edge` as it was when it rebuilt the inverse core
-    map and the exceptional members on every call."""
+    """Template membership by the main-part rule and the exceptional
+    triples, rebuilding the inverse core map on every call."""
     e = set(edge)
     inverse = {v: c for c, v in km.mapping.items()}
     core = frozenset(inverse[v] for v in e if v in inverse)
-    if intersecting._main_member(km.tag, core):
+    if reference_main_member(km.tag, core):
         return True
     return frozenset(e) in frozenset(frozenset(km.mapping[c] for c in trip)
-                                     for trip in intersecting._EXCEPTIONAL[km.tag])
+                                     for trip in REFERENCE_EXCEPTIONAL[km.tag])
 
 
 class TestTemplateMembership:
+    def test_every_label_set_follows_the_written_rule(self):
+        # a triple's membership depends only on the core labels it carries;
+        # each label set of size 3 or less, padded with vertices off the core
+        for tag in TEMPLATE_TAGS:
+            c = intersecting._CORE_SIZE[tag]
+            ident = KMFamily(tag, {i: i for i in range(1, c + 1)})
+            for r in range(4):
+                for s in combinations(range(1, c + 1), r):
+                    e = s + tuple(range(c + 1, c + 4 - r))
+                    assert ident.contains_edge(e) == reference_contains_edge(ident, e), (tag, s)
+
     def test_answers_match_the_per_call_rebuild(self):
         # the oracle's families (the seven templates first), each under its
         # own classification and two seeded core maps per tag onto its

@@ -76,6 +76,16 @@ class TestPattern:
         closed = IntersectionPattern.of(3, fs((), {1}, {2}))
         assert closed.is_closed
 
+    def test_open_pair_is_the_first_of_the_open_pairs(self):
+        # both {1} & {2,3} and {1,2} & {2,3} fall outside; the first comes
+        # first in combinations order over sorted_sets()
+        p = IntersectionPattern.of(3, fs({2, 3}, {1, 2}, {1}))
+        assert p.open_pair() == ((1,), (2, 3))
+        assert not p.is_closed
+        q = IntersectionPattern.of(3, fs({2, 3}, {1, 2}, {1}, ()))
+        assert q.open_pair() == ((1, 2), (2, 3))
+        assert IntersectionPattern.of(3, fs((), {1}, {2})).open_pair() is None
+
     def test_sorted_sets_order(self):
         p = IntersectionPattern.of(3, fs({2, 3}, {3}, (), {1}))
         assert p.sorted_sets() == ((), (1,), (3,), (2, 3))
