@@ -14,7 +14,8 @@ complete no forbidden subfamily with the members chosen so far, drops the
 ones each new member kills, and bounds each branch by |chosen| + |live|.
 Configurations of exactly d+1 members (avd-systems, and nontrivial-intersecting
 with t = d+1, the d-simplices) read the kills from a conflict table listed
-once before the search, on the search's budget; larger ones find
+once before the search, on the search's budget, and filed under each
+conflict's two highest members as it is listed; larger ones find
 them with one bitmask walk per new member, over the chosen subfamilies
 through it. Both read which candidates meet a vertex set from one
 `hypergraph.Meeting` index over the candidates, the one the search kernel
@@ -118,16 +119,17 @@ class ExtremalResult:
         }
 
 
-def _simplex_sets(masks: list[int], d: int, meeting: Meeting,
-                  counter: NodeCounter) -> list[int]:
-    """Every d-simplex among the members, as a bitmask over `masks` positions.
+def _simplex_kills(masks: list[int], d: int, meeting: Meeting, counter: NodeCounter,
+                   kills: list[dict[int, int]]) -> None:
+    """File every d-simplex among the members in `kills`, laid out as in
+    `conflict_kills`.
 
     Members are added in index order while their meet stays nonempty. The
     (d+1)-th is read from the bitsets: the later members that miss the meet
-    and meet every meet that leaves one member out. `counter` ticks once per
-    partial simplex and once per simplex listed.
+    and meet every meet that leaves one member out. Each set of d members
+    is reached once, so its bitset of last members is one entry. `counter`
+    ticks once per partial simplex and once per simplex listed.
     """
-    found: list[int] = []
 
     def rec(start: int, bits: int, common: int, without: list[int]):
         # without[j]: meet of the members picked so far, all but the j-th
@@ -139,31 +141,40 @@ def _simplex_sets(masks: list[int], d: int, meeting: Meeting,
                     rec(i + 1, bits | 1 << i, common & m, [w & m for w in without] + [common])
             return
         last = meet(meeting[w] for w in without) & ~meeting[common] & -(1 << start)
-        while last:
-            counter.tick()
-            low = last & -last
-            found.append(bits | low)
-            last ^= low
+        if last:
+            counter.add(last.bit_count())
+            e = bits.bit_length() - 1
+            kills[e][bits ^ 1 << e] = last
 
     # the meet of no members: every vertex
     rec(0, 0, (1 << max(masks).bit_length()) - 1, [])
-    return found
 
 
-def conflict_sets(masks: list[int], config: ForbiddenConfig, meeting: Meeting,
-                  counter: NodeCounter) -> list[int] | None:
-    """The conflict table: every forbidden subfamily of the members.
+def conflict_kills(masks: list[int], config: ForbiddenConfig, meeting: Meeting,
+                   counter: NodeCounter) -> list[dict[int, int]] | None:
+    """The conflict table, every forbidden subfamily of the members, filed
+    for the search as it is listed.
 
-    Each entry is a bitmask over `masks` positions. None when the
+    kills[e][rest] is the bitset of the members c such that rest, e and c
+    form a forbidden subfamily with c its highest member and e the next;
+    rest is a bitmask over `masks` positions below e. None when the
     configuration has more than d+1 members (nontrivial-intersecting with
     t > d+1), which the table does not cover. Listing it ticks `counter`.
     """
-    if config.kind == "avd-system":
-        return list({sum(1 << j for g in groups for j in g) | 1 << hi for hi, _, groups
-                     in disjoint_clusters(masks, config.part_sizes, config.d, counter)})
-    if config.t == config.d + 1:
-        return _simplex_sets(masks, config.d, meeting, counter)
-    return None
+    if config.kind == "nontrivial-intersecting" and config.t > config.d + 1:
+        return None
+    kills: list[dict[int, int]] = [{} for _ in masks]
+    if config.kind == "nontrivial-intersecting":
+        _simplex_kills(masks, config.d, meeting, counter, kills)
+        return kills
+    for hi, _, groups in disjoint_clusters(masks, config.part_sizes, config.d, counter):
+        s = sum(1 << j for g in groups for j in g) | 1 << hi
+        c = s.bit_length() - 1
+        e = (s ^ 1 << c).bit_length() - 1
+        rest = s ^ 1 << c ^ 1 << e
+        # a cluster listed twice is OR-ed in twice, which changes nothing
+        kills[e][rest] = kills[e].get(rest, 0) | 1 << c
+    return kills
 
 
 def _nontrivial_kills(masks: list[int], chosen: int, newest: int, live: int, t: int,
@@ -255,18 +266,19 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     chosen member: members still arrive in index order.
 
     With exactly d+1 members (avd-system, and nontrivial-intersecting with
-    t = d+1, the d-simplex) the kills are read from a conflict
-    table listed up front and filed under each conflict's two highest
-    members: the highest is the only one still live when the second highest
-    arrives. One node is one branch or one tick of `conflict_sets`, and the
-    star is the incumbent even when the budget runs out while the table is
-    listed. For t > d+1, once |chosen| + 1 reaches t, a live x dies when
-    chosen + [x] holds a configuration through x. Older ones were ruled out
-    when their members were taken, so a new one holds x and the newest
-    member; a forbidden family stays forbidden in every superset, so x stays
-    dead. `_nontrivial_kills` finds the dead for every live candidate at
-    once in one walk over the chosen subfamilies through the newest member.
-    One node is one branch or one step of that walk.
+    t = d+1, the d-simplex) the kills are read from the conflict table of
+    `conflict_kills`, listed up front and filed as it is listed under each
+    conflict's two highest members: the highest is the only one still live
+    when the second highest arrives. One node is one branch or one tick of
+    `conflict_kills`, and the star is the incumbent even when the budget
+    runs out while the table is listed. For t > d+1, once |chosen| + 1
+    reaches t, a live x dies when chosen + [x] holds a configuration
+    through x. Older ones were ruled out when their members were taken, so
+    a new one holds x and the newest member; a forbidden family stays
+    forbidden in every superset, so x stays dead. `_nontrivial_kills` finds
+    the dead for every live candidate at once in one walk over the chosen
+    subfamilies through the newest member. One node is one branch or one
+    step of that walk.
     """
     if not 1 <= k <= n:
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -283,7 +295,9 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     def killed(chosen_mask: int, live: int) -> int:
         # the live candidates that complete a forbidden subfamily with chosen
         dead = 0
-        if conflicts is not None:
+        if kills is not None:
+            # once the newest member and all of rest are chosen, each of
+            # these later candidates would complete a conflict set
             for rest, kill in kills[chosen[-1]].items():
                 if chosen_mask & rest == rest:
                     dead |= kill
@@ -336,15 +350,7 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
         dfs(live & ~orbit, chosen_mask, cells)
 
     try:
-        conflicts = conflict_sets(masks, config, meeting, counter)
-        # kills[e][rest]: once e and every member of rest are chosen, each of
-        # these later candidates would complete a conflict set
-        kills: list[dict[int, int]] = [{} for _ in range(total)]
-        for s in conflicts or ():
-            c = s.bit_length() - 1
-            e = (s ^ 1 << c).bit_length() - 1
-            rest = s ^ 1 << c ^ 1 << e
-            kills[e][rest] = kills[e].get(rest, 0) | 1 << c
+        kills = conflict_kills(masks, config, meeting, counter)
         chosen.append(0)
         live = (1 << total) - 2
         dfs(live & ~killed(1, live), 1, refine([(1 << n) - 1], masks[0]))

@@ -246,26 +246,59 @@ def _climb_partition(h: Hypergraph, rng: random.Random,
                         counts[u][missing - new] += 1
 
 
+def _refine(k: int, edges: list[Edge], mask: dict[Edge, int], parts: tuple[Edge, ...],
+            s: int) -> list[Edge]:
+    """Cut rainbow `edges` down until they are homogeneous under `parts`.
+
+    Alternately unify the projected pattern, keeping the biggest pattern
+    class, and delete edges breaking closure or the sunflower condition.
+    Each step builds one `_MaskIndex` of the current edges, at most
+    k * min(2^k, |E|) bitset ANDs per edge; it gives the patterns and the
+    sunflower witnesses. Classes are keyed by sets of part masks, and only
+    the class left and tied classes are decoded to patterns. With s = 2
+    every meet is a sunflower center, so only s > 2 scans for a center
+    without petals. The result may be empty.
+    """
+    while edges:
+        idx = _MaskIndex(edges, [mask[e] for e in edges], parts)
+        groups: dict[frozenset[int], list[Edge]] = {}
+        for i, e in enumerate(edges):
+            groups.setdefault(idx.pattern(i), []).append(e)
+        if len(groups) > 1:
+            # keep the biggest pattern class; tie-break on the pattern itself
+            size = max(len(g) for g in groups.values())
+            first = min((key for key, g in groups.items() if len(g) == size),
+                        key=lambda pat: IntersectionPattern.of(
+                            k, map(vertices_of, pat)).sorted_sets())
+            edges = groups[first]
+            continue
+        pattern = IntersectionPattern.of(k, map(vertices_of, next(iter(groups))))
+        if not pattern.is_closed:
+            edges = edges[:-1]
+            continue
+        if s > 2:
+            bad = next((e for i, e in enumerate(edges)
+                        if any(idx.petals(i, cm, s) is None for cm in idx.meets[i])),
+                       None)
+            if bad is not None:
+                edges = [e for e in edges if e != bad]
+                continue
+        break
+    return edges
+
+
 def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
                         restarts: int = 8) -> HomogeneousCertificate:
     """Find a large homogeneous subgraph; always returns a valid certificate.
 
     Each restart draws a random vertex partition, improves it by hill
-    climbing on the rainbow edge count, then alternately unifies the
-    projected pattern and deletes edges breaking closure or the sunflower
-    condition until the remainder is homogeneous. The best certificate over
-    all restarts wins (larger subgraph first, earlier restart on ties); a
-    single edge with its tailor-made partition is the fallback, so the
-    result is never empty. Deterministic for fixed seed and restarts.
-
-    Each refinement step builds one `_MaskIndex` of the current edges, at
-    most k * min(2^k, |E|) bitset ANDs per edge; it gives the patterns and
-    the sunflower witnesses. Classes are keyed by sets of part masks, and
-    only the class left and tied classes are decoded to patterns. With
-    s = 2 every meet is a sunflower center, so only s > 2 scans for a
-    center without petals. The climb's co-member table is built once for
-    all restarts. `is_homogeneous` rechecks the final subgraph on an index
-    of its own.
+    climbing on the rainbow edge count, and cuts the rainbow edges down with
+    `_refine` until they are homogeneous. The largest subgraph over all
+    restarts wins, the earlier restart on ties; a single edge with its
+    tailor-made partition is the fallback, so the result is never empty.
+    Deterministic for fixed seed and restarts. The climb's co-member table
+    is built once for all restarts, and `is_homogeneous` checks the winner
+    once, on an index of its own, and gives its certificate.
     """
     if s < 2:
         raise ParameterError(f"petal count s must be at least 2, got {s}")
@@ -275,53 +308,24 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
         raise ParameterError(f"restarts must be nonnegative, got {restarts}")
     mask = dict(zip(h.edges, h.edge_masks))
     others = _co_members(h)
-    best: tuple[int, HomogeneousCertificate] | None = None
+    best: tuple[list[Edge], tuple[Edge, ...]] | None = None
     for r in range(restarts):
         rng = random.Random(seed * 1_000_003 + r)
         assign = _climb_partition(h, rng, others)
         parts = tuple(tuple(v for v in range(1, h.n + 1) if assign[v] == i)
                       for i in range(h.k))
-        edges = [e for e in h.edges if len({assign[v] for v in e}) == h.k]
-        while edges:
-            idx = _MaskIndex(edges, [mask[e] for e in edges], parts)
-            groups: dict[frozenset[int], list[Edge]] = {}
-            for i, e in enumerate(edges):
-                groups.setdefault(idx.pattern(i), []).append(e)
-            if len(groups) > 1:
-                # keep the biggest pattern class; tie-break on the pattern itself
-                size = max(len(g) for g in groups.values())
-                first = min((key for key, g in groups.items() if len(g) == size),
-                            key=lambda pat: IntersectionPattern.of(
-                                h.k, map(vertices_of, pat)).sorted_sets())
-                edges = groups[first]
-                continue
-            pattern = IntersectionPattern.of(h.k, map(vertices_of, next(iter(groups))))
-            if not pattern.is_closed:
-                edges = edges[:-1]
-                continue
-            if s > 2:
-                bad = next((e for i, e in enumerate(edges)
-                            if any(idx.petals(i, cm, s) is None for cm in idx.meets[i])),
-                           None)
-                if bad is not None:
-                    edges = [e for e in edges if e != bad]
-                    continue
-            break
-        if not edges:
-            continue
-        check = is_homogeneous(h.restrict(edges), s, parts)
-        if not check.ok:
-            raise AssertionError(f"refinement produced an invalid subgraph: {check.failure}")
-        if best is None or len(edges) > best[0]:
-            best = (len(edges), check.certificate)
-    if best is not None:
-        return best[1]
-    # fallback: one edge, each of its vertices alone in a part, spare
-    # vertices stacked into the first part
-    e = h.edges[0]
-    spare = tuple(v for v in range(1, h.n + 1) if v not in e)
-    parts = ((e[0],) + spare,) + tuple((v,) for v in e[1:])
-    check = is_homogeneous(h.restrict([e]), s, parts)
+        edges = _refine(h.k, [e for e in h.edges if len({assign[v] for v in e}) == h.k],
+                        mask, parts, s)
+        if edges and (best is None or len(edges) > len(best[0])):
+            best = (edges, parts)
+    if best is None:
+        # fallback: one edge, each of its vertices alone in a part, spare
+        # vertices stacked into the first part
+        e = h.edges[0]
+        spare = tuple(v for v in range(1, h.n + 1) if v not in e)
+        best = ([e], ((e[0],) + spare,) + tuple((v,) for v in e[1:]))
+    edges, parts = best
+    check = is_homogeneous(h.restrict(edges), s, parts)
     if not check.ok:
-        raise AssertionError(f"fallback subgraph is invalid: {check.failure}")
+        raise AssertionError(f"extraction produced an invalid subgraph: {check.failure}")
     return check.certificate

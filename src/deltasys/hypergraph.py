@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb
 from operator import and_
 from typing import Iterable, Iterator, Sequence
@@ -212,6 +212,11 @@ class Hypergraph:
         return sum(1 for m in self.edge_masks if m & bit)
 
 
+def _subsets(h: Hypergraph, size: int) -> Iterator[Edge]:
+    """Every size-subset of every edge, edge by edge, walked in C."""
+    return chain.from_iterable(map(combinations, h.edges, repeat(size)))
+
+
 def shadow(h: Hypergraph, i: int) -> set[Edge]:
     """The i-th shadow: all (k-i)-subsets contained in at least one edge.
 
@@ -219,10 +224,7 @@ def shadow(h: Hypergraph, i: int) -> set[Edge]:
     """
     if not 0 <= i <= h.k - 1:
         raise ParameterError(f"shadow order must lie in 0..{h.k - 1}, got {i}")
-    out: set[Edge] = set()
-    for e in h.edges:
-        out.update(combinations(e, h.k - i))
-    return out
+    return set(_subsets(h, h.k - i))
 
 
 def subset_degrees(h: Hypergraph, size: int) -> Counter[Edge]:
@@ -234,7 +236,7 @@ def subset_degrees(h: Hypergraph, size: int) -> Counter[Edge]:
     """
     if not 0 <= size <= h.k:
         raise ParameterError(f"subset size must lie in 0..{h.k}, got {size}")
-    return Counter(s for e in h.edges for s in combinations(e, size))
+    return Counter(_subsets(h, size))
 
 
 def codegree(h: Hypergraph, vertices: Iterable[int]) -> int:
@@ -298,13 +300,14 @@ def weight_identity(h: Hypergraph) -> tuple[Fraction, int]:
 
     The two components are equal for every hypergraph: grouping the sum by
     (k-1)-subset, each subset covered by the hypergraph contributes exactly 1.
-    The (k-1)-subset degrees are tabulated once; the (edge, (k-1)-subset)
-    pairs are then counted by their degree d, and the sum is the exact sum
-    of count/d over the distinct degrees, the same sum in a different order.
-    The shadow is counted separately with `shadow(h, 1)`.
+    The (k-1)-subset degrees are tabulated in one walk over the edges'
+    (k-1)-subsets; a second walk counts those (edge, subset) pairs by their
+    degree d, and the sum is the exact sum of count/d over the distinct
+    degrees, the same sum in a different order. The shadow is counted
+    separately with `shadow(h, 1)`.
     """
     deg = subset_degrees(h, h.k - 1)
-    by_degree = Counter(deg[s] for e in h.edges for s in combinations(e, h.k - 1))
+    by_degree = Counter(map(deg.__getitem__, _subsets(h, h.k - 1)))
     total = sum((Fraction(count, d) for d, count in by_degree.items()), Fraction(0))
     if h.k == 1:
         return total, (1 if h.edges else 0)

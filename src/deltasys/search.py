@@ -53,6 +53,14 @@ class NodeCounter:
         if self.nodes > self.limit:
             raise BudgetExceeded(self.nodes)
 
+    def add(self, count: int) -> None:
+        """`count` ticks at once; past the limit it stops at limit + 1, where
+        ticking one at a time would have stopped."""
+        self.nodes += count
+        if self.nodes > self.limit:
+            self.nodes = self.limit + 1
+            raise BudgetExceeded(self.nodes)
+
 
 def bounded(budget: int | None, search: Callable[[NodeCounter], Any]) -> SearchOutcome:
     """Run `search` on a fresh `NodeCounter(budget)`: FOUND with the value it

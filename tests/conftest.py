@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 from deltasys import (BudgetExceeded, ExtremalResult, Hypergraph, NodeCounter,
                       SunflowerCluster, check_cluster, mask_of)
 from deltasys.cli import main as cli_main
-from deltasys.extremal import _nontrivial_kills, conflict_sets
+from deltasys.extremal import _nontrivial_kills, conflict_kills
 from deltasys.hypergraph import Meeting, meet
 
 
@@ -231,6 +231,21 @@ def forms_cluster(edges, part_sizes, d):
     return False
 
 
+def conflict_list(kills):
+    """The conflicts a `conflict_kills` table files, each as a bitmask over
+    candidate positions, in filing order; None for no table."""
+    if kills is None:
+        return None
+    out = []
+    for e, table in enumerate(kills):
+        for rest, last in table.items():
+            while last:
+                low = last & -last
+                last ^= low
+                out.append(rest | 1 << e | low)
+    return out
+
+
 def labelled_max_avoiding(n, k, config, budget=None):
     """Every largest configuration-free family through the edge 1..k, labelled.
 
@@ -291,7 +306,7 @@ def labelled_max_avoiding(n, k, config, budget=None):
         dfs(rest, chosen_mask)
 
     try:
-        conflicts = conflict_sets(masks, config, meeting, counter)
+        conflicts = conflict_list(conflict_kills(masks, config, meeting, counter))
         kills = [{} for _ in range(total)]
         for s in conflicts or ():
             c = s.bit_length() - 1

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, report schema, artifacts."""
 
 import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -448,6 +449,30 @@ class TestExtremal:
         result = report_of(out)["result"]
         assert result["nodes"] == budget + 1
         assert result["max_size"] == comb(n - 1, 3)
+
+    # simplex-7-3 takes 2,186 nodes: one short, it stops on the last
+    @pytest.mark.parametrize("budget, code, verdict", [("2186", 0, "exact"),
+                                                      ("2185", 2, "budget-exhausted")])
+    def test_simplex_budget_boundary(self, budget, code, verdict, capsys):
+        got, out = run_cli(["extremal", "--n", "7", "--k", "3", "--config", "d-simplex",
+                            "--wise", "2", "--budget", budget], capsys)
+        assert got == code
+        rep = report_of(out)
+        assert rep["verdict"] == verdict
+        assert rep["result"]["nodes"] == 2186
+        assert rep["result"]["max_size"] == 15
+
+    # the 601st tick falls inside the bulk tick of one leaf of the simplex
+    # listing; the report is the one ticking each simplex on its own gave
+    def test_budget_inside_a_bulk_tick_keeps_the_report(self, capsys):
+        code, out = run_cli(["extremal", "--n", "8", "--k", "3", "--config", "d-simplex",
+                             "--wise", "2", "--budget", "600"], capsys)
+        assert code == 2
+        rep = report_of(out)
+        del rep["timing"]
+        assert rep["result"]["nodes"] == 601
+        digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+        assert digest[:16] == "0eff03386d6dd3c3"
 
     def test_simplex_runs_as_nontrivial_with_size_one_above_wise(self, capsys):
         results = []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from deltasys import (
+    BudgetExceeded,
     ForbiddenConfig,
     Hypergraph,
     NodeCounter,
@@ -20,9 +21,9 @@ from deltasys import (
     stability_scan,
     vertices_of,
 )
-from deltasys.extremal import _nontrivial_kills, conflict_sets
+from deltasys.extremal import _nontrivial_kills, conflict_kills
 from deltasys.hypergraph import Meeting
-from conftest import forms_cluster, labelled_images, labelled_max_avoiding
+from conftest import conflict_list, forms_cluster, labelled_images, labelled_max_avoiding
 
 
 def brute_force_max_n5():
@@ -291,7 +292,8 @@ class TestDifferential:
     def test_conflict_table_matches_the_kernels(self, k, config):
         for n in range(k, 7):
             masks = [mask_of(e) for e in combinations(range(1, n + 1), k)]
-            table = set(conflict_sets(masks, config, Meeting(masks), NodeCounter()))
+            table = set(conflict_list(conflict_kills(masks, config, Meeting(masks),
+                                                     NodeCounter())))
             for idx in combinations(range(len(masks)), config.d + 1):
                 hit = forms_config([vertices_of(masks[i]) for i in idx], config)
                 assert (sum(1 << i for i in idx) in table) == hit, (n, idx)
@@ -310,15 +312,15 @@ class TestDifferential:
             masks = [mask_of(e) for e in combinations(range(1, n + 1), k)]
             for d in range(len(shape), len(shape) + 3):
                 config = ForbiddenConfig("avd-system", part_sizes=shape, d=d)
-                tables.append(sorted(conflict_sets(masks, config, Meeting(masks),
-                                                   NodeCounter())))
+                tables.append(sorted(conflict_list(conflict_kills(
+                    masks, config, Meeting(masks), NodeCounter()))))
         assert sum(map(len, tables)) == entries
         assert hashlib.sha256(json.dumps(tables).encode()).hexdigest()[:16] == digest
 
     def test_larger_configurations_have_no_table(self):
         masks = [mask_of(e) for e in combinations(range(1, 6), 3)]
         config = ForbiddenConfig("nontrivial-intersecting", t=4, d=2)
-        assert conflict_sets(masks, config, Meeting(masks), NodeCounter()) is None
+        assert conflict_kills(masks, config, Meeting(masks), NodeCounter()) is None
 
 
 def brute_force_kills(cand, chosen, newest, live, t, d):
@@ -330,6 +332,45 @@ def brute_force_kills(cand, chosen, newest, live, t, d):
                for rest in combinations(others, t - 2)):
             dead |= 1 << x
     return dead
+
+
+class TestBulkTicks:
+    def test_add_stops_at_one_past_the_limit(self):
+        counter = NodeCounter(10)
+        counter.add(4)
+        counter.add(6)
+        assert counter.nodes == 10
+        with pytest.raises(BudgetExceeded) as exc:
+            counter.add(1)
+        assert counter.nodes == exc.value.nodes == 11
+        far = NodeCounter(10)
+        far.tick()
+        with pytest.raises(BudgetExceeded) as exc:
+            far.add(10**6)
+        assert far.nodes == exc.value.nodes == 11
+
+    @pytest.mark.parametrize("n,k", [(8, 3), (7, 4)])
+    def test_budget_runs_out_inside_one_add(self, n, k, monkeypatch):
+        # a leaf of the simplex listing ticks once per simplex it finds, in
+        # one add; at these sizes the 601st tick falls inside one, and the
+        # search ends as ticking one simplex at a time ends it: at 601
+        # nodes, with the star
+        adds = []
+        add = NodeCounter.add
+
+        def spy(self, count):
+            adds.append((self.nodes, count))
+            add(self, count)
+
+        monkeypatch.setattr(NodeCounter, "add", spy)
+        res = max_avoiding(n, k, ForbiddenConfig("d-simplex", d=2), budget=600)
+        before, count = adds[-1]
+        assert before < 600 < before + count - 1
+        assert not res.exact
+        assert res.nodes == 601
+        star = tuple(e for e in combinations(range(1, n + 1), k) if e[0] == 1)
+        assert res.families == (star,)
+        assert res.max_size == len(star)
 
 
 class TestKillEnumeration:

@@ -23,6 +23,7 @@ from deltasys import (
     rank,
     vertices_of,
 )
+from deltasys import homogeneous
 from deltasys.homogeneous import _MaskIndex, _climb_partition, _co_members
 from conftest import random_hypergraph
 
@@ -270,6 +271,34 @@ class TestExtraction:
             as_int = {cls: sum(1 << mask_of(m) for m in p) for cls, p in pats.items()}
             disagree += min(as_int, key=as_int.get) != kept
         assert tied > 10 and disagree > 0
+
+    @pytest.mark.parametrize("restarts", [0, 1, 2, 8])
+    def test_one_check_per_extraction(self, restarts, monkeypatch):
+        # the winner is checked once, whatever the number of restarts; with
+        # none, the winner is the one-edge fallback
+        calls = []
+        check = homogeneous.is_homogeneous
+
+        def spy(sub, s, parts):
+            calls.append(sub)
+            return check(sub, s, parts)
+
+        monkeypatch.setattr(homogeneous, "is_homogeneous", spy)
+        h = random_hypergraph(random.Random(77), n=10, k=3, max_edges=40)
+        cert = extract_homogeneous(h, 2, seed=3, restarts=restarts)
+        assert calls == [cert.subgraph]
+        assert check(cert.subgraph, 2, cert.partition).ok
+        if restarts == 0:
+            assert cert.subgraph.edges == h.edges[:1]
+
+    def test_an_invalid_winner_is_refused(self, monkeypatch):
+        # a refinement that keeps every rainbow edge hands the check a
+        # subgraph whose edges project to different patterns
+        monkeypatch.setattr(homogeneous, "_refine", lambda k, edges, mask, parts, s: edges)
+        rng = random.Random(13)
+        h = Hypergraph(12, 3, rng.sample(list(combinations(range(1, 13), 3)), 40))
+        with pytest.raises(AssertionError, match="pattern-mismatch"):
+            extract_homogeneous(h, 2, seed=0, restarts=2)
 
     def test_validation(self):
         h, _ = complete_tripartite(2)

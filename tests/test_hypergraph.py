@@ -170,6 +170,47 @@ class TestCodegree:
             subset_degrees(h, -1)
 
 
+def looped_degrees(edges, size):
+    """subset -> the number of edges holding it, by plain loops."""
+    out = {}
+    for e in edges:
+        for sub in combinations(e, size):
+            out[sub] = out.get(sub, 0) + 1
+    return out
+
+
+def seeded_graphs():
+    # four seeded graphs for each k = 1..5, and the empty hypergraph
+    rng = random.Random(2531)
+    out = [Hypergraph(6, k, []) for k in (1, 3)]
+    for k in range(1, 6):
+        for _ in range(4):
+            n = rng.randint(k, k + 5)
+            pool = list(combinations(range(1, n + 1), k))
+            out.append(Hypergraph(n, k, rng.sample(pool, rng.randint(1, min(len(pool), 30)))))
+    return out
+
+
+@pytest.mark.parametrize("h", seeded_graphs(), ids=repr)
+class TestAgainstPlainLoops:
+    def test_subset_degrees_and_shadows(self, h):
+        for size in range(h.k + 1):
+            assert subset_degrees(h, size) == looped_degrees(h.edges, size)
+        for i in range(h.k):
+            assert shadow(h, i) == set(looped_degrees(h.edges, h.k - i))
+
+    def test_weight_identity(self, h):
+        degrees = looped_degrees(h.edges, h.k - 1)
+        total = Fraction(0)
+        for e in h.edges:
+            for sub in combinations(e, h.k - 1):
+                total += Fraction(1, degrees[sub])
+        weights, covered = weight_identity(h)
+        assert isinstance(weights, Fraction)
+        assert (weights, covered) == (total, len(degrees))
+        assert total == len(degrees)
+
+
 class TestMeeting:
     def test_against_brute_force(self):
         # 80 seeded member lists on up to 8 vertices, 40 queries each with d
