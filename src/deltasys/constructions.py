@@ -34,6 +34,10 @@ class DesignSpec:
             raise ParameterError(f"need at least 3 vertices, got {self.n}")
         if self.lam < 1:
             raise ParameterError(f"multiplicity must be positive, got {self.lam}")
+        if self.lam > self.n - 2:
+            raise AdmissibilityError(
+                f"no triple system on {self.n} vertices with multiplicity "
+                f"{self.lam}: a pair lies in at most {self.n - 2} distinct triples")
         if (self.lam * self.n * (self.n - 1)) % 6 or (self.lam * (self.n - 1)) % 2:
             raise AdmissibilityError(
                 f"no triple system on {self.n} vertices with multiplicity "
@@ -47,8 +51,7 @@ class DesignSpec:
 
 def build_star(n: int, k: int) -> Hypergraph:
     """All k-subsets of 1..n through vertex 1."""
-    if not 1 <= k <= n:
-        raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_order(n, k)
     edges = [(1,) + rest for rest in combinations(range(2, n + 1), k - 1)]
     return Hypergraph(n, k, edges)
 
@@ -389,35 +392,27 @@ def verify_counterexample(h: Hypergraph, m: int, mode: str = "both",
     if mode not in ("degree-argument", "exhaustive", "both"):
         raise ParameterError(f"unknown mode {mode!r}")
     t = 3 * m + 1
-    checks: list[Check] = []
-    witness = None
-    nodes = 0
+    # degree: the counting checks, empty when they have not run
+    degree = _degree_checks(h, m) if mode != "exhaustive" else []
+    checks = list(degree)
     search: SearchOutcome | None = None
-    degree: list[Check] | None = None
-    if mode in ("degree-argument", "both"):
-        degree = _degree_checks(h, m)
-        checks.extend(degree)
-    if mode in ("exhaustive", "both"):
+    if mode != "degree-argument":
         search = find_nontrivial_subfamily(h, t, 2, budget)
-        nodes = search.nodes
         checks.append(Check(
             "exhaustive-search", search.status == SearchStatus.NONE,
             f"no {t} members are pairwise intersecting without a common vertex",
             f"status {search.status.value} after {search.nodes} nodes"))
-        if search.status == SearchStatus.FOUND:
-            witness = search.witness
-        elif search.status == SearchStatus.BUDGET and degree is None:
+        if search.status == SearchStatus.BUDGET and not degree:
             # fall back to counting to decide between conditional and refuted
             degree = _degree_checks(h, m)
             checks.extend(degree)
-    if witness is not None:
+    witness, nodes, status = ((search.witness, search.nodes, search.status)
+                              if search else (None, 0, None))
+    if witness is not None or not all(c.ok for c in degree):
         verdict = "refuted"
-    elif degree is not None and not all(c.ok for c in degree):
-        verdict = "refuted"
-    elif search is not None and search.status == SearchStatus.NONE:
+    elif status == SearchStatus.NONE:
         verdict = "verified"
     else:
         verdict = "conditional"
-    exhausted = search is not None and search.status == SearchStatus.BUDGET
     return VerificationReport(verdict, mode, m, tuple(checks), witness, nodes,
-                              exhausted)
+                              status == SearchStatus.BUDGET)

@@ -33,9 +33,9 @@ from itertools import combinations
 from math import comb, isfinite
 
 from .errors import BudgetExceeded, ParameterError
-from .hypergraph import Edge, Hypergraph, Meeting, mask_of, meet
+from .hypergraph import Edge, Hypergraph, Meeting, check_order, mask_of, meet
 from .search import NodeCounter
-from .sunflowers import disjoint_clusters
+from .sunflowers import cluster_blocks, disjoint_clusters
 
 CONFIG_KINDS = ("nontrivial-intersecting", "d-simplex", "avd-system")
 
@@ -78,12 +78,7 @@ class ForbiddenConfig:
                 raise ParameterError("avd-system needs part_sizes and d")
             if self.t is not None:
                 raise ParameterError("avd-system takes only part_sizes and d")
-            sizes = tuple(self.part_sizes)
-            if len(sizes) < 2 or any(x < 1 for x in sizes):
-                raise ParameterError(f"part sizes must be >=2 positive entries, got {sizes}")
-            if self.d < len(sizes):
-                raise ParameterError(f"d={self.d} must be at least the block count {len(sizes)}")
-            object.__setattr__(self, "part_sizes", sizes)
+            object.__setattr__(self, "part_sizes", cluster_blocks(self.part_sizes, self.d))
 
     def describe(self) -> str:
         if self.kind == "nontrivial-intersecting":
@@ -280,8 +275,7 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     subfamilies through the newest member. One node is one branch or one
     step of that walk.
     """
-    if not 1 <= k <= n:
-        raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_order(n, k)
     if config.kind == "avd-system" and sum(config.part_sizes) != k:
         raise ParameterError(
             f"block sizes {config.part_sizes} must sum to k={k}")

@@ -126,12 +126,15 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
     so each family still has one path. A common vertex that no candidate
     misses stays common, which ends the branch. Once the core has no common
     vertex, the rest of F is a plain compatibility search over the
-    candidates left, in index order. Compatibility is pairwise intersection,
-    read from one row per member of the members meeting it; for d >= 3 a
-    pick also keeps only the members that meet each (d-1)-fold meet it
-    closes (`Meeting.narrow`). While at least three picks remain, a greedy
-    colouring of the candidates' intersection graph bounds how many of them
-    fit together (Tomita and Seki's bound for maximum clique). Each colour
+    candidates left, in index order. One loop expands the children in both
+    phases, which differ only in what it picks: the candidates missing the
+    chosen core vertex, or every candidate. A member once picked leaves the
+    candidates of the children after it. Compatibility is pairwise
+    intersection, read from one row per member of the members meeting it;
+    for d >= 3 a pick also keeps only the members that meet each (d-1)-fold
+    meet it closes (`Meeting.narrow`). While at least three picks remain, a
+    greedy colouring of the candidates' intersection graph bounds how many of
+    them fit together (Tomita and Seki's bound for maximum clique). Each colour
     class takes at least one candidate, so the colouring stops, and the step
     ends, once the classes so far plus the candidates still uncoloured fall
     short of the picks left; it prunes exactly where colouring every
@@ -178,10 +181,13 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
         have = cand.bit_count()
         if have < need:
             return None
+        # pick: the candidates a child is tried for, in index order
+        pick = cand
         if common:
-            # branch on the core vertex that the fewest candidates miss; a
-            # vertex that no candidate misses stays common, so the branch ends
-            miss, fewest = 0, have + 1
+            # branch on the core vertex that the fewest candidates miss, and
+            # pick its misses; a vertex that no candidate misses stays
+            # common, so the branch ends
+            fewest = have + 1
             rest = common
             while rest:
                 low = rest & -rest
@@ -191,26 +197,8 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
                 if size < fewest:
                     if not size:
                         return None
-                    miss, fewest = out, size
-            # left: the candidates less the misses already tried; have: its size
-            rest, left = miss, cand
-            while rest:
-                if have < need:
-                    return None
-                low = rest & -rest
-                rest ^= low
-                left ^= low
-                have -= 1
-                b = low.bit_length() - 1
-                child = left & rows[b]
-                if wide:
-                    child = narrow(child, chosen, b, d)
-                if child.bit_count() >= need - 1:
-                    hit = step(chosen + (b,), common & vmasks[b], child)
-                    if hit:
-                        return hit
-            return None
-        if need >= 3:
+                    pick, fewest = out, size
+        elif need >= 3:
             # the picks left are pairwise intersecting, so at most one per
             # colour class of pairwise disjoint candidates; each class takes
             # at least one candidate, so once the classes so far plus the
@@ -224,20 +212,23 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
                     q &= apart[low.bit_length() - 1]
                 if colours + left.bit_count() < need:
                     return None
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
-            child = rest & rows[j]
+        # left: the candidates less the picks already tried; have: its size
+        left = cand
+        while pick:
+            if have < need:
+                return None
+            low = pick & -pick
+            pick ^= low
+            left ^= low
+            have -= 1
+            b = low.bit_length() - 1
+            child = left & rows[b]
             if wide:
-                child = narrow(child, chosen, j, d)
+                child = narrow(child, chosen, b, d)
             if child.bit_count() >= need - 1:
-                hit = step(chosen + (j,), 0, child)
+                hit = step(chosen + (b,), common & vmasks[b], child)
                 if hit:
                     return hit
-            if rest.bit_count() < need:
-                return None
         return None
 
     counter.tick()

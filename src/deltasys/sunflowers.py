@@ -352,6 +352,20 @@ def disjoint_clusters(masks: Sequence[int], part_sizes: Sequence[int], d: int,
                     yield hi, blocks, groups
 
 
+def cluster_blocks(part_sizes: Sequence[int], d: int) -> tuple[int, ...]:
+    """The block sizes of a cluster with d petal edges, as a tuple: at least
+    two blocks, each of positive size, and no more blocks than d."""
+    a = tuple(part_sizes)
+    if len(a) < 2:
+        raise ParameterError(f"need at least two blocks, got {len(a)}")
+    if any(x < 1 for x in a):
+        raise ParameterError(f"block sizes must be positive, got {a}")
+    if d < len(a):
+        raise ParameterError(
+            f"petal count d={d} must be at least the number of blocks {len(a)}")
+    return a
+
+
 def find_cluster(h: Hypergraph, part_sizes: Sequence[int], d: int,
                  budget: int | None = None) -> SearchOutcome:
     """Exact budgeted search for a disjoint cluster with the given block sizes.
@@ -361,16 +375,9 @@ def find_cluster(h: Hypergraph, part_sizes: Sequence[int], d: int,
     scanned in deterministic lexicographic order, so the witness, the first
     cluster `disjoint_clusters` lists, is the same on every run.
     """
-    a = tuple(int(x) for x in part_sizes)
-    p = len(a)
-    if p < 2:
-        raise ParameterError(f"need at least two blocks, got {p}")
-    if any(x < 1 for x in a):
-        raise ParameterError(f"block sizes must be positive, got {a}")
+    a = cluster_blocks([int(x) for x in part_sizes], d)
     if sum(a) != h.k:
         raise ParameterError(f"block sizes {a} must sum to the uniformity {h.k}")
-    if d < p:
-        raise ParameterError(f"petal count d={d} must be at least the number of blocks {p}")
 
     def search(counter: NodeCounter) -> SunflowerCluster | None:
         hit = next(disjoint_clusters(h.edge_masks, a, d, counter), None)

@@ -347,6 +347,16 @@ class TestBuilders:
         code, _ = run_cli(["build-steiner", "--n", "8", "--lambda", "1"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["build-steiner", "--n", "9", "--lambda", "8"],
+        ["build-steiner", "--n", "7", "--lambda", "6"],
+        ["build-counterexample", "--n", "9", "--m", "9"],
+    ], ids=" ".join)
+    def test_multiplicity_above_n_minus_2_is_an_input_error(self, argv, capsys):
+        # no pair lies in more than n-2 distinct triples
+        code, out = run_cli(argv, capsys)
+        assert code == 3 and not out
+
     def test_counterexample_artifact(self, tmp_path, capsys):
         outfile = tmp_path / "sys9.txt"
         code, out = run_cli(
@@ -409,6 +419,15 @@ class TestVerifyCounterexample:
 
 
 class TestExtremal:
+    def test_order_above_the_vertex_cap_is_an_input_error(self, capsys):
+        # the same cap as build_star and every loader
+        code, out = run_cli(
+            ["extremal", "--n", "129", "--k", "1", "--config",
+             "nontrivial-intersecting", "--size", "2", "--wise", "1"],
+            capsys,
+        )
+        assert code == 3 and not out
+
     def test_exact_value(self, capsys):
         code, out = run_cli(
             ["extremal", "--n", "5", "--k", "3", "--config",

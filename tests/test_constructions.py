@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -45,7 +46,10 @@ class TestDesignSpec:
     def test_admissible(self, n, lam):
         DesignSpec(n, lam)
 
-    @pytest.mark.parametrize("n,lam", [(8, 1), (10, 1), (11, 1), (12, 1), (6, 1), (8, 3), (5, 2)])
+    # (7, 6) and (9, 8) pass divisibility, but a pair lies in at most n-2
+    # distinct triples
+    @pytest.mark.parametrize("n,lam", [(8, 1), (10, 1), (11, 1), (12, 1), (6, 1), (8, 3), (5, 2),
+                                       (7, 6), (9, 8)])
     def test_inadmissible(self, n, lam):
         with pytest.raises(AdmissibilityError):
             DesignSpec(n, lam)
@@ -84,6 +88,10 @@ class TestTripleSystems:
         assert len(h) == 10
         assert all(1 in e for e in h.edges)
         assert build_star(6, 3).n == 6
+
+    def test_multiplicity_n_minus_2_is_the_complete_design(self):
+        h = build_triple_system(DesignSpec(7, 5))
+        assert len(h) == comb(7, 3)
 
 
 def edges_digest(h):
@@ -274,6 +282,26 @@ class TestVerification:
         assert ver.budget_exhausted
         degree_checks = [c for c in ver.checks if c.name != "exhaustive-search"]
         assert degree_checks and all(c.ok for c in degree_checks)
+
+    # every verdict path: counting alone passing and failing, a completed
+    # search, an exhausted one falling back to counting (in exhaustive mode
+    # too), and FOUND with a witness; one digest over all 48 reports
+    def test_verdict_grid_is_pinned(self):
+        inputs = [(build_counterexample(9, 4, 0).system, 4),
+                  (build_counterexample(15, 5, 0).system, 4),
+                  (build_counterexample(15, 5, 0).system, 5),
+                  (build_star(9, 3), 4)]
+        reports = [verify_counterexample(h, m, mode, budget).to_json()
+                   for h, m in inputs
+                   for mode in ("degree-argument", "exhaustive", "both")
+                   for budget in (None, 1, 5, 50)]
+        paths = {(r["mode"], r["verdict"], r["budget_exhausted"], "witness" in r)
+                 for r in reports}
+        assert {v for _, v, _, _ in paths} == {"verified", "conditional", "refuted"}
+        assert ("exhaustive", "refuted", True, False) in paths
+        assert ("exhaustive", "refuted", False, True) in paths
+        digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+        assert digest == "700d9d48cd83a39bf941e6efa7d77695f7225a9881758164c208ad27bce2d0b0"
 
     def test_mode_validation(self):
         rep = build_counterexample(9, 4, seed=0)

@@ -111,6 +111,11 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             ForbiddenConfig("avd-system", t=3, part_sizes=(2, 1), d=2)
 
+    def test_order_above_the_vertex_cap_is_refused(self):
+        config = ForbiddenConfig("nontrivial-intersecting", t=2, d=1)
+        with pytest.raises(ParameterError, match="exceeds the vertex cap 128"):
+            max_avoiding(129, 1, config)
+
     def test_describe_mentions_the_parameters(self):
         text = ForbiddenConfig("nontrivial-intersecting", t=3, d=2).describe()
         assert "3" in text and "2-wise" in text
