@@ -33,7 +33,7 @@ from itertools import combinations
 from math import comb, isfinite
 
 from .errors import BudgetExceeded, ParameterError
-from .hypergraph import Edge, Hypergraph, Meeting, check_order, mask_of, meet
+from .hypergraph import Edge, Hypergraph, Meeting, check_order, mask_of
 from .search import NodeCounter
 from .sunflowers import cluster_blocks, disjoint_clusters
 
@@ -49,6 +49,7 @@ class ForbiddenConfig:
     d-simplex: another name for its t = d+1 case, which it becomes.
     avd-system: a host-partitioned sunflower cluster with the given block
     sizes and d petal edges in total.
+    t, d and the block sizes must be integers.
     """
 
     kind: str
@@ -59,6 +60,10 @@ class ForbiddenConfig:
     def __post_init__(self):
         if self.kind not in CONFIG_KINDS:
             raise ParameterError(f"unknown configuration kind {self.kind!r}")
+        for name in ("t", "d"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, int):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.kind == "d-simplex":
             if self.d is None or self.t is not None or self.part_sizes is not None:
                 raise ParameterError("d-simplex takes exactly d")
@@ -122,24 +127,31 @@ def _simplex_kills(masks: list[int], d: int, meeting: Meeting, counter: NodeCoun
     Members are added in index order while their meet stays nonempty. The
     (d+1)-th is read from the bitsets: the later members that miss the meet
     and meet every meet that leaves one member out. Each set of d members
-    is reached once, so its bitset of last members is one entry. `counter`
-    ticks once per partial simplex and once per simplex listed.
+    is reached once, so its bitset of last members is one entry. The d-th
+    member is taken in its parent's loop, which reads that entry in place
+    (with d = 1, at the root). `counter` ticks once per partial simplex and
+    once per simplex listed.
     """
 
     def rec(start: int, bits: int, common: int, without: list[int]):
         # without[j]: meet of the members picked so far, all but the j-th
         counter.tick()
-        if len(without) < d:
-            for i in range(start, len(masks)):
-                m = masks[i]
-                if common & m:
-                    rec(i + 1, bits | 1 << i, common & m, [w & m for w in without] + [common])
-            return
-        last = meet(meeting[w] for w in without) & ~meeting[common] & -(1 << start)
-        if last:
-            counter.add(last.bit_count())
-            e = bits.bit_length() - 1
-            kills[e][bits ^ 1 << e] = last
+        leaf = len(without) == d - 1
+        meets = meeting[common]
+        for i in range(start, len(masks)):
+            m = masks[i]
+            if not common & m:
+                continue
+            if not leaf:
+                rec(i + 1, bits | 1 << i, common & m, [w & m for w in without] + [common])
+                continue
+            counter.tick()
+            last = meets & ~meeting[common & m] & -(2 << i)
+            for w in without:
+                last &= meeting[w & m]
+            if last:
+                counter.add(last.bit_count())
+                kills[i][bits] = last
 
     # the meet of no members: every vertex
     rec(0, 0, (1 << max(masks).bit_length()) - 1, [])
@@ -176,9 +188,11 @@ def _nontrivial_kills(masks: list[int], chosen: int, newest: int, live: int, t: 
                       d: int, meeting: Meeting, counter: NodeCounter) -> int:
     """The live candidates x that complete a forbidden t-family through x and `newest`.
 
-    `chosen` is a bitmask over candidate positions that holds `newest`. The
-    walk builds each d-wise intersecting (t-1)-subfamily S of the chosen
-    members through `newest`, picking the others in index order. It keeps
+    Only for t > d+1, the configurations `conflict_kills` leaves out, so S
+    always takes at least two picks after `newest`. `chosen` is a bitmask
+    over candidate positions that holds `newest`. The walk builds each
+    d-wise intersecting (t-1)-subfamily S of the chosen members through
+    `newest`, picking the others in index order. It keeps
     `fits`, the candidates meeting the meet of every min(|S|, d-1) members
     of S, which `Meeting.narrow` updates with each pick: each pick comes
     from it, and a full S kills every target in it that misses the meet of
@@ -186,19 +200,19 @@ def _nontrivial_kills(masks: list[int], chosen: int, newest: int, live: int, t: 
     kill: they lie in `fits` and hold no common vertex of S that every
     member left to pick also holds (`Meeting.kept`). A pick that leaves no
     target is skipped, and a branch ends when no target is left or too few
-    members are left to pick. One node is one tick of `counter`, one member
-    added to S.
+    members are left to pick. A pick that completes S reads its kills in
+    place, in its parent's loop. One node is one tick of `counter`, one
+    member added to S.
     """
     dead = 0
     narrow, kept = meeting.narrow, meeting.kept
+    # with d = 2 narrowing is one AND, which the loop does without a call
+    wide = d > 2
 
     def grow(picked: list[int], common: int, fits: int, pool: int, targets: int):
         nonlocal dead
         counter.tick()
         need = t - 1 - len(picked)
-        if not need:
-            dead |= targets & ~meeting[common]
-            return
         pool &= fits
         # a common vertex that every member left to pick holds stays common
         targets &= ~meeting[kept(common, pool)]
@@ -206,10 +220,16 @@ def _nontrivial_kills(masks: list[int], chosen: int, newest: int, live: int, t: 
             low = pool & -pool
             pool ^= low
             s = low.bit_length() - 1
-            more = narrow(fits, picked, s, d)
+            m = masks[s]
+            more = narrow(fits, picked, s, d) if wide else fits & meeting[m]
             aim = targets & more & ~dead
-            if aim:
-                grow(picked + [s], common & masks[s], more, pool, aim)
+            if not aim:
+                continue
+            if need == 1:
+                counter.tick()
+                dead |= aim & ~meeting[common & m]
+            else:
+                grow(picked + [s], common & m, more, pool, aim)
 
     fits = meeting[masks[newest]]
     grow([newest], masks[newest], fits, chosen & ~(1 << newest), live & fits)

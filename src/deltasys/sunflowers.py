@@ -69,7 +69,9 @@ def disjoint_picks(cands: Sequence[tuple[Any, int]], start: int, need: int, used
     come in lexicographic order of their positions, each as (items in scan
     order, `used` with their residues added). A candidate whose residue
     meets `used` is never taken, so an item already charged to `used` may
-    stay in the list. `counter`, when given, ticks once per candidate taken.
+    stay in the list. The last candidate of a choice is yielded in place,
+    in its parent's loop. `counter`, when given, ticks once per candidate
+    taken.
     """
     if need == 0:
         yield (), used
@@ -80,6 +82,9 @@ def disjoint_picks(cands: Sequence[tuple[Any, int]], start: int, need: int, used
             continue
         if counter is not None:
             counter.tick()
+        if need == 1:
+            yield (item,), used | res
+            continue
         for rest, after in disjoint_picks(cands, pos + 1, need - 1, used | res, counter):
             yield (item,) + rest, after
 
@@ -335,16 +340,20 @@ def disjoint_clusters(masks: Sequence[int], part_sizes: Sequence[int], d: int,
     partitions, then the compositions of d into group sizes, then the
     petals group by group; a composition that asks a group for more members
     than it has candidates is skipped. The same member set may come more
-    than once. `counter` ticks once per host, once per partition walked and
-    once per petal picked.
+    than once. Each host indexes the other members, in index order, by
+    their meet with it once, and a block's candidates are the members that
+    meet the host in the rest of the host. `counter` ticks once per host,
+    once per partition walked and once per petal picked.
     """
     for hi, host_mask in enumerate(masks):
         counter.tick()
+        by_meet: dict[int, list[tuple[int, int]]] = {}
+        for j, m in enumerate(masks):
+            if j != hi:
+                by_meet.setdefault(m & host_mask, []).append((j, m & ~host_mask))
         for blocks in _host_partitions(vertices_of(host_mask), part_sizes):
-            centers = [host_mask & ~mask_of(b) for b in blocks]
             counter.tick()
-            cands = [[(j, m & ~host_mask) for j, m in enumerate(masks)
-                      if j != hi and m & host_mask == cm] for cm in centers]
+            cands = [by_meet.get(host_mask & ~mask_of(b), []) for b in blocks]
             for sizes in _compositions(d, len(blocks)):
                 if any(len(c) < b for c, b in zip(cands, sizes)):
                     continue
@@ -354,8 +363,11 @@ def disjoint_clusters(masks: Sequence[int], part_sizes: Sequence[int], d: int,
 
 def cluster_blocks(part_sizes: Sequence[int], d: int) -> tuple[int, ...]:
     """The block sizes of a cluster with d petal edges, as a tuple: at least
-    two blocks, each of positive size, and no more blocks than d."""
+    two blocks, each a positive integer, and no more blocks than d, an
+    integer."""
     a = tuple(part_sizes)
+    if not all(isinstance(x, int) for x in a + (d,)):
+        raise ParameterError(f"block sizes and d must be integers, got {a} and d={d!r}")
     if len(a) < 2:
         raise ParameterError(f"need at least two blocks, got {len(a)}")
     if any(x < 1 for x in a):
@@ -375,7 +387,7 @@ def find_cluster(h: Hypergraph, part_sizes: Sequence[int], d: int,
     scanned in deterministic lexicographic order, so the witness, the first
     cluster `disjoint_clusters` lists, is the same on every run.
     """
-    a = cluster_blocks([int(x) for x in part_sizes], d)
+    a = cluster_blocks(part_sizes, d)
     if sum(a) != h.k:
         raise ParameterError(f"block sizes {a} must sum to the uniformity {h.k}")
 

@@ -116,6 +116,15 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="exceeds the vertex cap 128"):
             max_avoiding(129, 1, config)
 
+    def test_fractional_size_is_refused(self):
+        # with t = 4.5 the kill walk would never fill S
+        with pytest.raises(ParameterError, match="t must be an integer"):
+            ForbiddenConfig("nontrivial-intersecting", t=4.5, d=2)
+
+    def test_fractional_block_sizes_are_refused(self):
+        with pytest.raises(ParameterError, match="must be integers"):
+            ForbiddenConfig("avd-system", part_sizes=(1.5, 1.5), d=2)
+
     def test_describe_mentions_the_parameters(self):
         text = ForbiddenConfig("nontrivial-intersecting", t=3, d=2).describe()
         assert "3" in text and "2-wise" in text
@@ -200,6 +209,27 @@ class TestAgainstBruteForce:
             "nontriv-7-3-t6-d3", "nontriv-6-3-t7-d4"])
     def test_node_counts_are_pinned(self, n, config, nodes):
         assert max_avoiding(n, 3, config).nodes == nodes
+
+    def test_budget_outcomes_are_pinned(self):
+        # the outcome at every budget up to 200 and every 13th above it, up
+        # to one past the node total, for the pinned configurations above;
+        # one digest, recorded before the kill enumerations read their last
+        # level in place
+        outcomes = []
+        for n, config in [(7, ForbiddenConfig("d-simplex", d=2)),
+                          (6, ForbiddenConfig("avd-system", part_sizes=(2, 1), d=2)),
+                          (6, ForbiddenConfig("nontrivial-intersecting", t=6, d=2)),
+                          (6, ForbiddenConfig("nontrivial-intersecting", t=5, d=2)),
+                          (7, ForbiddenConfig("nontrivial-intersecting", t=6, d=3)),
+                          (6, ForbiddenConfig("nontrivial-intersecting", t=7, d=4))]:
+            total = max_avoiding(n, 3, config).nodes
+            for budget in sorted(set(range(1, 201)) | set(range(200, total + 2, 13))
+                                 | {total, total + 1}):
+                res = max_avoiding(n, 3, config, budget=budget)
+                outcomes.append([budget, res.max_size, res.families, res.nodes, res.exact])
+        assert len(outcomes) == 1782
+        digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()[:16]
+        assert digest == "841260dd502fe779"
 
     def test_result_json(self):
         res = max_avoiding(5, 3, ForbiddenConfig("d-simplex", d=2))
@@ -322,6 +352,18 @@ class TestDifferential:
         assert sum(map(len, tables)) == entries
         assert hashlib.sha256(json.dumps(tables).encode()).hexdigest()[:16] == digest
 
+    def test_simplex_tables_are_pinned(self):
+        # the sorted tables for k = 3 and 4, n = k+1..7 and d = 1..3
+        tables = []
+        for k in (3, 4):
+            for n in range(k + 1, 8):
+                masks = [mask_of(e) for e in combinations(range(1, n + 1), k)]
+                for d in (1, 2, 3):
+                    tables.append(sorted(conflict_list(conflict_kills(
+                        masks, SIMPLEX[d], Meeting(masks), NodeCounter()))))
+        assert sum(map(len, tables)) == 5356
+        assert hashlib.sha256(json.dumps(tables).encode()).hexdigest()[:16] == "01ebd79266877ae8"
+
     def test_larger_configurations_have_no_table(self):
         masks = [mask_of(e) for e in combinations(range(1, 6), 3)]
         config = ForbiddenConfig("nontrivial-intersecting", t=4, d=2)
@@ -402,6 +444,25 @@ class TestKillEnumeration:
             assert counter.nodes >= 1
             killing += dead != 0
         assert 60 <= killing <= 240, killing
+
+    def test_node_total_is_pinned(self):
+        # the walk's ticks over the same 300 seeded states
+        rng = random.Random(2026)
+        nodes = 0
+        for i in range(300):
+            k, d = 2 + i % 3, 2 + i // 3 % 2
+            t = d + 2 + i // 6 % 3
+            n = rng.randint(max(k + 2, 5), 7)
+            masks = [mask_of(e) for e in combinations(range(1, n + 1), k)]
+            chosen = rng.sample(range(len(masks)), rng.randint(t - 1, min(9, len(masks) - 1)))
+            rest = [x for x in range(len(masks)) if x not in chosen]
+            live = rng.sample(rest, rng.randint(1, min(12, len(rest))))
+            newest = rng.choice(chosen)
+            counter = NodeCounter(10**9)
+            _nontrivial_kills(masks, sum(1 << j for j in chosen), newest,
+                              sum(1 << x for x in live), t, d, Meeting(masks), counter)
+            nodes += counter.nodes
+        assert nodes == 1574
 
 
 class TestPinnedFamilies:

@@ -401,6 +401,11 @@ class TestFindCluster:
         with pytest.raises(ParameterError):
             find_cluster(h, (2, 1), 1)      # d below the group count
 
+    def test_fractional_block_sizes_are_refused(self):
+        # truncated to (2, 1), a star would avoid it and the search answer NONE
+        with pytest.raises(ParameterError, match="must be integers"):
+            find_cluster(build_star(6, 3), (2.5, 1.5), 2)
+
     def test_budget_exhaustion_reported(self):
         c, n = random_full_cluster(random.Random(3), (2, 1), (2, 2))
         h = Hypergraph(n, 3, c.all_edges)
