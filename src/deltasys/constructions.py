@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import AdmissibilityError, ConstructionError, ParameterError
+from .errors import AdmissibilityError, ConstructionError, ParameterError, check_int
 from .hypergraph import (Edge, Hypergraph, _pair_histogram, _pair_table, check_order,
                          holders_of, subset_degrees)
 from .intersecting import CODEGREE_BOUND_TAGS, find_nontrivial_subfamily, km_codegree_bound
@@ -30,10 +30,8 @@ class DesignSpec:
     lam: int
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ParameterError(f"need at least 3 vertices, got {self.n}")
-        if self.lam < 1:
-            raise ParameterError(f"multiplicity must be positive, got {self.lam}")
+        check_int("n", self.n, 3)
+        check_int("multiplicity lam", self.lam, 1)
         if self.lam > self.n - 2:
             raise AdmissibilityError(
                 f"no triple system on {self.n} vertices with multiplicity "
@@ -310,9 +308,8 @@ def _codegree_m_triangles(h: Hypergraph, pairs: dict[Edge, int],
 
 def build_counterexample(n: int, m: int, seed: int = 0) -> ConstructionReport:
     """Pair-exact system of multiplicity m-1 plus a perfect matching from its complement."""
-    if m < 4:
-        raise ParameterError(f"m must be at least 4, got {m}")
-    if n % 3:
+    check_int("m", m, 4)
+    if check_int("n", n, 3) % 3:
         raise ParameterError(f"n must be divisible by 3 for the matching, got {n}")
     spec = DesignSpec(n, m - 1)
     base = build_triple_system(spec, seed)
@@ -387,8 +384,7 @@ def verify_counterexample(h: Hypergraph, m: int, mode: str = "both",
     or failed check refutes. Budget exhaustion falls back to the counting
     verdict.
     """
-    if m < 4:
-        raise ParameterError(f"m must be at least 4, got {m}")
+    check_int("m", m, 4)
     if mode not in ("degree-argument", "exhaustive", "both"):
         raise ParameterError(f"unknown mode {mode!r}")
     t = 3 * m + 1

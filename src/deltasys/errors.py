@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of an
+integer parameter."""
 
 from __future__ import annotations
 
@@ -37,3 +38,12 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, nodes: int):
         self.nodes = nodes
         super().__init__(f"node budget exhausted after {nodes} nodes")
+
+
+def check_int(name: str, value, low: int, high: int | None = None) -> int:
+    """Return `value` when it is an int of at least `low` and, when `high` is
+    given, at most `high`; otherwise raise ParameterError naming `name`."""
+    if not isinstance(value, int) or value < low or high is not None and value > high:
+        span = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ParameterError(f"{name} must be an integer {span}, got {value!r}")
+    return value

@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, isfinite
 
-from .errors import BudgetExceeded, ParameterError
+from .errors import BudgetExceeded, ParameterError, check_int
 from .hypergraph import Edge, Hypergraph, Meeting, check_order, mask_of
 from .search import NodeCounter
 from .sunflowers import cluster_blocks, disjoint_clusters
@@ -49,7 +49,8 @@ class ForbiddenConfig:
     d-simplex: another name for its t = d+1 case, which it becomes.
     avd-system: a host-partitioned sunflower cluster with the given block
     sizes and d petal edges in total.
-    t, d and the block sizes must be integers.
+    t and d must be ints of at least 1, and the block sizes ints; other
+    values are refused, never rounded.
     """
 
     kind: str
@@ -60,10 +61,9 @@ class ForbiddenConfig:
     def __post_init__(self):
         if self.kind not in CONFIG_KINDS:
             raise ParameterError(f"unknown configuration kind {self.kind!r}")
-        for name in ("t", "d"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, int):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        for name, value in (("t", self.t), ("d", self.d)):
+            if value is not None:
+                check_int(name, value, 1)
         if self.kind == "d-simplex":
             if self.d is None or self.t is not None or self.part_sizes is not None:
                 raise ParameterError("d-simplex takes exactly d")
@@ -72,7 +72,7 @@ class ForbiddenConfig:
         if self.kind == "nontrivial-intersecting":
             if self.t is None or self.d is None:
                 raise ParameterError("nontrivial-intersecting needs t and d")
-            if self.d < 1 or self.d == 1 and self.t != 2:
+            if self.d == 1 and self.t != 2:
                 raise ParameterError(f"d must be at least 2, or 1 with t=2, got d={self.d}")
             if self.t < self.d + 1:
                 raise ParameterError(f"t must be at least d+1, got t={self.t}, d={self.d}")

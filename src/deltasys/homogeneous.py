@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .hypergraph import Edge, Hypergraph, holders_of, mask_of, shadow, vertices_of
 from .patterns import IntersectionPattern, rank, validate_vertex_partition
 from .sunflowers import disjoint_picks
@@ -132,8 +132,7 @@ class _MaskIndex:
 
 def is_homogeneous(h: Hypergraph, s: int, parts) -> HomogeneousCheck:
     """Check the four homogeneity conditions; first failure wins."""
-    if s < 2:
-        raise ParameterError(f"petal count s must be at least 2, got {s}")
+    check_int("petal count s", s, 2)
     if len(h) == 0:
         raise ParameterError("subgraph must be nonempty")
     norm = validate_vertex_partition(h.n, parts)
@@ -300,12 +299,10 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
     is built once for all restarts, and `is_homogeneous` checks the winner
     once, on an index of its own, and gives its certificate.
     """
-    if s < 2:
-        raise ParameterError(f"petal count s must be at least 2, got {s}")
+    check_int("petal count s", s, 2)
+    check_int("restarts", restarts, 0)
     if len(h) == 0:
         raise ParameterError("hypergraph must be nonempty")
-    if restarts < 0:
-        raise ParameterError(f"restarts must be nonnegative, got {restarts}")
     mask = dict(zip(h.edges, h.edge_masks))
     others = _co_members(h)
     best: tuple[list[Edge], tuple[Edge, ...]] | None = None

@@ -11,7 +11,7 @@ from math import comb
 from operator import and_
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParameterError, UniformityError
+from .errors import ParameterError, UniformityError, check_int
 
 Edge = tuple[int, ...]
 
@@ -122,12 +122,9 @@ class Meeting(dict):
 
 def check_order(n: int, k: int) -> None:
     """Refuse a vertex count or uniformity no hypergraph on {1..n} may have."""
-    if not isinstance(n, int) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
-    if n > MAX_VERTICES:
+    if check_int("n", n, 1) > MAX_VERTICES:
         raise ParameterError(f"n={n} exceeds the vertex cap {MAX_VERTICES}")
-    if not isinstance(k, int) or not 1 <= k <= n:
-        raise ParameterError(f"k must satisfy 1 <= k <= n, got k={k!r}, n={n}")
+    check_int("k", k, 1, n)
 
 
 def _sorted_distinct(edges: list[Edge]) -> list[Edge]:
@@ -222,8 +219,7 @@ def shadow(h: Hypergraph, i: int) -> set[Edge]:
 
     i ranges over 0..k-1; shadow(h, 0) is the edge set itself.
     """
-    if not 0 <= i <= h.k - 1:
-        raise ParameterError(f"shadow order must lie in 0..{h.k - 1}, got {i}")
+    check_int("shadow order", i, 0, h.k - 1)
     return set(_subsets(h, h.k - i))
 
 
@@ -234,8 +230,7 @@ def subset_degrees(h: Hypergraph, size: int) -> Counter[Edge]:
     gives the codegree of any sorted vertex tuple s of that size. size ranges
     over 0..k; size 0 maps the empty tuple to |H| when h has edges.
     """
-    if not 0 <= size <= h.k:
-        raise ParameterError(f"subset size must lie in 0..{h.k}, got {size}")
+    check_int("subset size", size, 0, h.k)
     return Counter(_subsets(h, size))
 
 

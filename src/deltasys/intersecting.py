@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .hypergraph import (Edge, Hypergraph, Meeting, holders_of, mask_of,
                          max_codegree2, meet, vertex_tuple, vertices_of)
 from .search import NodeCounter, SearchOutcome, bounded
@@ -66,8 +66,7 @@ def check_nontrivial(edges: Sequence[Iterable[int]], d: int,
     With a `counter`, each prefix is one tick of it, so the walk can run
     out of budget (BudgetExceeded).
     """
-    if d < 2:
-        raise ParameterError(f"intersection order d must be at least 2, got {d}")
+    check_int("intersection order d", d, 2)
     fam = _normalized_family(edges)
     masks = [mask_of(e) for e in fam]
     total = meet(masks)
@@ -105,8 +104,7 @@ def is_d_simplex(edges: Sequence[Iterable[int]], d: int | None = None) -> bool:
     fam = _normalized_family(edges)
     if d is None:
         d = len(fam) - 1
-    if d < 1:
-        raise ParameterError(f"simplex order d must be at least 1, got {d}")
+    check_int("simplex order d", d, 1)
     if len(fam) != d + 1:
         raise ParameterError(f"a {d}-simplex has {d + 1} sets, got {len(fam)}")
     masks = [mask_of(e) for e in fam]
@@ -266,9 +264,8 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
 def find_nontrivial_subfamily(h: Hypergraph, t: int, d: int,
                               budget: int | None = None) -> SearchOutcome:
     """Exact budgeted search for t edges, d-wise intersecting, no common vertex."""
-    if d < 2:
-        raise ParameterError(f"intersection order d must be at least 2, got {d}")
-    if t < d + 1:
+    check_int("intersection order d", d, 2)
+    if check_int("target size t", t, 0) < d + 1:
         raise ParameterError(
             f"target size {t} below {d + 1}: any {d}-wise intersecting family "
             f"of at most {d} sets has a common vertex")

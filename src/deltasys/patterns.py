@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .hypergraph import Edge, Hypergraph, vertex_tuple
 
 
@@ -71,8 +71,7 @@ class IntersectionPattern:
     sets: frozenset[frozenset[int]]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ParameterError(f"k must be positive, got {self.k}")
+        check_int("k", self.k, 1)
         ground = set(range(1, self.k + 1))
         for s in self.sets:
             if not s <= ground:

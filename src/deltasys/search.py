@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
-from .errors import BudgetExceeded, ParameterError
+from .errors import BudgetExceeded, check_int
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -41,12 +41,8 @@ class NodeCounter:
     __slots__ = ("nodes", "limit")
 
     def __init__(self, limit: int | None = None):
-        if limit is None:
-            limit = DEFAULT_NODE_BUDGET
-        if limit < 1:
-            raise ParameterError(f"node budget must be positive, got {limit}")
         self.nodes = 0
-        self.limit = limit
+        self.limit = DEFAULT_NODE_BUDGET if limit is None else check_int("node budget", limit, 1)
 
     def tick(self) -> None:
         self.nodes += 1

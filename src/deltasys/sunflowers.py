@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Iterable, Sequence
 
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError, check_int
 from .hypergraph import Edge, Hypergraph, mask_of, vertex_tuple, vertices_of
 from .search import NodeCounter, SearchOutcome, bounded
 
@@ -63,7 +63,7 @@ def is_sunflower(edges: Sequence[Iterable[int]]) -> bool:
 def disjoint_picks(cands: Sequence[tuple[Any, int]], start: int, need: int, used: int,
                    counter: NodeCounter | None):
     """Every choice of `need` candidates from position `start` on whose residues
-    are pairwise disjoint and disjoint from `used`.
+    are pairwise disjoint and disjoint from `used`; `need` is at least 1.
 
     `cands` holds (item, residue mask) pairs in the caller's order. Choices
     come in lexicographic order of their positions, each as (items in scan
@@ -73,9 +73,6 @@ def disjoint_picks(cands: Sequence[tuple[Any, int]], start: int, need: int, used
     in its parent's loop. `counter`, when given, ticks once per candidate
     taken.
     """
-    if need == 0:
-        yield (), used
-        return
     for pos in range(start, len(cands) - need + 1):
         item, res = cands[pos]
         if res & used:
@@ -99,8 +96,7 @@ def find_sunflower(h: Hypergraph, center: Iterable[int], s: int,
     deterministic. With `require_edge`, that edge is forced into the
     sunflower.
     """
-    if s < 2:
-        raise ParameterError(f"sunflower size must be at least 2, got {s}")
+    check_int("sunflower size", s, 2)
     c = vertex_tuple(center)
     cm = mask_of(c)
     cands = [(e, m & ~cm) for e, m in zip(h.edges, h.edge_masks) if m & cm == cm]
@@ -248,8 +244,10 @@ def check_cluster(c: SunflowerCluster, d: int | None = None) -> ClusterCheck:
 def complete_cluster(c: SunflowerCluster, group_sizes: Sequence[int]) -> SunflowerCluster:
     """Shrink a semi cluster's groups to the requested sizes with disjoint residues.
 
-    Requires, for each block i (1-based, with a = block sizes, b = requested
-    sizes, c = available group sizes): c_i >= b_i + sum over j < i of a_j*b_j.
+    `group_sizes` holds one int of at least 1 per block; other values are
+    refused, never rounded. Requires, for each block i (1-based, with
+    a = block sizes, b = requested sizes, c = available group sizes):
+    c_i >= b_i + sum over j < i of a_j*b_j.
     Under that bound a greedy sweep in lexicographic order always succeeds:
     every previously chosen residue of size a_j can block at most a_j
     candidates of a later group, because residues within one group are
@@ -260,9 +258,11 @@ def complete_cluster(c: SunflowerCluster, group_sizes: Sequence[int]) -> Sunflow
     if not semi.ok:
         raise ParameterError(f"input is not a semi cluster: {semi.reason}")
     p = len(c.blocks)
-    b = tuple(int(x) for x in group_sizes)
-    if len(b) != p or any(x < 1 for x in b):
+    b = tuple(group_sizes)
+    if len(b) != p:
         raise ParameterError(f"group sizes must be {p} positive integers, got {b}")
+    for x in b:
+        check_int("group size", x, 1)
     a = c.block_sizes
     have = c.group_sizes
     blocked = 0

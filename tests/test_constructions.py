@@ -222,6 +222,14 @@ class TestCounterexampleConstruction:
         with pytest.raises(AdmissibilityError):
             build_counterexample(12, 4)  # no pair-exact system at lam=3
 
+    def test_codegree_m_pairs_on_a_hexagon_close_no_triangle(self):
+        # every vertex lies in two codegree-4 pairs, but they form a 6-cycle
+        h = Hypergraph(6, 3, [])
+        pairs = dict.fromkeys([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)], 4)
+        ok, reason = constructions._codegree_m_triangles(h, pairs, 4)
+        assert not ok
+        assert reason == "codegree-4 pairs around vertex 1 do not close a triangle"
+
     def test_larger_instance(self):
         rep = build_counterexample(15, 5, seed=0)
         assert rep.size == DesignSpec(15, 4).block_count + 5

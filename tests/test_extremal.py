@@ -125,6 +125,11 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="must be integers"):
             ForbiddenConfig("avd-system", part_sizes=(1.5, 1.5), d=2)
 
+    def test_block_sizes_must_sum_to_k(self):
+        config = ForbiddenConfig("avd-system", part_sizes=(1, 1), d=2)
+        with pytest.raises(ParameterError, match=r"block sizes \(1, 1\) must sum to k=3"):
+            max_avoiding(6, 3, config)
+
     def test_describe_mentions_the_parameters(self):
         text = ForbiddenConfig("nontrivial-intersecting", t=3, d=2).describe()
         assert "3" in text and "2-wise" in text

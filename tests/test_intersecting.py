@@ -335,6 +335,23 @@ class TestSubfamilySearch:
             names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             assert not names & {"environ", "environb", "getenv"}, path.name
 
+    def test_integer_parameters_are_checked_in_one_routine(self):
+        # `vertex_tuple` tests each vertex on the hot path of every edge, and
+        # `cluster_blocks` names block sizes and d together in its refusal
+        allowed = {"check_int", "vertex_tuple", "cluster_blocks"}
+        src = Path(intersecting.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            # the innermost function around each node: inner ones come later
+            owner = {}
+            for func in ast.walk(tree):
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    owner.update((id(node), func.name) for node in ast.walk(func))
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                        and any(getattr(n, "id", None) == "int" for n in ast.walk(node.args[1]))):
+                    assert owner.get(id(node)) in allowed, (path.name, node.lineno)
+
     def test_validation(self):
         h = build_star(5, 3)
         with pytest.raises(ParameterError):
@@ -865,7 +882,27 @@ class TestTemplateMembership:
         assert min(answers.values()) >= 70, answers
 
 
+    @pytest.mark.parametrize("tag,mapping,reason", [
+        ("H9", {1: 1}, "unknown template tag"),
+        ("H0", {1: 1, 2: 2}, "needs core labels 1..3"),
+        ("H0", {1: 1, 2: 2, 3: 1}, "injective"),
+    ])
+    def test_bad_families_are_refused(self, tag, mapping, reason):
+        with pytest.raises(ParameterError, match=reason):
+            KMFamily(tag, mapping)
+
+    def test_only_triples_are_classified(self):
+        with pytest.raises(ParameterError, match="templates classify triples"):
+            KMFamily("EKR", {1: 1}).contains_edge((1, 2))
+
+
 class TestCodegreeBounds:
+    def test_family_outside_the_template_is_refused(self):
+        # the star template on vertex 1 holds no triple avoiding 1
+        h = Hypergraph(5, 3, [(1, 2, 3), (2, 3, 4)])
+        with pytest.raises(ParameterError, match="not contained in the given template"):
+            check_km_codegree_bounds(h, KMFamily("EKR", {1: 1}))
+
     def test_threshold_table(self):
         assert km_codegree_bound("H0", 12) == 4
         assert km_codegree_bound("H2", 12) == 5

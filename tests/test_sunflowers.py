@@ -140,6 +140,22 @@ class TestClusterShape:
         )
         assert SunflowerCluster.from_json(c.to_json()) == c
 
+    @pytest.mark.parametrize("data", [{"host": [1, 2, 3]}, {"host": 5, "blocks": [], "groups": []}])
+    def test_malformed_json_is_refused(self, data):
+        with pytest.raises(ParameterError, match="malformed cluster witness"):
+            SunflowerCluster.from_json(data)
+
+    @pytest.mark.parametrize("cluster,reason", [
+        (SunflowerCluster((1,), ((1,),), (((2,),),)), "at least two vertices"),
+        (SunflowerCluster((1, 2), (), ()), "at least one partition block"),
+        (SunflowerCluster((1, 2), ((1, 2), ()), (((3, 4),), ((1, 2),))), "nonempty"),
+        (SunflowerCluster((1, 2, 3), ((1, 2), (3,)), (((3, 4, 5),), ((1, 2),))),
+         "has size 2, host has size 3"),
+    ])
+    def test_shape_refusals(self, cluster, reason):
+        with pytest.raises(ParameterError, match=reason):
+            check_semi_cluster(cluster)
+
     def test_blocks_must_partition_host(self):
         # the container is permissive; the checkers enforce the shape
         c = SunflowerCluster((1, 2, 3), ((1, 2),), (((3, 4, 5),),))
@@ -178,6 +194,13 @@ class TestSemiCheck:
         chk = check_semi_cluster(c)
         assert not chk.ok
         assert chk.reason
+
+    def test_repeated_edge_fails(self):
+        c = SunflowerCluster((1, 2, 3), ((1, 2), (3,)),
+                             (((3, 4, 5), (3, 4, 5)), ((1, 2, 6),)))
+        chk = check_semi_cluster(c)
+        assert not chk.ok
+        assert chk.reason == "edge (3, 4, 5) appears twice in the cluster"
 
     def test_overlap_within_group_fails(self):
         c = SunflowerCluster(
