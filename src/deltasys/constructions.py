@@ -178,6 +178,7 @@ def build_triple_system(spec: DesignSpec, seed: int = 0) -> Hypergraph:
     single-multiplicity layers, the first cyclic when it can be; then up to
     64 backtrack directly. The output is always revalidated by counting.
     """
+    check_int("seed", seed, None)
     n, lam = spec.n, spec.lam
     cyclic = _cyclic_sts(n)
 

@@ -40,10 +40,14 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"node budget exhausted after {nodes} nodes")
 
 
-def check_int(name: str, value, low: int, high: int | None = None) -> int:
-    """Return `value` when it is an int of at least `low` and, when `high` is
-    given, at most `high`; otherwise raise ParameterError naming `name`."""
-    if not isinstance(value, int) or value < low or high is not None and value > high:
-        span = f"at least {low}" if high is None else f"in {low}..{high}"
-        raise ParameterError(f"{name} must be an integer {span}, got {value!r}")
+def check_int(name: str, value, low: int | None, high: int | None = None) -> int:
+    """Return `value` when it is an int, and not a bool, in `low`..`high`;
+    otherwise raise ParameterError naming `name`. `low` None leaves the
+    range open below and is not given with a `high`; `high` None leaves it
+    open above."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or low is not None and value < low or high is not None and value > high):
+        span = ("" if low is None else f" at least {low}" if high is None
+                else f" in {low}..{high}")
+        raise ParameterError(f"{name} must be an integer{span}, got {value!r}")
     return value

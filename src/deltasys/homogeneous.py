@@ -300,6 +300,7 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
     once, on an index of its own, and gives its certificate.
     """
     check_int("petal count s", s, 2)
+    check_int("seed", seed, None)
     check_int("restarts", restarts, 0)
     if len(h) == 0:
         raise ParameterError("hypergraph must be nonempty")

@@ -18,6 +18,9 @@ Edge = tuple[int, ...]
 #: Vertex labels live in 1..n, and n may not exceed this cap.
 MAX_VERTICES = 128
 
+# _BIT[v] is vertex v's bit in an edge mask, for v in 1..MAX_VERTICES
+_BIT = [0] + [1 << v for v in range(MAX_VERTICES)]
+
 
 def vertex_tuple(vertices: Iterable[int]) -> Edge:
     """Normalize a vertex collection to a sorted duplicate-free tuple."""
@@ -172,7 +175,10 @@ class Hypergraph:
         self.n = n
         self.k = k
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self.edge_masks: tuple[int, ...] = tuple(map(mask_of, self.edges))
+        # built a column of vertices at a time; an edge's vertices are
+        # distinct, so the sum of their bits is their OR
+        bits = [map(_BIT.__getitem__, col) for col in zip(*edges)]
+        self.edge_masks: tuple[int, ...] = tuple(map(sum, zip(*bits)))
         self._edge_set = frozenset(self.edges)
 
     def __len__(self) -> int:

@@ -449,6 +449,7 @@ def km_codegree_bound(tag: str, size: int) -> int:
     """Least possible maximum pair codegree of a size-`size` family inside the template."""
     if tag not in CODEGREE_BOUND_TAGS:
         raise ParameterError(f"no codegree bound applies to template {tag}")
+    check_int("size", size, 0)
     if tag == "H0":
         return -(-size // 3)
     if tag == "H2":

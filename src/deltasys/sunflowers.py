@@ -241,6 +241,15 @@ def check_cluster(c: SunflowerCluster, d: int | None = None) -> ClusterCheck:
     return ClusterCheck(True)
 
 
+def _as_tuple(name: str, values: Sequence[int]) -> tuple:
+    """`values` as a tuple; ParameterError naming `name` when it is not a
+    sequence at all, such as a lone int."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ParameterError(f"{name} must be a sequence of integers, got {values!r}") from None
+
+
 def complete_cluster(c: SunflowerCluster, group_sizes: Sequence[int]) -> SunflowerCluster:
     """Shrink a semi cluster's groups to the requested sizes with disjoint residues.
 
@@ -258,7 +267,7 @@ def complete_cluster(c: SunflowerCluster, group_sizes: Sequence[int]) -> Sunflow
     if not semi.ok:
         raise ParameterError(f"input is not a semi cluster: {semi.reason}")
     p = len(c.blocks)
-    b = tuple(group_sizes)
+    b = _as_tuple("group sizes", group_sizes)
     if len(b) != p:
         raise ParameterError(f"group sizes must be {p} positive integers, got {b}")
     for x in b:
@@ -365,7 +374,7 @@ def cluster_blocks(part_sizes: Sequence[int], d: int) -> tuple[int, ...]:
     """The block sizes of a cluster with d petal edges, as a tuple: at least
     two blocks, each a positive integer, and no more blocks than d, an
     integer."""
-    a = tuple(part_sizes)
+    a = _as_tuple("block sizes", part_sizes)
     if not all(isinstance(x, int) for x in a + (d,)):
         raise ParameterError(f"block sizes and d must be integers, got {a} and d={d!r}")
     if len(a) < 2:

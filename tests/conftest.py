@@ -7,11 +7,11 @@ tests stay reproducible across runs and thread counts.
 import random
 from itertools import combinations, permutations
 
-from deltasys import (BudgetExceeded, ExtremalResult, Hypergraph, NodeCounter,
-                      SunflowerCluster, check_cluster, mask_of)
+from deltasys import (BudgetExceeded, ExtremalResult, FormatError, Hypergraph,
+                      NodeCounter, SunflowerCluster, check_cluster, mask_of)
 from deltasys.cli import main as cli_main
 from deltasys.extremal import _nontrivial_kills, conflict_kills
-from deltasys.hypergraph import Meeting, meet
+from deltasys.hypergraph import Meeting, check_order, meet
 
 
 def random_hypergraph(rng, n=None, k=None, max_edges=40):
@@ -24,6 +24,59 @@ def random_hypergraph(rng, n=None, k=None, max_edges=40):
     pool = list(combinations(range(1, n + 1), k))
     m = rng.randint(1, min(len(pool), max_edges))
     return Hypergraph(n, k, rng.sample(pool, m))
+
+
+def reference_parse_hypergraph(text):
+    """The text-format loader as it was before it checked whole columns,
+    kept as the differential oracle of `parse_hypergraph`.
+
+    Line by line: strip, skip blanks and comments, convert every token with
+    int, then check arity, repeated vertex, range and duplicate, and sort
+    the edge. After the last line the vertex cap is checked; the masks are
+    built one edge at a time with `mask_of`.
+    """
+    header = None
+    edges = []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values = list(map(int, line.split()))
+        except ValueError:
+            raise FormatError(lineno, f"non-integer token in {line!r}")
+        if header is None:
+            if len(values) != 2:
+                raise FormatError(lineno, "header must be exactly two integers: n k")
+            n, k = values
+            if n < 1 or not 1 <= k <= n:
+                raise FormatError(lineno, f"invalid header n={n} k={k}")
+            header = (n, k)
+            continue
+        n, k = header
+        if len(values) != k:
+            raise FormatError(lineno, f"edge has {len(values)} vertices, expected {k}")
+        if len(set(values)) != k:
+            raise FormatError(lineno, "repeated vertex within an edge")
+        edge = tuple(sorted(values))
+        if edge[0] < 1 or edge[-1] > n:
+            v = next(v for v in values if not 1 <= v <= n)
+            raise FormatError(lineno, f"vertex {v} out of range 1..{n}")
+        if edge in seen:
+            raise FormatError(lineno, f"duplicate edge {edge}")
+        seen.add(edge)
+        edges.append(edge)
+    if header is None:
+        raise FormatError(1, "missing header line 'n k'")
+    n, k = header
+    check_order(n, k)
+    edges.sort()
+    h = Hypergraph.__new__(Hypergraph)
+    h.n, h.k, h.edges = n, k, tuple(edges)
+    h.edge_masks = tuple(map(mask_of, h.edges))
+    h._edge_set = frozenset(h.edges)
+    return h
 
 
 # the benchmark's two `find-nontrivial` jobs in `certify`: name -> (n, k,

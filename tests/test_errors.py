@@ -13,13 +13,17 @@ from deltasys import (
     SunflowerCluster,
     build_counterexample,
     build_star,
+    build_triple_system,
     check_nontrivial,
     complete_cluster,
     extract_homogeneous,
+    find_cluster,
     find_nontrivial_subfamily,
     find_sunflower,
     is_d_simplex,
     is_homogeneous,
+    km_codegree_bound,
+    max_avoiding,
     shadow,
     subset_degrees,
     verify_counterexample,
@@ -64,10 +68,13 @@ ENTRY_POINTS = {
     "ForbiddenConfig d": (
         "d", lambda v: ForbiddenConfig("nontrivial-intersecting", t=5, d=v), 0),
     "IntersectionPattern": ("k", lambda v: IntersectionPattern.of(v, []), 0),
+    "km_codegree_bound": ("size", lambda v: km_codegree_bound("H0", v), -1),
+    "max_avoiding budget": (
+        "node budget", lambda v: max_avoiding(5, 3, ForbiddenConfig("d-simplex", d=2), budget=v), 0),
 }
 
 
-@pytest.mark.parametrize("value", [2.5, "3", 4.0, "below"])
+@pytest.mark.parametrize("value", [2.5, "3", 4.0, True, "below"])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_entry_point_refuses_a_bad_integer(entry, value):
     name, call, below = ENTRY_POINTS[entry]
@@ -86,3 +93,42 @@ def test_check_int_returns_the_value_in_range():
         check_int("x", 3, 1, 2)
     with pytest.raises(ParameterError, match=r"^x must be an integer at least 1, got 2\.5$"):
         check_int("x", 2.5, 1)
+
+
+# seeded entry points: the seed may be any int, negative ones included
+SEEDED = {
+    "extract_homogeneous": lambda seed: extract_homogeneous(STAR, 2, seed=seed, restarts=1),
+    "build_triple_system": lambda seed: build_triple_system(DesignSpec(7, 1), seed),
+    "build_counterexample": lambda seed: build_counterexample(9, 4, seed=seed),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, "3", "a", True])
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_seed_must_be_an_int(entry, value):
+    with pytest.raises(ParameterError, match="^seed must be an integer, got ") as err:
+        SEEDED[entry](value)
+    assert type(err.value) is ParameterError
+
+
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_negative_seed_is_accepted(entry):
+    assert SEEDED[entry](-1) == SEEDED[entry](-1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: complete_cluster(SEMI, 3),
+    lambda: find_cluster(STAR, 3, 2),
+    lambda: ForbiddenConfig("avd-system", part_sizes=3, d=2),
+], ids=["complete_cluster", "find_cluster", "ForbiddenConfig"])
+def test_sizes_that_are_not_a_sequence_are_refused(call):
+    with pytest.raises(ParameterError, match="sizes must be a sequence of integers, got 3$"):
+        call()
+
+
+def test_check_int_refuses_bools_and_may_leave_the_range_open():
+    assert check_int("x", -7, None) == -7
+    with pytest.raises(ParameterError, match=r"^x must be an integer, got 2\.5$"):
+        check_int("x", 2.5, None)
+    with pytest.raises(ParameterError, match=r"^x must be an integer at least 1, got True$"):
+        check_int("x", True, 1)
