@@ -82,26 +82,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _at_least_one(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return int(text)
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _params(args: argparse.Namespace) -> dict:
-    out = {}
-    for key, value in vars(args).items():
-        if key == "func":
-            continue
-        out[key] = list(value) if isinstance(value, tuple) else value
-    return out
 
 
 def _check(name: str, ok: bool, claim: str, **extra) -> dict:
@@ -124,7 +109,7 @@ def _emit(args, answer: _Answer, started: float) -> None:
     report = {
         "schema": 1,
         "command": args.command,
-        "params": _params(args),
+        "params": {k: v for k, v in vars(args).items() if k != "func"},
         "checks": answer.checks,
         "result": answer.result,
         "verdict": answer.verdict,
@@ -147,7 +132,7 @@ def _emit(args, answer: _Answer, started: float) -> None:
 def cmd_shadow(args, h) -> _Answer:
     subsets = sorted(shadow(h, args.order))
     return _Answer("ok", {"order": args.order, "count": len(subsets),
-                          "subsets": [list(s) for s in subsets]})
+                          "subsets": subsets})
 
 
 def cmd_weight_check(args, h) -> _Answer:
@@ -166,8 +151,7 @@ def cmd_find_sunflower(args, h) -> _Answer:
     flower = find_sunflower(h, args.center, args.size)
     if flower is None:
         return _Answer("none", {"witness": None})
-    witness = {"center": list(flower.center),
-               "petals": [list(p) for p in flower.petals]}
+    witness = {"center": flower.center, "petals": flower.petals}
     return _Answer("found", {"witness": witness}, artifact=witness)
 
 
@@ -182,11 +166,9 @@ def cmd_find_avd(args, h) -> _Answer:
 def cmd_complete_semi(args, h) -> _Answer:
     with open(args.witness, encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ParameterError("witness file does not hold a cluster object")
-    if "host" not in data and isinstance(data.get("result"), dict):
+    if isinstance(data, dict) and "host" not in data and isinstance(data.get("result"), dict):
         data = data["result"].get("witness", data)
-    if not isinstance(data, dict) or "host" not in data:
+    if not (isinstance(data, dict) and "host" in data):
         raise ParameterError("witness file does not hold a cluster object")
     cluster = SunflowerCluster.from_json(data)
     completed = complete_cluster(cluster, args.b)
@@ -203,7 +185,7 @@ def cmd_find_nontrivial(args, h) -> _Answer:
     out = find_nontrivial_subfamily(h, args.size, args.wise, budget=args.budget)
     result: dict = {"status": out.status.value, "nodes": out.nodes}
     if out.found:
-        result["witness"] = [list(e) for e in out.witness]
+        result["witness"] = out.witness
     return _Answer(out.status.value, result)
 
 
@@ -215,12 +197,11 @@ def cmd_check_intersecting(args, h) -> _Answer:
     checks = [
         _check("d-wise-intersecting", w.intersecting,
                f"every {t} members share a vertex",
-               **({"witness": [list(e) for e in w.violating]}
-                  if w.violating else {})),
+               **({"witness": w.violating} if w.violating else {})),
         _check("no-common-vertex", not w.common,
                "no single vertex lies in every member"),
     ]
-    result = {"common_intersection": list(w.common), "nontrivial": w.nontrivial}
+    result = {"common_intersection": w.common, "nontrivial": w.nontrivial}
     return _Answer("verified" if w.intersecting else "failed", result, checks)
 
 
@@ -243,7 +224,7 @@ def cmd_build_steiner(args, h) -> _Answer:
     checks = [_check("pair-exact", True,
                      f"every vertex pair lies in exactly {args.lam} blocks")]
     result = {"n": args.n, "lambda": args.lam, "size": len(system),
-              "blocks": [list(e) for e in system.edges]}
+              "blocks": system.edges}
     return _Answer("built", result, checks, system)
 
 
@@ -257,7 +238,7 @@ def cmd_build_counterexample(args, h) -> _Answer:
                f"covering all {args.n} vertices"),
     ]
     result = rep.to_json()
-    result["edges"] = [list(e) for e in rep.system.edges]
+    result["edges"] = rep.system.edges
     ok = rep.max_codegree == args.m and rep.triangles_ok
     return _Answer("built" if ok else "failed", result, checks, rep.system)
 
@@ -312,7 +293,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--output", default=None,
                         help="write the command's primary artifact to this path")
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget", type=_at_least_one,
+    budget.add_argument("--budget", type=int,
                         help="search node budget (default 10^8)")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="random seed (default 0)")

@@ -383,9 +383,11 @@ def verify_counterexample(h: Hypergraph, m: int, mode: str = "both",
     budgeted exact search for such a subfamily. A completed empty search
     verifies; passing counting checks alone are conditional; a found witness
     or failed check refutes. Budget exhaustion falls back to the counting
-    verdict.
+    verdict. A given budget is checked in every mode, degree-argument too.
     """
     check_int("m", m, 4)
+    if budget is not None:
+        check_int("node budget", budget, 1)
     if mode not in ("degree-argument", "exhaustive", "both"):
         raise ParameterError(f"unknown mode {mode!r}")
     t = 3 * m + 1

@@ -23,12 +23,9 @@ _BIT = [0] + [1 << v for v in range(MAX_VERTICES)]
 
 
 def vertex_tuple(vertices: Iterable[int]) -> Edge:
-    """Normalize a vertex collection to a sorted duplicate-free tuple."""
-    out = tuple(sorted(set(vertices)))
-    for v in out:
-        if not isinstance(v, int) or v < 1:
-            raise ParameterError(f"vertex labels must be positive integers, got {v!r}")
-    return out
+    """Normalize a vertex collection to a sorted duplicate-free tuple; each
+    vertex must first pass `check_int` as a "vertex label" of at least 1."""
+    return tuple(sorted({check_int("vertex label", v, 1) for v in vertices}))
 
 
 def mask_of(vertices: Iterable[int]) -> int:

@@ -426,14 +426,10 @@ def classify_intersecting(h: Hypergraph) -> KMFamily:
         raise ParameterError(f"classification needs triples, got k={h.k}")
     if len(h) < 11:
         raise ParameterError(f"classification needs at least 11 members, got {len(h)}")
+    apart = check_nontrivial(h.edges, 2).violating
+    if apart:
+        raise ParameterError(f"family is not intersecting: {apart[0]} and {apart[1]} are disjoint")
     holders = holders_of(h.edges)
-    everyone = (1 << len(h)) - 1
-    for e in h.edges:
-        # the first member to miss others misses only later ones
-        missed = everyone & ~(holders[e[0]] | holders[e[1]] | holders[e[2]])
-        if missed:
-            other = h.edges[(missed & -missed).bit_length() - 1]
-            raise ParameterError(f"family is not intersecting: {e} and {other} are disjoint")
     for tag in TEMPLATE_TAGS:
         mapping = _core_map(h, tag, holders)
         if mapping is not None:

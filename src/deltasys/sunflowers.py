@@ -372,18 +372,15 @@ def disjoint_clusters(masks: Sequence[int], part_sizes: Sequence[int], d: int,
 
 def cluster_blocks(part_sizes: Sequence[int], d: int) -> tuple[int, ...]:
     """The block sizes of a cluster with d petal edges, as a tuple: at least
-    two blocks, each a positive integer, and no more blocks than d, an
-    integer."""
+    two blocks, each passing `check_int` as a "block size" of at least 1,
+    and d passing it as a "petal count d" of at least the number of
+    blocks."""
     a = _as_tuple("block sizes", part_sizes)
-    if not all(isinstance(x, int) for x in a + (d,)):
-        raise ParameterError(f"block sizes and d must be integers, got {a} and d={d!r}")
     if len(a) < 2:
         raise ParameterError(f"need at least two blocks, got {len(a)}")
-    if any(x < 1 for x in a):
-        raise ParameterError(f"block sizes must be positive, got {a}")
-    if d < len(a):
-        raise ParameterError(
-            f"petal count d={d} must be at least the number of blocks {len(a)}")
+    for x in a:
+        check_int("block size", x, 1)
+    check_int("petal count d", d, len(a))
     return a
 
 

@@ -215,6 +215,13 @@ class TestCompleteSemi:
         code, _ = run_cli(["complete-semi", str(path), "--b", "1,1"], capsys)
         assert code == 3
 
+    def test_report_without_a_witness_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "none.json"
+        path.write_text(json.dumps({"result": {"witness": None}, "verdict": "none"}))
+        code = cli.main(["complete-semi", str(path), "--b", "1,1"])
+        assert (code, *capsys.readouterr()) == (
+            3, "", "deltasys: error: witness file does not hold a cluster object\n")
+
 
 class TestFindNontrivial:
     def test_triangle_found(self, tmp_path, capsys):
@@ -374,6 +381,15 @@ class TestBuilders:
         code, _ = run_cli(["build-counterexample", "--n", "8", "--m", "4"], capsys)
         assert code == 3
 
+    def test_failed_construction_is_negative(self, monkeypatch, capsys):
+        def failing(spec, seed):
+            raise cli.ConstructionError("no triple system found")
+
+        monkeypatch.setattr(cli, "build_triple_system", failing)
+        code = cli.main(["build-steiner", "--n", "7", "--lambda", "1"])
+        assert (code, *capsys.readouterr()) == (
+            1, "", "deltasys: error: no triple system found\n")
+
 
 class TestVerifyCounterexample:
     @pytest.fixture
@@ -404,6 +420,12 @@ class TestVerifyCounterexample:
         )
         assert code == 1
         assert report_of(out)["verdict"] == "refuted"
+
+    def test_budget_below_one_is_refused_in_the_degree_argument(self, sys9, capsys):
+        code = cli.main(["verify-counterexample", sys9, "--m", "4", "--mode",
+                         "degree-argument", "--budget", "0"])
+        assert (code, *capsys.readouterr()) == (
+            3, "", "deltasys: error: node budget must be an integer at least 1, got 0\n")
 
     def test_budget_is_conditional(self, sys9, capsys):
         code, out = run_cli(
@@ -624,6 +646,19 @@ class TestReportLayout:
             assert len(serialized) == 1, name
             assert report_of(out) == json.loads(json.dumps(serialized[0])), name
 
+    def test_every_report_is_pinned(self, every_command, tmp_path, capsys):
+        # the exit code and stdout of every subcommand, byte for byte apart
+        # from the timing line and the temporary directory in params
+        digest = hashlib.sha256()
+        for name in sorted(every_command):
+            code, out = run_cli([name] + every_command[name], capsys)
+            lines = [line for line in out.splitlines()
+                     if not line.startswith('  "timing": ')]
+            text = "\n".join(lines).replace(str(tmp_path), "<tmp>")
+            digest.update(f"{name} {code}\n{text}\n".encode())
+        assert digest.hexdigest() == (
+            "0697cb316c3de5068b40c79e3acc5f9645d31ac0443e6962fbcb5bd4d6cf62a9")
+
     def test_certificate_artifact_only_with_output(self, star9, tmp_path, serialized, capsys):
         argv = ["homogeneous-extract", star9, "--size", "2"]
         code, out = run_cli(argv, capsys)
@@ -747,7 +782,7 @@ class TestGlobalFlags:
          "unrecognized arguments: --threads 2"),
         (["shadow", "{star}", "--order", "x"], "argument --order: invalid int value: 'x'"),
         (["check-intersecting", "{star}", "--wise", "2", "--budget", "soon"],
-         "argument --budget: expected an integer of at least 1, got 'soon'"),
+         "argument --budget: invalid int value: 'soon'"),
     ])
     def test_usage_error_names_the_problem(self, star5, tail, message, capsys):
         with pytest.raises(SystemExit) as exc:

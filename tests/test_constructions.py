@@ -142,6 +142,10 @@ class TestComplement:
         h = build_triple_system(DesignSpec(7, 1))
         assert complement_triples(complement_triples(h)) == h
 
+    def test_only_triples_have_a_complement(self):
+        with pytest.raises(ParameterError, match="^complement of triples needs k=3, got k=4$"):
+            complement_triples(build_star(6, 4))
+
 
 class TestPerfectMatching:
     def test_three_disjoint_triples(self):

@@ -71,6 +71,14 @@ ENTRY_POINTS = {
     "km_codegree_bound": ("size", lambda v: km_codegree_bound("H0", v), -1),
     "max_avoiding budget": (
         "node budget", lambda v: max_avoiding(5, 3, ForbiddenConfig("d-simplex", d=2), budget=v), 0),
+    "verify_counterexample budget": (
+        "node budget",
+        lambda v: verify_counterexample(STAR, 4, mode="degree-argument", budget=v), 0),
+    "Hypergraph vertex": ("vertex label", lambda v: Hypergraph(3, 2, [(v, 2)]), 0),
+    "find_cluster block size": ("block size", lambda v: find_cluster(STAR, (v, 2), 3), 0),
+    "find_cluster d": ("petal count d", lambda v: find_cluster(STAR, (2, 1), v), 1),
+    "ForbiddenConfig block size": (
+        "block size", lambda v: ForbiddenConfig("avd-system", part_sizes=(v, 2), d=3), 0),
 }
 
 
@@ -132,3 +140,4 @@ def test_check_int_refuses_bools_and_may_leave_the_range_open():
         check_int("x", 2.5, None)
     with pytest.raises(ParameterError, match=r"^x must be an integer at least 1, got True$"):
         check_int("x", True, 1)
+

@@ -122,7 +122,7 @@ class TestConfigValidation:
             ForbiddenConfig("nontrivial-intersecting", t=4.5, d=2)
 
     def test_fractional_block_sizes_are_refused(self):
-        with pytest.raises(ParameterError, match="must be integers"):
+        with pytest.raises(ParameterError, match="must be an integer"):
             ForbiddenConfig("avd-system", part_sizes=(1.5, 1.5), d=2)
 
     def test_block_sizes_must_sum_to_k(self):
@@ -525,6 +525,14 @@ class TestStability:
     def test_family_must_be_large_enough(self):
         with pytest.raises(ParameterError):
             stability_scan(Hypergraph(6, 3, [(1, 2, 3)]), 0.0)
+
+    def test_epsilon_one_is_refused(self):
+        with pytest.raises(ParameterError, match=r"^epsilon must be in \[0, 1\), got 1.0$"):
+            stability_scan(build_star(6, 3), 1.0)
+
+    def test_negative_delta_is_refused(self):
+        with pytest.raises(ParameterError, match="^delta must be nonnegative, got -0.1$"):
+            stability_scan(build_star(6, 3), 0.0, delta=-0.1)
 
     def test_json_shape(self):
         rep = stability_scan(build_star(6, 3), 0.1, delta=0.5)

@@ -70,6 +70,10 @@ class TestPattern:
             IntersectionPattern.of(2, fs({1, 2}))
         IntersectionPattern.of(3, fs({1, 2}))  # proper for k=3, fine
 
+    def test_members_must_lie_in_one_to_k(self):
+        with pytest.raises(ParameterError, match=r"^pattern member \[1, 4\] is not a subset of 1..3$"):
+            IntersectionPattern.of(3, [(1, 4)])
+
     def test_closure_detection(self):
         open_pattern = IntersectionPattern.of(3, fs({1}, {2}))
         assert not open_pattern.is_closed

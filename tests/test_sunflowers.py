@@ -263,6 +263,12 @@ class TestCompletion:
         with pytest.raises(ParameterError):
             complete_cluster(c, (0, 1))
 
+    def test_non_semi_cluster_is_refused(self):
+        # the group-1 edge keeps host vertex 2 outside its center
+        c = SunflowerCluster((1, 2, 3), ((1, 2), (3,)), (((2, 4, 5),), ((1, 2, 6),)))
+        with pytest.raises(ParameterError, match="^input is not a semi cluster: "):
+            complete_cluster(c, (1, 1))
+
     @staticmethod
     def greedy_completion(c, want):
         """One sweep per group in lexicographic order, taking each edge whose
@@ -426,7 +432,7 @@ class TestFindCluster:
 
     def test_fractional_block_sizes_are_refused(self):
         # truncated to (2, 1), a star would avoid it and the search answer NONE
-        with pytest.raises(ParameterError, match="must be integers"):
+        with pytest.raises(ParameterError, match="must be an integer"):
             find_cluster(build_star(6, 3), (2.5, 1.5), 2)
 
     def test_budget_exhaustion_reported(self):
