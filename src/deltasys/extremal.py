@@ -19,7 +19,8 @@ conflict's two highest members as it is listed; larger ones find
 them with one bitmask walk per new member, over the chosen subfamilies
 through it. Both read which candidates meet a vertex set from one
 `hypergraph.Meeting` index over the candidates, the one the search kernel
-of `intersecting` uses.
+of `intersecting` uses, and the walk narrows its candidates as the kernel
+does, from the (d-2)-fold meets it carries down each path.
 
 `stability_scan` measures how close a near-maximum family is to a star:
 the best vertex, its degree, and how many members miss it.
@@ -33,7 +34,8 @@ from itertools import combinations
 from math import comb, isfinite
 
 from .errors import BudgetExceeded, ParameterError, check_int
-from .hypergraph import Edge, Hypergraph, Meeting, check_order, mask_of
+from .hypergraph import (NO_MEETS, Edge, Hypergraph, Meeting, Meets, check_order,
+                         join_meets, mask_of)
 from .search import NodeCounter
 from .sunflowers import cluster_blocks, disjoint_clusters
 
@@ -194,34 +196,39 @@ def _nontrivial_kills(masks: list[int], chosen: int, newest: int, live: int, t: 
     d-wise intersecting (t-1)-subfamily S of the chosen members through
     `newest`, picking the others in index order. It keeps
     `fits`, the candidates meeting the meet of every min(|S|, d-1) members
-    of S, which `Meeting.narrow` updates with each pick: each pick comes
-    from it, and a full S kills every target in it that misses the meet of
-    S. The targets are the live candidates not yet dead that S can still
-    kill: they lie in `fits` and hold no common vertex of S that every
-    member left to pick also holds (`Meeting.kept`). A pick that leaves no
+    of S, and carries the meets of every min(|S|, d-2) members of S
+    (`hypergraph.join_meets`), so that each pick narrows `fits` with one
+    `meeting` lookup per carried meet. Each pick comes from `fits`, and a
+    full S kills every target in it that misses the meet of S. The targets
+    are the live candidates not yet dead that S can still kill: they lie
+    in `fits` and hold no common vertex of S that every member left to
+    pick also holds (`Meeting.kept`). A pick that leaves no
     target is skipped, and a branch ends when no target is left or too few
     members are left to pick. A pick that completes S reads its kills in
     place, in its parent's loop. One node is one tick of `counter`, one
     member added to S.
     """
     dead = 0
-    narrow, kept = meeting.narrow, meeting.kept
-    # with d = 2 narrowing is one AND, which the loop does without a call
+    kept = meeting.kept
+    # with d = 2 narrowing is one AND, and the carried meets never change
     wide = d > 2
 
-    def grow(picked: list[int], common: int, fits: int, pool: int, targets: int):
+    def grow(need: int, meets: Meets, common: int, fits: int, pool: int, targets: int):
         nonlocal dead
         counter.tick()
-        need = t - 1 - len(picked)
         pool &= fits
         # a common vertex that every member left to pick holds stays common
         targets &= ~meeting[kept(common, pool)]
+        top = meets[-1]
         while pool.bit_count() >= need and targets & ~dead:
             low = pool & -pool
             pool ^= low
             s = low.bit_length() - 1
             m = masks[s]
-            more = narrow(fits, picked, s, d) if wide else fits & meeting[m]
+            more = fits & meeting[m]
+            if wide:
+                for y in top:
+                    more &= meeting[y & m]
             aim = targets & more & ~dead
             if not aim:
                 continue
@@ -229,10 +236,12 @@ def _nontrivial_kills(masks: list[int], chosen: int, newest: int, live: int, t: 
                 counter.tick()
                 dead |= aim & ~meeting[common & m]
             else:
-                grow(picked + [s], common & m, more, pool, aim)
+                grow(need - 1, join_meets(meets, m, d) if wide else meets, common & m,
+                     more, pool, aim)
 
-    fits = meeting[masks[newest]]
-    grow([newest], masks[newest], fits, chosen & ~(1 << newest), live & fits)
+    m = masks[newest]
+    fits = meeting[m]
+    grow(t - 2, join_meets(NO_MEETS, m, d), m, fits, chosen & ~(1 << newest), live & fits)
     return dead
 
 

@@ -66,45 +66,68 @@ def holders_of(members: Iterable[Iterable[int]]) -> dict[int, int]:
     return holders
 
 
+Meets = tuple[tuple[int, ...], ...]
+
+#: The carried meets of no members: the meet of the empty subset, every vertex.
+NO_MEETS: Meets = ((-1,),)
+
+
+def join_meets(meets: Meets, m: int, d: int) -> Meets:
+    """The carried meets of some members, once the member with mask m joins them.
+
+    meets[j] holds the meets of every j-subset of the members, for j up to
+    min(|members|, d-2); each new j-subset is an old (j-1)-subset with m
+    added. A candidate can join the members and a new member s of mask m
+    in a d-wise intersecting family only if it meets the meet of s with
+    each min(|members|, d-2) members: the meets `y & m` for y in the last
+    level. So narrowing the candidates as s is picked is one
+    `meeting[y & m]` lookup per carried meet y.
+    """
+    out = [meets[0]]
+    low = meets[0]
+    for high in meets[1:]:
+        out.append(high + tuple([y & m for y in low]))
+        low = high
+    if len(meets) < d - 1:
+        out.append(tuple([y & m for y in low]))
+    return tuple(out)
+
+
 class Meeting(dict):
     """meeting[x]: the members meeting the vertex set x, built on first use.
 
     Members are the vertex bitmasks `masks`; a set of members is a bitmask
-    over their positions. `holders` is `holders_of` the members.
+    over their positions. `holders` is `holders_of` the members, each
+    decoded from its mask once; every member's row, meeting[masks[i]], is
+    filled in from the same decoding before the first lookup.
     """
 
     def __init__(self, masks: Sequence[int]):
         self.masks = masks
-        self.holders = holders_of(map(vertices_of, masks))
+        own = []
+        for m in masks:
+            vs = []
+            while m:
+                low = m & -m
+                m ^= low
+                vs.append(low.bit_length())
+            own.append(vs)
+        self.holders = holders = holders_of(own)
+        for m, vs in zip(masks, own):
+            row = 0
+            for v in vs:
+                row |= holders[v]
+            self[m] = row
 
     def __missing__(self, x: int) -> int:
         holders = self.holders
         out = 0
-        for v in vertices_of(x):
-            out |= holders.get(v, 0)
+        rest = x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            out |= holders.get(low.bit_length(), 0)
         self[x] = out
-        return out
-
-    def narrow(self, out: int, picked: Sequence[int], s: int, d: int) -> int:
-        """The members of `out` that meet the meet of member s with each
-        min(|picked|, d-2) members of `picked`.
-
-        Applied as each member s is picked, it keeps the members that can
-        still join the picked ones in a d-wise intersecting family, where
-        every d members share a vertex.
-        """
-        x = self.masks[s]
-        r = d - 2
-        if r > len(picked):
-            r = len(picked)
-        if not r:
-            return out & self[x]
-        masks = self.masks
-        for sub in combinations(picked, r):
-            y = x
-            for i in sub:
-                y &= masks[i]
-            out &= self[y]
         return out
 
     def kept(self, common: int, bits: int) -> int:

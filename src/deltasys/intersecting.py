@@ -26,8 +26,9 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParameterError, check_int
-from .hypergraph import (Edge, Hypergraph, Meeting, holders_of, mask_of,
-                         max_codegree2, meet, vertex_tuple, vertices_of)
+from .hypergraph import (NO_MEETS, Edge, Hypergraph, Meeting, Meets, holders_of,
+                         join_meets, mask_of, max_codegree2, meet, vertex_tuple,
+                         vertices_of)
 from .search import NodeCounter, SearchOutcome, bounded
 
 
@@ -124,26 +125,32 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
     so each family still has one path. A common vertex that no candidate
     misses stays common, which ends the branch. Once the core has no common
     vertex, the rest of F is a plain compatibility search over the
-    candidates left, in index order. One loop expands the children in both
-    phases, which differ only in what it picks: the candidates missing the
+    candidates left, in index order. The two phases expand their children
+    alike and differ only in what they pick: the candidates missing the
     chosen core vertex, or every candidate. A member once picked leaves the
     candidates of the children after it. Compatibility is pairwise
-    intersection, read from one row per member of the members meeting it;
-    for d >= 3 a pick also keeps only the members that meet each (d-1)-fold
-    meet it closes (`Meeting.narrow`). While at least three picks remain, a
-    greedy colouring of the candidates' intersection graph bounds how many of
-    them fit together (Tomita and Seki's bound for maximum clique). Each colour
-    class takes at least one candidate, so the colouring stops, and the step
-    ends, once the classes so far plus the candidates still uncoloured fall
-    short of the picks left; it prunes exactly where colouring every
-    candidate would. The candidates only ever hold members that fit the
-    chosen ones, so the last member is read from the holder bitsets: the
-    lowest candidate that misses every common vertex.
+    intersection, read from one row per member of the members meeting it.
+    For d >= 3 each path also carries the meets of every min(|chosen|, d-2)
+    chosen members (`hypergraph.join_meets`), and a pick keeps only the
+    candidates that meet each of them together with the pick: one
+    `meeting` lookup per carried meet. A step joins its newest member to
+    the meets it was handed only once it expands a child. While at least
+    three picks remain, a greedy colouring of the candidates' intersection
+    graph bounds how many of them fit together (Tomita and Seki's bound for
+    maximum clique). Each colour class takes at least one candidate, so the
+    colouring stops, and the step ends, once the classes so far plus the
+    candidates still uncoloured fall short of the picks left; it prunes
+    exactly where colouring every candidate would. The candidates only ever
+    hold members that fit the chosen ones, so the last member is read from
+    the holder bitsets: the lowest candidate that misses every common
+    vertex. A step with two members left reads each child's last member so,
+    in a loop of its own, and the root loop does the same at position t-2.
 
     One node is one tick of `counter`: the root, which also rules out a
-    vertex in every member, one core step or one compatibility step. A
-    child whose narrowed candidates are too few to reach t is neither
-    visited nor ticked, and the last member takes no node.
+    vertex in every member, one core step, one compatibility step, or one
+    child with a single member left, whose last member is read in place in
+    its parent's loop. A child whose narrowed candidates are too few to
+    reach t is neither visited nor ticked.
 
     On FOUND only, the witness is rebuilt into the first in lexicographic
     order over the caller's list by fixing one member at a time, at most
@@ -154,7 +161,6 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
         return None
     full = (1 << m) - 1
     meeting = Meeting(vmasks)
-    narrow = meeting.narrow
     # rows[j]: the members meeting member j; apart[j]: those missing it;
     # misses[v]: the members missing vertex v
     rows = [meeting[x] for x in vmasks]
@@ -170,12 +176,10 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
             cand &= misses[low.bit_length()]
         return (cand & -cand).bit_length() - 1
 
-    def step(chosen: tuple[int, ...], common: int, cand: int) -> tuple[int, ...] | None:
+    def step(chosen: tuple[int, ...], common: int, cand: int,
+             meets: Meets) -> tuple[int, ...] | None:
         counter.tick()
         need = t - len(chosen)
-        if need == 1:
-            b = last(cand, common)
-            return None if b < 0 else chosen + (b,)
         have = cand.bit_count()
         if have < need:
             return None
@@ -210,8 +214,31 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
                     q &= apart[low.bit_length() - 1]
                 if colours + left.bit_count() < need:
                     return None
+        if wide:
+            # the newest member joins the carried meets once the step expands
+            meets = join_meets(meets, vmasks[chosen[-1]], d)
+            top = meets[-1]
         # left: the candidates less the picks already tried; have: its size
         left = cand
+        if need == 2:
+            # each child's one member left is read in place, as one node
+            while pick and have >= 2:
+                low = pick & -pick
+                pick ^= low
+                left ^= low
+                have -= 1
+                b = low.bit_length() - 1
+                child = left & rows[b]
+                if wide:
+                    x = vmasks[b]
+                    for y in top:
+                        child &= meeting[y & x]
+                if child:
+                    counter.tick()
+                    c = last(child, common & vmasks[b])
+                    if c >= 0:
+                        return chosen + (b, c)
+            return None
         while pick:
             if have < need:
                 return None
@@ -222,9 +249,11 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
             b = low.bit_length() - 1
             child = left & rows[b]
             if wide:
-                child = narrow(child, chosen, b, d)
+                x = vmasks[b]
+                for y in top:
+                    child &= meeting[y & x]
             if child.bit_count() >= need - 1:
-                hit = step(chosen + (b,), common & vmasks[b], child)
+                hit = step(chosen + (b,), common & vmasks[b], child, meets)
                 if hit:
                     return hit
         return None
@@ -235,12 +264,14 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
     # the existence search fixes the lowest member; on FOUND, each later
     # position of the witness drops to the first member that still completes
     # a family, which gives the lexicographically first one; the last
-    # position is the lowest candidate left that misses every common vertex
+    # position is the lowest candidate left that misses every common vertex,
+    # read in place at position t-2 and after the rebuild
     prefix: tuple[int, ...] = ()
     witness: list[int] | None = None
-    cand, common = full, -1
+    cand, common, meets = full, -1, NO_MEETS
     for pos in range(t - 1):
         rest = cand if witness is None else cand & ((1 << witness[pos]) - 1)
+        top = meets[-1]
         while rest:
             low = rest & -rest
             rest ^= low
@@ -248,16 +279,28 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
             if above.bit_count() < t - pos - 1:
                 break
             b = low.bit_length() - 1
-            hit = step(prefix + (b,), common & vmasks[b], narrow(above, prefix, b, d))
+            x = vmasks[b]
+            for y in top:
+                above &= meeting[y & x]
+            if pos < t - 2:
+                hit = step(prefix + (b,), common & x, above, meets)
+            else:
+                counter.tick()
+                c = last(above, common & x)
+                hit = None if c < 0 else prefix + (b, c)
             if hit:
                 witness = sorted(hit)
                 break
         if witness is None:
             return None
         b = witness[pos]
-        cand = narrow(cand & ~((2 << b) - 1), prefix, b, d)
-        common &= vmasks[b]
+        x = vmasks[b]
+        cand &= ~((2 << b) - 1)
+        for y in top:
+            cand &= meeting[y & x]
+        common &= x
         prefix += (b,)
+        meets = join_meets(meets, x, d)
     return prefix + (last(cand, common),)
 
 

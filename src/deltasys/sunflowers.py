@@ -256,9 +256,10 @@ def complete_cluster(c: SunflowerCluster, group_sizes: Sequence[int]) -> Sunflow
     `group_sizes` holds one int of at least 1 per block; other values are
     refused, never rounded. Requires, for each block i (1-based, with
     a = block sizes, b = requested sizes, c = available group sizes):
-    c_i >= b_i + sum over j < i of a_j*b_j.
-    Under that bound a greedy sweep in lexicographic order always succeeds:
-    every previously chosen residue of size a_j can block at most a_j
+    c_i >= b_i + sum over j < i of a_j*b_j,
+    unless the groups already have the requested sizes and pairwise
+    disjoint residues, which are then kept whole. Under that bound a greedy
+    sweep in lexicographic order always succeeds: every previously chosen residue of size a_j can block at most a_j
     candidates of a later group, because residues within one group are
     already pairwise disjoint. The lex-first choice of `_group_picks` is
     therefore that sweep's, reached without backtracking.
@@ -274,13 +275,16 @@ def complete_cluster(c: SunflowerCluster, group_sizes: Sequence[int]) -> Sunflow
         check_int("group size", x, 1)
     a = c.block_sizes
     have = c.group_sizes
-    blocked = 0
-    for i in range(p):
-        if have[i] < b[i] + blocked:
-            raise PreconditionError(
-                f"group {i + 1} has {have[i]} edges; completion needs at least "
-                f"{b[i] + blocked} (requested {b[i]} plus {blocked} possibly blocked)")
-        blocked += a[i] * b[i]
+    # groups already of the requested sizes with disjoint residues complete
+    # themselves, whatever the bound says
+    if have != b or not check_cluster(c).ok:
+        blocked = 0
+        for i in range(p):
+            if have[i] < b[i] + blocked:
+                raise PreconditionError(
+                    f"group {i + 1} has {have[i]} edges; completion needs at least "
+                    f"{b[i] + blocked} (requested {b[i]} plus {blocked} possibly blocked)")
+            blocked += a[i] * b[i]
     host_mask = mask_of(c.host)
     cands = [[(e, mask_of(e) & ~host_mask) for e in sorted(g)] for g in c.groups]
     groups = next(_group_picks(cands, b, 0, None), None)

@@ -92,6 +92,24 @@ def certify_random_graph(n, k, size, seed, salt):
     return Hypergraph(n, k, rng.sample(list(combinations(range(1, n + 1), k)), size))
 
 
+def reference_narrow(meeting, out, picked, s, d):
+    """`Meeting.narrow` as it was before the kernel carried its meets: the
+    members of `out` that meet the meet of member s with each
+    min(|picked|, d-2) members of `picked`, rebuilt from the masks on every
+    call. Kept as the oracle of the carried narrowing, and as the narrowing
+    of `reference_nontrivial_search_masks`."""
+    x = meeting.masks[s]
+    r = min(d - 2, len(picked))
+    if not r:
+        return out & meeting[x]
+    for sub in combinations(picked, r):
+        y = x
+        for i in sub:
+            y &= meeting.masks[i]
+        out &= meeting[y]
+    return out
+
+
 def reference_nontrivial_search_masks(vmasks, t, d, counter):
     """The nontrivial-subfamily kernel as it was before it branched on the
     core vertex fewest candidates miss, kept as the differential oracle of
@@ -107,7 +125,10 @@ def reference_nontrivial_search_masks(vmasks, t, d, counter):
         return None
     full = (1 << m) - 1
     meeting = Meeting(vmasks)
-    holders, narrow, kept = meeting.holders, meeting.narrow, meeting.kept
+    holders, kept = meeting.holders, meeting.kept
+
+    def narrow(out, picked, s, d):
+        return reference_narrow(meeting, out, picked, s, d)
 
     def step(chosen, common, cand):
         counter.tick()

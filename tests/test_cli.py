@@ -203,6 +203,27 @@ class TestCompleteSemi:
         done = SunflowerCluster.from_json(report_of(out)["result"]["witness"])
         assert check_cluster(done, 2).ok
 
+    def test_completes_the_cluster_find_avd_wrote(self, tmp_path, capsys):
+        # find-avd writes one edge per group; asking for those sizes again
+        # keeps them whole, although group 2 has fewer than the 3 edges the
+        # greedy bound b_2 + a_1*b_1 asks for
+        hpath = tmp_path / "seven.txt"
+        save_hypergraph(Hypergraph(7, 3, [(1, 2, 3), (3, 4, 5), (1, 2, 6), (1, 2, 7),
+                                          (3, 6, 7), (2, 4, 6), (1, 4, 7)]), hpath)
+        avd = tmp_path / "avd.json"
+        code, _ = run_cli(["find-avd", str(hpath), "--a", "2,1", "--d", "2",
+                           "--output", str(avd)], capsys)
+        assert code == 0
+        found = SunflowerCluster.from_json(json.loads(avd.read_text()))
+        assert found.group_sizes == (1, 1)
+        code, out = run_cli(["complete-semi", str(avd), "--b", "1,1"], capsys)
+        assert code == 0
+        rep = report_of(out)
+        assert rep["verdict"] == "completed"
+        done = SunflowerCluster.from_json(rep["result"]["witness"])
+        assert check_cluster(done, 2).ok
+        assert done == found
+
     def test_infeasible_request_is_an_input_error(self, tmp_path, capsys):
         path, _ = self._write_semi(tmp_path)
         # group 1 only has 2 candidates, so b=(2,...) needs more in group 2

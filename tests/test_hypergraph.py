@@ -21,8 +21,8 @@ from deltasys import (
     subset_degrees,
     weight_identity,
 )
-from deltasys.hypergraph import Meeting, holders_of
-from conftest import random_hypergraph
+from deltasys.hypergraph import NO_MEETS, Meeting, holders_of, join_meets
+from conftest import random_hypergraph, reference_narrow
 
 
 class TestConstruction:
@@ -214,8 +214,8 @@ class TestAgainstPlainLoops:
 class TestMeeting:
     def test_against_brute_force(self):
         # 80 seeded member lists on up to 8 vertices, 40 queries each with d
-        # in {2, 3, 4}; one index answers all of a list's queries, so every
-        # cached answer is read back under other keys too
+        # in {2, 3, 4, 5}; one index answers all of a list's queries, so
+        # every cached answer is read back under other keys too
         rng = random.Random(2027)
         for trial in range(80):
             n = rng.randint(3, 8)
@@ -225,6 +225,9 @@ class TestMeeting:
             assert idx.holders == {
                 v: held for v in range(1, n + 1)
                 if (held := sum(1 << i for i in members if masks[i] >> (v - 1) & 1))}
+            # every member's row is in the cache before the first lookup
+            assert dict(idx) == {x: sum(1 << i for i in members if masks[i] & x)
+                                 for x in masks}, trial
             for _ in range(40):
                 x = rng.randrange(1 << n)
                 assert idx[x] == sum(1 << i for i in members if masks[i] & x), (trial, x)
@@ -234,18 +237,43 @@ class TestMeeting:
                     if common >> (v - 1) & 1
                     and all(masks[i] >> (v - 1) & 1 for i in members if bits >> i & 1)
                 ), (trial, common, bits)
-                d, s = rng.choice((2, 3, 4)), rng.randrange(len(masks))
+
+    def test_carried_meets_narrow_as_the_brute_force_does(self):
+        # the narrowing the kernel and the kill walk read from carried meets,
+        # against the brute force and the per-pick rebuild it replaced, for
+        # d in {2, 3, 4, 5} and up to five picked members
+        rng = random.Random(2029)
+        seen = set()
+        for trial in range(120):
+            n = rng.randint(3, 8)
+            masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 10))]
+            members = range(len(masks))
+            idx = Meeting(masks)
+            for _ in range(20):
+                d, s = rng.choice((2, 3, 4, 5)), rng.randrange(len(masks))
                 others = [i for i in members if i != s]
-                picked = rng.sample(others, rng.randint(0, min(4, len(others))))
+                picked = rng.sample(others, rng.randint(0, min(5, len(others))))
+                meets = NO_MEETS
+                for i in picked:
+                    meets = join_meets(meets, masks[i], d)
+                assert [sorted(level) for level in meets] == [
+                    sorted(meet(masks[i] for i in sub) for sub in combinations(picked, j))
+                    for j in range(min(len(picked), d - 2) + 1)], (trial, picked, d)
                 out = rng.randrange(1 << len(masks))
+                narrowed = out
+                for y in meets[-1]:
+                    narrowed &= idx[y & masks[s]]
                 # j stays when j, s and any d-2 or fewer picked members share
                 # a vertex
-                assert idx.narrow(out, picked, s, d) == sum(
+                assert narrowed == sum(
                     1 << j for j in members
                     if out >> j & 1
                     and all(masks[j] & masks[s] & meet(masks[i] for i in sub)
                             for r in range(d - 1) for sub in combinations(picked, r))
                 ), (trial, picked, s, d)
+                assert narrowed == reference_narrow(idx, out, picked, s, d)
+                seen.add((d, min(len(picked), d - 2)))
+        assert seen == {(d, r) for d in (2, 3, 4, 5) for r in range(d - 1)}, seen
 
     def test_holders_of_member_tuples(self):
         # the tuples `_MaskIndex` and `classify_intersecting` pass give the

@@ -3,6 +3,7 @@
 import ast
 import random
 import re
+import sys
 import time
 from itertools import combinations
 from pathlib import Path
@@ -375,6 +376,15 @@ def certify_job_inputs():
     return jobs
 
 
+def pinned_found_instance(name, seed):
+    """(h, t, d) of a certify job that finds a family, at another seed:
+    cx(15, 5) searched at m = 4, or the nontrivial-4g random graph."""
+    if name == "cx-15-5-m4":
+        return build_counterexample(15, 5, seed=seed).system, 13, 2
+    n, k, size, t, d, salt = CERTIFY_RANDOM_SHAPES[name]
+    return certify_random_graph(n, k, size, seed, salt), t, d
+
+
 def seeded_grid_instances():
     """200 seeded (h, t, d) with 30 to 120 members on 9 to 12 points."""
     rng = random.Random(1616)
@@ -453,6 +463,24 @@ class TestKernelAgainstItsPredecessor:
         assert check_nontrivial([h.edges[i] for i in hit], 2).nontrivial
 
 
+class _FrameCounter(NodeCounter):
+    """A counter that keeps the frame of every tick. The kernel ticks once as
+    it enters a step, so a frame that ticks again is reading a child's last
+    member in place: in a step's loop, or at the last searched position of
+    the root loop."""
+
+    def __init__(self, limit=None):
+        super().__init__(limit)
+        self.frames = []
+
+    def tick(self):
+        self.frames.append(sys._getframe(1))
+        super().tick()
+
+    def last_tick_in_place(self):
+        return any(f is self.frames[-1] for f in self.frames[:-1])
+
+
 class TestLastPick:
     """The last member is read from the holder bitsets: the lowest candidate
     that misses every common vertex. It takes no node."""
@@ -473,15 +501,22 @@ class TestLastPick:
 
     def test_budget_boundary_on_a_found_search(self):
         # a budget of exactly the node count finds the witness; one less
-        # runs out, and the aborting tick is counted
-        n, k, size, t, d, salt = CERTIFY_RANDOM_SHAPES["nontrivial-4g"]
-        h = certify_random_graph(n, k, size, 0, salt)
-        out = find_nontrivial_subfamily(h, t, d)
-        assert out.found
-        assert find_nontrivial_subfamily(h, t, d, budget=out.nodes) == out
-        cut = find_nontrivial_subfamily(h, t, d, budget=out.nodes - 1)
-        assert cut.status is SearchStatus.BUDGET and cut.witness is None
-        assert cut.nodes == out.nodes
+        # runs out, and the aborting tick is counted. On nontrivial-4g the
+        # last tick reads position t-2 of the rebuild in the root loop, on
+        # cx-15-5-m4 at seed 3 a child's last member in a step's loop
+        for name, seed, where in (("nontrivial-4g", 0, "nontrivial_search_masks"),
+                                  ("cx-15-5-m4", 3, "step")):
+            h, t, d = pinned_found_instance(name, seed)
+            counter = _FrameCounter()
+            nontrivial_search_masks(h.edge_masks, t, d, counter=counter)
+            assert counter.last_tick_in_place(), name
+            assert counter.frames[-1].f_code.co_name == where, name
+            out = find_nontrivial_subfamily(h, t, d)
+            assert out.found and out.nodes == counter.nodes
+            assert find_nontrivial_subfamily(h, t, d, budget=out.nodes) == out
+            cut = find_nontrivial_subfamily(h, t, d, budget=out.nodes - 1)
+            assert cut.status is SearchStatus.BUDGET and cut.witness is None
+            assert cut.nodes == out.nodes
 
 
 class TestColouringStop:
@@ -543,6 +578,30 @@ class TestNodeCounts:
     def test_counterexample_21_4_nodes_are_pinned(self):
         out = find_nontrivial_subfamily(build_counterexample(21, 4, seed=0).system, 13, 2)
         assert (out.status, out.nodes) == (SearchStatus.NONE, 7_214)
+
+    def test_found_witnesses_are_pinned_over_five_seeds(self):
+        # (nodes, lex-first witness over the member list) at seeds 0-4 of the
+        # two certify shapes that find a family
+        pinned = {
+            "nontrivial-4g": {0: (367, (0, 1, 2, 7, 25, 80)), 1: (373, (0, 1, 2, 7, 27, 80)),
+                              2: (370, (0, 1, 2, 7, 28, 80)), 3: (365, (0, 1, 2, 7, 27, 79)),
+                              4: (365, (0, 1, 2, 7, 27, 79))},
+            "cx-15-5-m4": {0: (17, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 14, 15, 29)),
+                           1: (29, (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 21, 24, 31)),
+                           2: (20, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 14, 15, 30)),
+                           3: (13, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 29)),
+                           4: (33, (0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 26, 28, 32))},
+        }
+        got = {}
+        for name in pinned:
+            got[name] = {}
+            for seed in range(5):
+                h, t, d = pinned_found_instance(name, seed)
+                counter = NodeCounter()
+                hit = nontrivial_search_masks(h.edge_masks, t, d, counter=counter)
+                got[name][seed] = counter.nodes, hit
+                assert check_nontrivial([h.edges[i] for i in hit], d).nontrivial
+        assert got == pinned
 
     def test_every_kernel_call_passes_its_counter_by_name(self):
         # the benchmark's tracer reads a traced kernel's nodes from its
