@@ -104,14 +104,7 @@ class Meeting(dict):
 
     def __init__(self, masks: Sequence[int]):
         self.masks = masks
-        own = []
-        for m in masks:
-            vs = []
-            while m:
-                low = m & -m
-                m ^= low
-                vs.append(low.bit_length())
-            own.append(vs)
+        own = list(map(vertices_of, masks))
         self.holders = holders = holders_of(own)
         for m, vs in zip(masks, own):
             row = 0

@@ -143,14 +143,18 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
     exactly where colouring every candidate would. The candidates only ever
     hold members that fit the chosen ones, so the last member is read from
     the holder bitsets: the lowest candidate that misses every common
-    vertex. A step with two members left reads each child's last member so,
-    in a loop of its own, and the root loop does the same at position t-2.
+    vertex, in place in the loop of the step with two members left.
+
+    Every child, the root's included, is expanded in that one loop of
+    `step`. The root hands it the picks of each position of the witness and
+    adds no rule of its own: every member in the existence search, then, on
+    FOUND, the members below the one the witness holds at that position.
 
     One node is one tick of `counter`: the root, which also rules out a
     vertex in every member, one core step, one compatibility step, or one
     child with a single member left, whose last member is read in place in
     its parent's loop. A child whose narrowed candidates are too few to
-    reach t is neither visited nor ticked.
+    reach t is neither visited nor ticked, the root's children included.
 
     On FOUND only, the witness is rebuilt into the first in lexicographic
     order over the caller's list by fixing one member at a time, at most
@@ -176,69 +180,52 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
             cand &= misses[low.bit_length()]
         return (cand & -cand).bit_length() - 1
 
-    def step(chosen: tuple[int, ...], common: int, cand: int,
-             meets: Meets) -> tuple[int, ...] | None:
-        counter.tick()
+    def step(chosen: tuple[int, ...], common: int, cand: int, meets: Meets,
+             pick: int | None = None) -> tuple[int, ...] | None:
         need = t - len(chosen)
         have = cand.bit_count()
-        if have < need:
-            return None
-        # pick: the candidates a child is tried for, in index order
-        pick = cand
-        if common:
-            # branch on the core vertex that the fewest candidates miss, and
-            # pick its misses; a vertex that no candidate misses stays
-            # common, so the branch ends
-            fewest = have + 1
-            rest = common
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                out = cand & misses[low.bit_length()]
-                size = out.bit_count()
-                if size < fewest:
-                    if not size:
+        if pick is None:
+            # a node: pick is the candidates a child is tried for, in index order
+            counter.tick()
+            pick = cand
+            if common:
+                # branch on the core vertex that the fewest candidates miss,
+                # and pick its misses; a vertex that no candidate misses stays
+                # common, so the branch ends
+                fewest = have + 1
+                rest = common
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    out = cand & misses[low.bit_length()]
+                    size = out.bit_count()
+                    if size < fewest:
+                        if not size:
+                            return None
+                        pick, fewest = out, size
+            elif need >= 3:
+                # the picks left are pairwise intersecting, so at most one per
+                # colour class of pairwise disjoint candidates; each class
+                # takes at least one candidate, so once the classes so far
+                # plus the candidates still uncoloured fall short, the
+                # colouring does too
+                left = cand
+                for colours in range(1, need):
+                    q = left
+                    while q:
+                        low = q & -q
+                        left ^= low
+                        q &= apart[low.bit_length() - 1]
+                    if colours + left.bit_count() < need:
                         return None
-                    pick, fewest = out, size
-        elif need >= 3:
-            # the picks left are pairwise intersecting, so at most one per
-            # colour class of pairwise disjoint candidates; each class takes
-            # at least one candidate, so once the classes so far plus the
-            # candidates still uncoloured fall short, the colouring does too
-            left = cand
-            for colours in range(1, need):
-                q = left
-                while q:
-                    low = q & -q
-                    left ^= low
-                    q &= apart[low.bit_length() - 1]
-                if colours + left.bit_count() < need:
-                    return None
-        if wide:
-            # the newest member joins the carried meets once the step expands
-            meets = join_meets(meets, vmasks[chosen[-1]], d)
-            top = meets[-1]
-        # left: the candidates less the picks already tried; have: its size
+            if wide:
+                # the newest member joins the carried meets once the step expands
+                meets = join_meets(meets, vmasks[chosen[-1]], d)
+        top = meets[-1]
+        # left: the candidates less the picks already tried; have: its size;
+        # more: the members a child still needs
         left = cand
-        if need == 2:
-            # each child's one member left is read in place, as one node
-            while pick and have >= 2:
-                low = pick & -pick
-                pick ^= low
-                left ^= low
-                have -= 1
-                b = low.bit_length() - 1
-                child = left & rows[b]
-                if wide:
-                    x = vmasks[b]
-                    for y in top:
-                        child &= meeting[y & x]
-                if child:
-                    counter.tick()
-                    c = last(child, common & vmasks[b])
-                    if c >= 0:
-                        return chosen + (b, c)
-            return None
+        more = need - 1
         while pick:
             if have < need:
                 return None
@@ -252,51 +239,41 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
                 x = vmasks[b]
                 for y in top:
                     child &= meeting[y & x]
-            if child.bit_count() >= need - 1:
-                hit = step(chosen + (b,), common & vmasks[b], child, meets)
-                if hit:
-                    return hit
+            if child.bit_count() >= more:
+                if more == 1:
+                    # the child's one member left is read in place, as one node
+                    counter.tick()
+                    c = last(child, common & vmasks[b])
+                    if c >= 0:
+                        return chosen + (b, c)
+                else:
+                    hit = step(chosen + (b,), common & vmasks[b], child, meets)
+                    if hit:
+                        return hit
         return None
 
     counter.tick()
     if meet(vmasks):
         return None
-    # the existence search fixes the lowest member; on FOUND, each later
-    # position of the witness drops to the first member that still completes
-    # a family, which gives the lexicographically first one; the last
-    # position is the lowest candidate left that misses every common vertex,
-    # read in place at position t-2 and after the rebuild
+    # the existence search tries every member as the lowest; on FOUND, each
+    # later position of the witness tries the members below the one it
+    # holds, so it drops to the first that still completes a family, which
+    # gives the lexicographically first one; the last position is the
+    # lowest candidate left that misses every common vertex
     prefix: tuple[int, ...] = ()
     witness: list[int] | None = None
     cand, common, meets = full, -1, NO_MEETS
     for pos in range(t - 1):
-        rest = cand if witness is None else cand & ((1 << witness[pos]) - 1)
-        top = meets[-1]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            above = cand & ~((low << 1) - 1)
-            if above.bit_count() < t - pos - 1:
-                break
-            b = low.bit_length() - 1
-            x = vmasks[b]
-            for y in top:
-                above &= meeting[y & x]
-            if pos < t - 2:
-                hit = step(prefix + (b,), common & x, above, meets)
-            else:
-                counter.tick()
-                c = last(above, common & x)
-                hit = None if c < 0 else prefix + (b, c)
-            if hit:
-                witness = sorted(hit)
-                break
-        if witness is None:
+        pick = cand if witness is None else cand & ((1 << witness[pos]) - 1)
+        hit = step(prefix, common, cand, meets, pick)
+        if hit:
+            witness = sorted(hit)
+        elif witness is None:
             return None
         b = witness[pos]
         x = vmasks[b]
         cand &= ~((2 << b) - 1)
-        for y in top:
+        for y in meets[-1]:
             cand &= meeting[y & x]
         common &= x
         prefix += (b,)

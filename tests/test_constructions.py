@@ -313,7 +313,7 @@ class TestVerification:
         assert ("exhaustive", "refuted", True, False) in paths
         assert ("exhaustive", "refuted", False, True) in paths
         digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
-        assert digest == "700d9d48cd83a39bf941e6efa7d77695f7225a9881758164c208ad27bce2d0b0"
+        assert digest == "551349ac74723134e92b75f1ce92a4c0cdc08c39fd77a42504eb30b67c69bc05"
 
     def test_mode_validation(self):
         rep = build_counterexample(9, 4, seed=0)
