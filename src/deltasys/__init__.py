@@ -1,7 +1,7 @@
 """Exact search and verification for sunflowers, intersecting families,
 and triple systems in uniform hypergraphs."""
 
-from .constructions import (Check, ConstructionReport, DesignSpec,
+from .constructions import (ConstructionReport, DesignSpec,
                             VerificationReport, build_counterexample,
                             build_star, build_triple_system,
                             complement_triples, find_perfect_matching,
@@ -27,7 +27,7 @@ from .intersecting import (FamilyWitness, KMFamily, TEMPLATE_TAGS,
                            km_codegree_bound)
 from .patterns import (IntersectionPattern, intersection_structure, project,
                        rank, validate_vertex_partition)
-from .search import NodeCounter, SearchOutcome, SearchStatus
+from .search import Check, NodeCounter, SearchOutcome, SearchStatus
 from .sunflowers import (ClusterCheck, Sunflower, SunflowerCheck,
                          SunflowerCluster, check_cluster, check_semi_cluster,
                          check_sunflower, complete_cluster, find_cluster,

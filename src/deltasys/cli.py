@@ -2,7 +2,8 @@
 
 Every subcommand prints one JSON report to stdout and signals the outcome
 through its exit code. A handler returns only its verdict, its result and,
-when it has them, its named checks and artifact; `main` does the rest once:
+when it has them, its named checks (`Check`s, each written by its own
+`to_json`) and artifact; `main` does the rest once:
 it starts the clock, loads the input, emits the report and looks the verdict
 up in `_EXIT`, which lists every verdict under its code: 0 for a positive
 outcome, 1 for a negative one, 2 for an exhausted node budget (also
@@ -30,7 +31,7 @@ import functools
 import json
 import sys
 import time
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .constructions import (DesignSpec, build_counterexample,
                             build_triple_system, verify_counterexample)
@@ -43,7 +44,7 @@ from .hypergraph import Hypergraph, shadow, weight_identity
 from .intersecting import (CODEGREE_BOUND_TAGS, check_km_codegree_bounds,
                            check_nontrivial, classify_intersecting,
                            find_nontrivial_subfamily)
-from .search import bounded
+from .search import Check, bounded
 from .sunflowers import (SunflowerCluster, complete_cluster, find_cluster,
                          find_sunflower)
 
@@ -69,7 +70,7 @@ class _Answer(NamedTuple):
 
     verdict: str
     result: dict
-    checks: list = []
+    checks: Sequence[Check] = ()
     artifact: dict | Hypergraph | None = None
 
 
@@ -89,12 +90,6 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _check(name: str, ok: bool, claim: str, **extra) -> dict:
-    entry = {"name": name, "verdict": "pass" if ok else "fail", "claim": claim}
-    entry.update(extra)
-    return entry
-
-
 def _json(obj: dict) -> str:
     """`obj` as JSON text: `{`, one `"key": value` line per key in sorted
     order, then `}`. Each value is written compactly by the C encoder."""
@@ -110,7 +105,7 @@ def _emit(args, answer: _Answer, started: float) -> None:
         "schema": 1,
         "command": args.command,
         "params": {k: v for k, v in vars(args).items() if k != "func"},
-        "checks": answer.checks,
+        "checks": [c.to_json() for c in answer.checks],
         "result": answer.result,
         "verdict": answer.verdict,
         "timing": {"seconds": round(time.perf_counter() - started, 6)},
@@ -138,10 +133,10 @@ def cmd_shadow(args, h) -> _Answer:
 def cmd_weight_check(args, h) -> _Answer:
     total, shadow_size = weight_identity(h)
     ok = total == shadow_size
-    checks = [_check("degree-weight-identity", ok,
-                     "summing the reciprocal edge count of every one-smaller "
-                     "subset, over all edges, gives exactly the number of "
-                     "distinct one-smaller subsets")]
+    checks = [Check("degree-weight-identity", ok,
+                    "summing the reciprocal edge count of every one-smaller "
+                    "subset, over all edges, gives exactly the number of "
+                    "distinct one-smaller subsets")]
     result = {"weight_sum": str(total), "shadow_size": shadow_size,
               "edges": len(h)}
     return _Answer("verified" if ok else "failed", result, checks)
@@ -172,9 +167,9 @@ def cmd_complete_semi(args, h) -> _Answer:
         raise ParameterError("witness file does not hold a cluster object")
     cluster = SunflowerCluster.from_json(data)
     completed = complete_cluster(cluster, args.b)
-    checks = [_check("disjoint-residues", True,
-                     "the completed cluster's petal residues are pairwise "
-                     "disjoint outside the host")]
+    checks = [Check("disjoint-residues", True,
+                    "the completed cluster's petal residues are pairwise "
+                    "disjoint outside the host")]
     witness = completed.to_json()
     return _Answer("completed", {"witness": witness,
                                  "petals": completed.petal_count},
@@ -195,11 +190,10 @@ def cmd_check_intersecting(args, h) -> _Answer:
         return _Answer(out.status.value, {"status": out.status.value, "nodes": out.nodes})
     w, t = out.witness, min(args.wise, len(h))
     checks = [
-        _check("d-wise-intersecting", w.intersecting,
-               f"every {t} members share a vertex",
-               **({"witness": w.violating} if w.violating else {})),
-        _check("no-common-vertex", not w.common,
-               "no single vertex lies in every member"),
+        Check("d-wise-intersecting", w.intersecting,
+              f"every {t} members share a vertex", witness=w.violating),
+        Check("no-common-vertex", not w.common,
+              "no single vertex lies in every member"),
     ]
     result = {"common_intersection": w.common, "nontrivial": w.nontrivial}
     return _Answer("verified" if w.intersecting else "failed", result, checks)
@@ -208,12 +202,12 @@ def cmd_check_intersecting(args, h) -> _Answer:
 def cmd_classify_km(args, h) -> _Answer:
     km = classify_intersecting(h)
     contained = km.contains_family(h)
-    checks = [_check("containment", contained,
-                     "every member lies in the named template")]
+    checks = [Check("containment", contained,
+                    "every member lies in the named template")]
     if contained and km.tag in CODEGREE_BOUND_TAGS:
-        checks.append(_check("codegree-bound", check_km_codegree_bounds(h, km),
-                             "the template forces its minimum value of the "
-                             "maximum pair codegree"))
+        checks.append(Check("codegree-bound", check_km_codegree_bounds(h, km),
+                            "the template forces its minimum value of the "
+                            "maximum pair codegree"))
     result = {"template": km.tag,
               "mapping": {str(c): v for c, v in sorted(km.mapping.items())}}
     return _Answer("classified" if contained else "failed", result, checks)
@@ -221,8 +215,8 @@ def cmd_classify_km(args, h) -> _Answer:
 
 def cmd_build_steiner(args, h) -> _Answer:
     system = build_triple_system(DesignSpec(args.n, args.lam), seed=args.seed)
-    checks = [_check("pair-exact", True,
-                     f"every vertex pair lies in exactly {args.lam} blocks")]
+    checks = [Check("pair-exact", True,
+                    f"every vertex pair lies in exactly {args.lam} blocks")]
     result = {"n": args.n, "lambda": args.lam, "size": len(system),
               "blocks": system.edges}
     return _Answer("built", result, checks, system)
@@ -231,11 +225,11 @@ def cmd_build_steiner(args, h) -> _Answer:
 def cmd_build_counterexample(args, h) -> _Answer:
     rep = build_counterexample(args.n, args.m, seed=args.seed)
     checks = [
-        _check("max-codegree", rep.max_codegree == args.m,
-               f"maximum pair codegree equals {args.m}"),
-        _check("codegree-triangles", rep.triangles_ok,
-               f"pairs of codegree {args.m} form disjoint triangles "
-               f"covering all {args.n} vertices"),
+        Check("max-codegree", rep.max_codegree == args.m,
+              f"maximum pair codegree equals {args.m}"),
+        Check("codegree-triangles", rep.triangles_ok,
+              f"pairs of codegree {args.m} form disjoint triangles "
+              f"covering all {args.n} vertices"),
     ]
     result = rep.to_json()
     result["edges"] = rep.system.edges
@@ -245,8 +239,7 @@ def cmd_build_counterexample(args, h) -> _Answer:
 
 def cmd_verify_counterexample(args, h) -> _Answer:
     vr = verify_counterexample(h, args.m, mode=args.mode, budget=args.budget)
-    result = vr.to_json()
-    return _Answer(vr.verdict, result, result["checks"])
+    return _Answer(vr.verdict, vr.to_json(), vr.checks)
 
 
 def cmd_extremal(args, h) -> _Answer:
@@ -267,9 +260,9 @@ def cmd_stability_scan(args, h) -> _Answer:
     rep = stability_scan(h, args.epsilon, args.delta)
     if args.delta is None:
         return _Answer("ok", rep.to_json())
-    checks = [_check("missed-members", bool(rep.within_delta),
-                     "the number of members missing the best vertex stays "
-                     "within the allowed fraction")]
+    checks = [Check("missed-members", rep.within_delta,
+                    "the number of members missing the best vertex stays "
+                    "within the allowed fraction")]
     return _Answer("within-delta" if rep.within_delta else "outside-delta",
                    rep.to_json(), checks)
 
@@ -279,9 +272,9 @@ def cmd_homogeneous_extract(args, h) -> _Answer:
                                restarts=args.restarts)
     bound = homogeneous_size_bound(cert)
     size = len(cert.subgraph)
-    checks = [_check("size-bound", size <= bound,
-                     "the subgraph size is at most the shadow count fixed "
-                     "by its pattern rank")]
+    checks = [Check("size-bound", size <= bound,
+                    "the subgraph size is at most the shadow count fixed "
+                    "by its pattern rank")]
     cert_json = cert.to_json()
     result = {"certificate": cert_json, "size": size, "size_bound": bound}
     return _Answer("extracted", result, checks, cert_json)

@@ -19,7 +19,7 @@ from .errors import AdmissibilityError, ConstructionError, ParameterError, check
 from .hypergraph import (Edge, Hypergraph, _pair_histogram, _pair_table, check_order,
                          holders_of, subset_degrees)
 from .intersecting import CODEGREE_BOUND_TAGS, find_nontrivial_subfamily, km_codegree_bound
-from .search import NodeCounter, SearchOutcome, SearchStatus, bounded
+from .search import Check, NodeCounter, SearchOutcome, SearchStatus, bounded
 
 
 @dataclass(frozen=True)
@@ -248,14 +248,6 @@ def find_perfect_matching(h: Hypergraph) -> tuple[Edge, ...] | None:
 
 
 @dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    claim: str
-    detail: str | None = None
-
-
-@dataclass(frozen=True)
 class ConstructionReport:
     system: Hypergraph
     m: int
@@ -275,7 +267,7 @@ class ConstructionReport:
             "m": self.m,
             "size": self.size,
             "design_size": self.design_size,
-            "matching": [list(e) for e in self.matching],
+            "matching": self.matching,
             "max_codegree": self.max_codegree,
             "codegree_histogram": {str(k): v for k, v in sorted(self.histogram.items())},
             "codegree_m_pairs_are_disjoint_triangles": self.triangles_ok,
@@ -343,14 +335,10 @@ class VerificationReport:
             "m": self.m,
             "nodes": self.nodes,
             "budget_exhausted": self.budget_exhausted,
-            "checks": [
-                {"name": c.name, "verdict": "pass" if c.ok else "fail",
-                 "claim": c.claim, **({"detail": c.detail} if c.detail else {})}
-                for c in self.checks
-            ],
+            "checks": [c.to_json() for c in self.checks],
         }
         if self.witness is not None:
-            out["witness"] = [list(e) for e in self.witness]
+            out["witness"] = self.witness
         return out
 
 

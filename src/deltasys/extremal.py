@@ -109,14 +109,10 @@ class ExtremalResult:
         return {
             "n": self.n,
             "k": self.k,
-            "config": {"kind": self.config.kind,
-                       **({"t": self.config.t} if self.config.t is not None else {}),
-                       **({"d": self.config.d} if self.config.d is not None else {}),
-                       **({"part_sizes": list(self.config.part_sizes)}
-                          if self.config.part_sizes is not None else {})},
+            "config": {k: v for k, v in vars(self.config).items() if v is not None},
             "max_size": self.max_size,
             "exact": self.exact,
-            "families": [[list(e) for e in fam] for fam in self.families],
+            "families": self.families,
             "nodes": self.nodes,
         }
 
@@ -396,13 +392,8 @@ class StabilityReport:
     within_delta: bool | None = None
 
     def to_json(self) -> dict:
-        out = {"n": self.n, "k": self.k, "size": self.size,
-               "vertex": self.vertex, "degree": self.degree,
-               "missed": self.missed, "epsilon": self.epsilon}
-        if self.delta is not None:
-            out["delta"] = self.delta
-            out["within_delta"] = self.within_delta
-        return out
+        # without delta, within_delta is None too
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def stability_scan(h: Hypergraph, epsilon: float,

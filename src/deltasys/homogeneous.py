@@ -40,14 +40,12 @@ class HomogeneousCertificate:
             "n": self.subgraph.n,
             "k": self.subgraph.k,
             "s": self.s,
-            "partition": [list(p) for p in self.partition],
-            "edges": [list(e) for e in self.subgraph.edges],
-            "pattern": [list(x) for x in self.pattern.sorted_sets()],
+            "partition": self.partition,
+            "edges": self.subgraph.edges,
+            "pattern": self.pattern.sorted_sets(),
             "rank": rank(self.pattern),
-            "witnesses": [
-                {"edge": list(e), "center": list(c), "petals": [list(p) for p in ps]}
-                for e, c, ps in self.witnesses
-            ],
+            "witnesses": [{"edge": e, "center": c, "petals": ps}
+                          for e, c, ps in self.witnesses],
         }
 
 

@@ -161,7 +161,8 @@ def nontrivial_search_masks(vmasks: Sequence[int], t: int, d: int,
     (t-1)*m further searches.
     """
     m = len(vmasks)
-    if m < t:
+    if t < 2 or m < t:
+        # a family of at most one member is never nontrivial
         return None
     full = (1 << m) - 1
     meeting = Meeting(vmasks)

@@ -1,4 +1,5 @@
-"""Shared plumbing for the exact searches: outcomes and node budgets."""
+"""Shared plumbing for the exact searches and the reports: outcomes, node
+budgets and named checks."""
 
 from __future__ import annotations
 
@@ -32,6 +33,28 @@ class SearchOutcome:
     @property
     def found(self) -> bool:
         return self.status is SearchStatus.FOUND
+
+
+@dataclass(frozen=True)
+class Check:
+    """A named claim about a result and whether it holds. `detail` says what
+    was measured; `witness` is what breaks the claim."""
+
+    name: str
+    ok: bool
+    claim: str
+    detail: str | None = None
+    witness: Any | None = None
+
+    def to_json(self) -> dict:
+        """The check as a report entry; `detail` and `witness` only when set."""
+        out = {"name": self.name, "verdict": "pass" if self.ok else "fail",
+               "claim": self.claim}
+        if self.detail:
+            out["detail"] = self.detail
+        if self.witness:
+            out["witness"] = self.witness
+        return out
 
 
 class NodeCounter:

@@ -151,11 +151,7 @@ class SunflowerCluster:
         return tuple(out)
 
     def to_json(self) -> dict:
-        return {
-            "host": list(self.host),
-            "blocks": [list(b) for b in self.blocks],
-            "groups": [[list(e) for e in g] for g in self.groups],
-        }
+        return {"host": self.host, "blocks": self.blocks, "groups": self.groups}
 
     @classmethod
     def from_json(cls, data: dict) -> "SunflowerCluster":
@@ -323,13 +319,10 @@ def _host_partitions(host: Edge, sizes: Sequence[int]):
 
 
 def _compositions(total: int, parts: int):
-    """Compositions of `total` into `parts` positive integers, lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Compositions of `total` into `parts` positive integers, lex order: the
+    gaps between parts - 1 cut points taken from 1..total-1."""
+    for cuts in combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
 
 
 def _group_picks(cands: Sequence[Sequence[tuple[Any, int]]], sizes: Sequence[int],

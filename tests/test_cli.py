@@ -26,7 +26,8 @@ from deltasys import (
     save_hypergraph,
     serialize_hypergraph,
 )
-from deltasys import cli
+import deltasys
+from deltasys import Check, cli, constructions, search
 from deltasys.cli import _build_parser
 from conftest import random_semi_cluster, run_cli
 
@@ -639,6 +640,19 @@ class TestHomogeneousExtract:
 
 
 class TestReportLayout:
+    def test_check_entry(self):
+        assert deltasys.Check is constructions.Check is search.Check
+        bare = Check("c", True, "claim")
+        assert bare.to_json() == {"name": "c", "verdict": "pass", "claim": "claim"}
+        # detail and witness are written only when they hold something
+        assert Check("c", False, "claim", detail="", witness=()).to_json() == {
+            "name": "c", "verdict": "fail", "claim": "claim"}
+        violating = ((1, 2), (3, 4))
+        full = Check("c", False, "claim", detail="measured 3", witness=violating).to_json()
+        assert full == {"name": "c", "verdict": "fail", "claim": "claim",
+                        "detail": "measured 3", "witness": violating}
+        assert full["witness"] is violating
+
     @pytest.fixture
     def serialized(self, monkeypatch):
         """Every object passed to `cli._json`, in call order."""

@@ -217,6 +217,7 @@ class TestCounterexampleConstruction:
         assert js["m"] == 4
         assert js["max_codegree"] == 4
         assert js["codegree_m_pairs_are_disjoint_triangles"] is True
+        assert js["matching"] is rep.matching
 
     def test_parameter_checks(self):
         with pytest.raises(ParameterError):
@@ -329,3 +330,10 @@ class TestVerification:
         assert js["verdict"] == "verified"
         assert js["m"] == 4
         assert isinstance(js["checks"], list) and js["checks"]
+        assert js["checks"] == [c.to_json() for c in ver.checks]
+
+    def test_json_hands_over_the_witness(self):
+        h = build_counterexample(15, 5, seed=0).system
+        ver = verify_counterexample(h, 4, mode="exhaustive")
+        assert ver.verdict == "refuted" and ver.witness
+        assert ver.to_json()["witness"] is ver.witness

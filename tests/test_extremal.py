@@ -243,6 +243,14 @@ class TestAgainstBruteForce:
         assert js["exact"] is True
         assert js["n"] == 5 and js["k"] == 3
         assert len(js["families"]) == len(res.families)
+        assert js["families"] is res.families
+        assert js["config"] == {"kind": "nontrivial-intersecting", "t": 3, "d": 2}
+
+    def test_result_json_hands_over_the_block_sizes(self):
+        config = ForbiddenConfig("avd-system", d=2, part_sizes=(2, 1))
+        js = max_avoiding(5, 3, config).to_json()
+        assert js["config"] == {"kind": "avd-system", "d": 2, "part_sizes": (2, 1)}
+        assert js["config"]["part_sizes"] is config.part_sizes
 
 
 def forms_config(edges, config):
@@ -541,3 +549,4 @@ class TestStability:
         assert js["vertex"] == 1
         no_delta = stability_scan(build_star(6, 3), 0.1).to_json()
         assert "within_delta" not in no_delta
+        assert set(js) - set(no_delta) == {"delta", "within_delta"}

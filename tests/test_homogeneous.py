@@ -202,6 +202,12 @@ class TestExtraction:
         assert js["s"] == 2
         assert len(js["edges"]) == len(cert.subgraph)
         assert js["n"] == cert.subgraph.n and js["k"] == cert.subgraph.k
+        # the certificate's own tuples, not copies
+        assert js["edges"] is cert.subgraph.edges
+        assert js["partition"] is cert.partition
+        assert js["witnesses"]
+        for entry, (e, c, ps) in zip(js["witnesses"], cert.witnesses, strict=True):
+            assert entry["edge"] is e and entry["center"] is c and entry["petals"] is ps
 
     def test_star_extraction_respects_the_hub(self):
         cert = extract_homogeneous(build_star(9, 3), 2, seed=3)

@@ -272,6 +272,18 @@ class TestSubfamilySearch:
         out = find_nontrivial_subfamily(build_star(8, 3), 4, 2)
         assert out.status is SearchStatus.NONE
 
+    def test_at_most_one_member_is_never_nontrivial(self):
+        # two disjoint members share no vertex, but a family of at most one
+        # of them is not nontrivial: None without a node; t = 2 asks whether
+        # the two intersect, which takes the root's node
+        for t in (0, 1):
+            counter = NodeCounter(1000)
+            assert nontrivial_search_masks([0b011, 0b100], t, 2, counter) is None
+            assert counter.nodes == 0
+        counter = NodeCounter(1000)
+        assert nontrivial_search_masks([0b011, 0b100], 2, 2, counter) is None
+        assert counter.nodes == 1
+
     def test_against_exhaustive_enumeration(self):
         # 420 seeded instances, 350 with d in {2, 3} and 70 with d = 4, less
         # the few too small for t. The oracle's combinations order is lex
@@ -348,6 +360,24 @@ class TestSubfamilySearch:
             names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
             names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             assert not names & {"environ", "environb", "getenv"}, path.name
+
+    def test_check_verdicts_are_written_in_one_routine(self):
+        # a named check's "pass"/"fail" is spelled only by `Check.to_json`
+        src = Path(intersecting.__file__).parent
+        seen = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owner = {}
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    for func in cls.body:
+                        if isinstance(func, ast.FunctionDef):
+                            owner.update((id(node), f"{cls.name}.{func.name}")
+                                         for node in ast.walk(func))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) and node.value == "pass":
+                    seen.append((path.name, owner.get(id(node))))
+        assert seen == [("search.py", "Check.to_json")]
 
     def test_integer_parameters_are_checked_in_one_routine(self):
         allowed = {"check_int"}

@@ -140,6 +140,12 @@ class TestClusterShape:
         )
         assert SunflowerCluster.from_json(c.to_json()) == c
 
+    def test_json_hands_over_the_fields(self):
+        c = SunflowerCluster((1, 2, 3), ((1, 2), (3,)), (((3, 4, 5),), ((1, 2, 6),)))
+        js = c.to_json()
+        assert js == {"host": c.host, "blocks": c.blocks, "groups": c.groups}
+        assert js["host"] is c.host and js["blocks"] is c.blocks and js["groups"] is c.groups
+
     @pytest.mark.parametrize("data", [{"host": [1, 2, 3]}, {"host": 5, "blocks": [], "groups": []}])
     def test_malformed_json_is_refused(self, data):
         with pytest.raises(ParameterError, match="malformed cluster witness"):
