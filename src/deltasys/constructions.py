@@ -14,10 +14,11 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Iterator
 
 from .errors import AdmissibilityError, ConstructionError, ParameterError, check_int
-from .hypergraph import (Edge, Hypergraph, _pair_histogram, _pair_table, check_order,
-                         holders_of, subset_degrees)
+from .hypergraph import (Edge, Hypergraph, _pair_histogram, _pair_table, _require_triples,
+                         check_order, holders_of, subset_degrees)
 from .intersecting import CODEGREE_BOUND_TAGS, find_nontrivial_subfamily, km_codegree_bound
 from .search import Check, NodeCounter, SearchOutcome, SearchStatus, bounded
 
@@ -130,38 +131,48 @@ def _backtrack_triples(n: int, lam: int, rng: random.Random,
                     out.append(w)
         return out
 
-    def rec(counter: NodeCounter) -> bool:
-        counter.tick()
-        best_pair = None
-        best_ws: list[int] | None = None
-        for p, cnt in need.items():
-            if not cnt:
-                continue
-            ws = candidates(*p)
-            if best_ws is None or len(ws) < len(best_ws):
-                best_pair, best_ws = p, ws
-                if not ws:
-                    return False
-        if best_pair is None:
-            return True
-        u, v = best_pair
-        rng.shuffle(best_ws)
-        for w in best_ws:
-            t = tuple(sorted((u, v, w)))
-            ps = list(combinations(t, 2))
-            for q in ps:
-                need[q] -= 1
-            chosen.append(t)
-            chosen_set.add(t)
-            if rec(counter):
-                return True
-            chosen_set.remove(t)
-            chosen.pop()
-            for q in ps:
-                need[q] += 1
-        return False
+    def search(counter: NodeCounter) -> list[Edge] | None:
+        # frames[i] is node i's pair and its untried third vertices; while
+        # node i has a triple placed, it is chosen[i]
+        frames: list[tuple[int, int, Iterator[int]]] = []
+        while True:
+            counter.tick()
+            best_pair = None
+            best_ws: list[int] | None = None
+            for p, cnt in need.items():
+                if not cnt:
+                    continue
+                ws = candidates(*p)
+                if best_ws is None or len(ws) < len(best_ws):
+                    best_pair, best_ws = p, ws
+                    if not ws:
+                        break
+            if best_pair is None:
+                return chosen
+            if best_ws:
+                rng.shuffle(best_ws)
+                frames.append((*best_pair, iter(best_ws)))
+            # back up to the deepest node with a third vertex left and place it
+            while frames:
+                u, v, ws = frames[-1]
+                if len(chosen) == len(frames):
+                    t = chosen.pop()
+                    chosen_set.remove(t)
+                    for q in combinations(t, 2):
+                        need[q] += 1
+                w = next(ws, None)
+                if w is not None:
+                    t = tuple(sorted((u, v, w)))
+                    for q in combinations(t, 2):
+                        need[q] -= 1
+                    chosen.append(t)
+                    chosen_set.add(t)
+                    break
+                frames.pop()
+            else:
+                return None
 
-    return bounded(node_cap, lambda counter: chosen if rec(counter) else None).witness
+    return bounded(node_cap, search).witness
 
 
 def _check_pair_exact(h: Hypergraph, lam: int) -> bool:
@@ -335,7 +346,6 @@ class VerificationReport:
             "m": self.m,
             "nodes": self.nodes,
             "budget_exhausted": self.budget_exhausted,
-            "checks": [c.to_json() for c in self.checks],
         }
         if self.witness is not None:
             out["witness"] = self.witness
@@ -371,13 +381,16 @@ def verify_counterexample(h: Hypergraph, m: int, mode: str = "both",
     budgeted exact search for such a subfamily. A completed empty search
     verifies; passing counting checks alone are conditional; a found witness
     or failed check refutes. Budget exhaustion falls back to the counting
-    verdict. A given budget is checked in every mode, degree-argument too.
+    verdict. A given budget is checked in every mode, degree-argument too,
+    and so is the uniformity: a hypergraph that is not a 3-graph is refused
+    before any check or search.
     """
     check_int("m", m, 4)
     if budget is not None:
         check_int("node budget", budget, 1)
     if mode not in ("degree-argument", "exhaustive", "both"):
         raise ParameterError(f"unknown mode {mode!r}")
+    _require_triples(h, "maximum")
     t = 3 * m + 1
     # degree: the counting checks, empty when they have not run
     degree = _degree_checks(h, m) if mode != "exhaustive" else []

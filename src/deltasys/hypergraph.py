@@ -263,10 +263,15 @@ def codegree(h: Hypergraph, vertices: Iterable[int]) -> int:
     return sum(1 for em in h.edge_masks if em & m == m)
 
 
-def _pair_table(h: Hypergraph, what: str) -> Counter[Edge]:
-    """The pair-degree table of a 3-graph; `what` names the caller's statistic."""
+def _require_triples(h: Hypergraph, what: str) -> None:
+    """Refuse a non-3-graph; `what` names the pair-codegree statistic asked for."""
     if h.k != 3:
         raise UniformityError(f"pair-codegree {what} is defined for k=3 only, got k={h.k}")
+
+
+def _pair_table(h: Hypergraph, what: str) -> Counter[Edge]:
+    """The pair-degree table of a 3-graph; `what` names the caller's statistic."""
+    _require_triples(h, what)
     return subset_degrees(h, 2)
 
 

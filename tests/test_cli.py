@@ -297,7 +297,7 @@ class TestCheckIntersecting:
         assert code == 2
         rep = report_of(out)
         assert rep["verdict"] == "budget-exhausted"
-        assert rep["result"] == {"status": "budget-exhausted", "nodes": 101}
+        assert rep["result"] == {"nodes": 101}
 
     def test_default_budget_report_is_unchanged(self, family225, capsys):
         code, out = run_cli(["check-intersecting", family225, "--wise", "3"], capsys)
@@ -433,7 +433,7 @@ class TestVerifyCounterexample:
             "max-codegree", "codegree-triangles", "template-thresholds",
             "exhaustive-search",
         }
-        assert rep["checks"] == rep["result"]["checks"]
+        assert "checks" not in rep["result"]
 
     def test_star_refuted(self, star9, capsys):
         code, out = run_cli(
@@ -459,7 +459,32 @@ class TestVerifyCounterexample:
         rep = report_of(out)
         assert rep["verdict"] == "conditional"
         assert rep["result"]["budget_exhausted"] is True
-        assert rep["checks"] == rep["result"]["checks"]
+        assert "checks" not in rep["result"]
+
+    # a 4-graph is refused before any check or search, whatever the budget;
+    # without one it used to run the search and exit 1
+    @pytest.mark.parametrize("budget", [[], ["--budget", "5"]], ids=["default", "budget"])
+    @pytest.mark.parametrize("mode", ["degree-argument", "exhaustive", "both"])
+    def test_non_triple_input_is_refused_in_every_mode(self, tmp_path, mode, budget,
+                                                       capsys):
+        path = tmp_path / "k4.txt"
+        save_hypergraph(Hypergraph(8, 4, list(combinations(range(1, 9), 4))), path)
+        code = cli.main(["verify-counterexample", str(path), "--m", "4", "--mode", mode]
+                        + budget)
+        assert (code, *capsys.readouterr()) == (
+            3, "", "deltasys: error: pair-codegree maximum is defined for k=3 only, "
+                   "got k=4\n")
+
+    def test_build_reports_the_degree_argument_of_what_it_built(self, sys9, capsys):
+        code, out = run_cli(["build-counterexample", "--n", "9", "--m", "4"], capsys)
+        assert code == 0
+        built = report_of(out)["checks"]
+        code, out = run_cli(["verify-counterexample", sys9, "--m", "4", "--mode",
+                             "degree-argument"], capsys)
+        assert code == 0
+        assert built == report_of(out)["checks"]
+        assert [c["name"] for c in built] == [
+            "max-codegree", "codegree-triangles", "template-thresholds"]
 
 
 class TestExtremal:
@@ -535,7 +560,7 @@ class TestExtremal:
         del rep["timing"]
         assert rep["result"]["nodes"] == 601
         digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
-        assert digest[:16] == "0eff03386d6dd3c3"
+        assert digest[:16] == "72d013a50e668807"
 
     def test_simplex_runs_as_nontrivial_with_size_one_above_wise(self, capsys):
         results = []
@@ -692,7 +717,15 @@ class TestReportLayout:
             text = "\n".join(lines).replace(str(tmp_path), "<tmp>")
             digest.update(f"{name} {code}\n{text}\n".encode())
         assert digest.hexdigest() == (
-            "0697cb316c3de5068b40c79e3acc5f9645d31ac0443e6962fbcb5bd4d6cf62a9")
+            "3b9e2311dc74c448dc3ba667b7d375ce8e1c888b7a30d6f693cc7a354cff1e82")
+
+    def test_each_fact_is_written_once(self, every_command, capsys):
+        # the command is the report's own key, the checks its own list and
+        # the verdict its own key; params and result do not repeat them
+        for name, tail in every_command.items():
+            rep = report_of(run_cli([name] + tail, capsys)[1])
+            assert "command" not in rep["params"], name
+            assert not {"checks", "status"} & set(rep["result"]), name
 
     def test_certificate_artifact_only_with_output(self, star9, tmp_path, serialized, capsys):
         argv = ["homogeneous-extract", star9, "--size", "2"]
@@ -861,13 +894,17 @@ class TestGlobalFlags:
                           capsys)
         assert code == 3
 
-    def test_output_write_failure_is_an_input_error(self, star9, capsys):
-        code, _ = run_cli(
-            ["find-sunflower", star9, "--center", "1", "--size", "4",
-             "--output", "/nonexistent-dir/x.json"],
-            capsys,
-        )
-        assert code == 3
+    # the artifact is written before the report is printed, so exit code 3
+    # comes with a message and no report
+    @pytest.mark.parametrize("argv", [
+        ["find-sunflower", "--center", "1", "--size", "4"], ["weight-check"]],
+        ids=["artifact", "report"])
+    def test_output_write_failure_is_an_input_error(self, star9, argv, capsys):
+        path = "/nonexistent-dir/d/x.json"
+        code = cli.main(argv[:1] + [star9] + argv[1:] + ["--output", path])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("deltasys: error: ") and path in err
 
 
 class TestParserReuse:

@@ -1,8 +1,10 @@
 """Triple systems, the lower-bound construction, and its verification."""
 
 import hashlib
+import inspect
 import json
 import random
+import sys
 from itertools import combinations
 from math import comb
 
@@ -128,6 +130,18 @@ class TestPinnedConstructions:
         assert found is not None and len(found) == DesignSpec(n, lam).block_count
         assert constructions._backtrack_triples(n, lam, random.Random(seed),
                                                 node_cap=nodes - 1) is None
+
+    def test_backtrack_keeps_its_stack_off_the_call_stack(self):
+        # 44 blocks placed one below the other: a frame per block would
+        # overflow a limit only 30 frames above the current depth
+        depth = len(inspect.stack())
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            found = constructions._backtrack_triples(12, 2, random.Random(0), node_cap=52)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert found is not None and len(found) == 44
 
 
 class TestComplement:
@@ -298,23 +312,25 @@ class TestVerification:
 
     # every verdict path: counting alone passing and failing, a completed
     # search, an exhausted one falling back to counting (in exhaustive mode
-    # too), and FOUND with a witness; one digest over all 48 reports
+    # too), and FOUND with a witness; one digest over all 48 reports and
+    # their checks
     def test_verdict_grid_is_pinned(self):
         inputs = [(build_counterexample(9, 4, 0).system, 4),
                   (build_counterexample(15, 5, 0).system, 4),
                   (build_counterexample(15, 5, 0).system, 5),
                   (build_star(9, 3), 4)]
-        reports = [verify_counterexample(h, m, mode, budget).to_json()
-                   for h, m in inputs
-                   for mode in ("degree-argument", "exhaustive", "both")
-                   for budget in (None, 1, 5, 50)]
+        runs = [verify_counterexample(h, m, mode, budget)
+                for h, m in inputs
+                for mode in ("degree-argument", "exhaustive", "both")
+                for budget in (None, 1, 5, 50)]
+        reports = [(r.to_json(), [c.to_json() for c in r.checks]) for r in runs]
         paths = {(r["mode"], r["verdict"], r["budget_exhausted"], "witness" in r)
-                 for r in reports}
+                 for r, _ in reports}
         assert {v for _, v, _, _ in paths} == {"verified", "conditional", "refuted"}
         assert ("exhaustive", "refuted", True, False) in paths
         assert ("exhaustive", "refuted", False, True) in paths
         digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
-        assert digest == "551349ac74723134e92b75f1ce92a4c0cdc08c39fd77a42504eb30b67c69bc05"
+        assert digest == "ebffa777708108233a8699391b984e4d19cf0daae7afc9fa649c306036136e90"
 
     def test_mode_validation(self):
         rep = build_counterexample(9, 4, seed=0)
@@ -329,8 +345,8 @@ class TestVerification:
         js = ver.to_json()
         assert js["verdict"] == "verified"
         assert js["m"] == 4
-        assert isinstance(js["checks"], list) and js["checks"]
-        assert js["checks"] == [c.to_json() for c in ver.checks]
+        # the report lists the checks once, at its top level
+        assert "checks" not in js
 
     def test_json_hands_over_the_witness(self):
         h = build_counterexample(15, 5, seed=0).system

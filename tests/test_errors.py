@@ -1,6 +1,8 @@
 """Integer parameters: every entry point refuses a non-int or out-of-range
 value with a plain ParameterError that names the parameter."""
 
+from itertools import combinations
+
 import pytest
 
 from deltasys import (
@@ -11,6 +13,7 @@ from deltasys import (
     NodeCounter,
     ParameterError,
     SunflowerCluster,
+    UniformityError,
     build_counterexample,
     build_star,
     build_triple_system,
@@ -28,6 +31,7 @@ from deltasys import (
     subset_degrees,
     verify_counterexample,
 )
+from deltasys import constructions
 from deltasys.errors import check_int
 
 STAR = build_star(6, 3)
@@ -141,3 +145,14 @@ def test_check_int_refuses_bools_and_may_leave_the_range_open():
     with pytest.raises(ParameterError, match=r"^x must be an integer at least 1, got True$"):
         check_int("x", True, 1)
 
+
+
+@pytest.mark.parametrize("budget", [None, 5])
+@pytest.mark.parametrize("mode", ["degree-argument", "exhaustive", "both"])
+def test_verify_counterexample_refuses_a_non_triple_system(mode, budget, monkeypatch):
+    # refused before the search, so the budget cannot decide the answer
+    monkeypatch.setattr(constructions, "find_nontrivial_subfamily", None)
+    h = Hypergraph(8, 4, list(combinations(range(1, 9), 4)))
+    with pytest.raises(UniformityError,
+                       match=r"^pair-codegree maximum is defined for k=3 only, got k=4$"):
+        verify_counterexample(h, 4, mode=mode, budget=budget)
