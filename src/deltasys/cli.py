@@ -154,7 +154,7 @@ def cmd_find_sunflower(args, h) -> _Answer:
 
 def cmd_find_avd(args, h) -> _Answer:
     out = find_cluster(h, args.a, args.d, budget=args.budget)
-    result: dict = {"nodes": out.nodes}
+    result: dict = {"status": out.status.value, "nodes": out.nodes}
     if out.found:
         result["witness"] = out.witness.to_json()
     return _Answer(out.status.value, result, artifact=result.get("witness"))
@@ -180,7 +180,7 @@ def cmd_complete_semi(args, h) -> _Answer:
 
 def cmd_find_nontrivial(args, h) -> _Answer:
     out = find_nontrivial_subfamily(h, args.size, args.wise, budget=args.budget)
-    result: dict = {"nodes": out.nodes}
+    result: dict = {"status": out.status.value, "nodes": out.nodes}
     if out.found:
         result["witness"] = out.witness
     return _Answer(out.status.value, result)
@@ -189,7 +189,7 @@ def cmd_find_nontrivial(args, h) -> _Answer:
 def cmd_check_intersecting(args, h) -> _Answer:
     out = bounded(args.budget, lambda counter: check_nontrivial(h.edges, args.wise, counter))
     if not out.found:
-        return _Answer(out.status.value, {"nodes": out.nodes})
+        return _Answer(out.status.value, {"status": out.status.value, "nodes": out.nodes})
     w, t = out.witness, min(args.wise, len(h))
     checks = [
         Check("d-wise-intersecting", w.intersecting,
