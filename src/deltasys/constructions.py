@@ -17,8 +17,8 @@ from math import comb
 from typing import Iterator
 
 from .errors import AdmissibilityError, ConstructionError, ParameterError, check_int
-from .hypergraph import (Edge, Hypergraph, _pair_histogram, _pair_table, _require_triples,
-                         check_order, holders_of, subset_degrees)
+from .hypergraph import (Edge, Hypergraph, _pair_table, _require_triples, check_order,
+                         codegree_histogram, holders_of)
 from .intersecting import CODEGREE_BOUND_TAGS, find_nontrivial_subfamily, km_codegree_bound
 from .search import Check, NodeCounter, SearchOutcome, SearchStatus, bounded
 
@@ -175,12 +175,6 @@ def _backtrack_triples(n: int, lam: int, rng: random.Random,
     return bounded(node_cap, search).witness
 
 
-def _check_pair_exact(h: Hypergraph, lam: int) -> bool:
-    """Does every vertex pair lie in exactly lam edges?"""
-    table = subset_degrees(h, 2)
-    return len(table) == comb(h.n, 2) and all(c == lam for c in table.values())
-
-
 def build_triple_system(spec: DesignSpec, seed: int = 0) -> Hypergraph:
     """Pair-exact triple system for the given parameters; deterministic
     for a fixed seed.
@@ -212,7 +206,8 @@ def build_triple_system(spec: DesignSpec, seed: int = 0) -> Hypergraph:
             blocks = build(random.Random(seed * salt + attempt))
             if blocks is not None:
                 h = Hypergraph(n, 3, blocks)
-                if not _check_pair_exact(h, lam):
+                # every pair in exactly lam >= 1 blocks; uncovered pairs count under 0
+                if codegree_histogram(h) != {lam: comb(n, 2)}:
                     raise ConstructionError("construction produced an invalid triple system")
                 return h
     raise ConstructionError(
@@ -264,9 +259,7 @@ class ConstructionReport:
     m: int
     design_size: int
     matching: tuple[Edge, ...]
-    max_codegree: int
     histogram: dict[int, int]
-    triangles_ok: bool
 
     @property
     def size(self) -> int:
@@ -279,9 +272,7 @@ class ConstructionReport:
             "size": self.size,
             "design_size": self.design_size,
             "matching": self.matching,
-            "max_codegree": self.max_codegree,
             "codegree_histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "codegree_m_pairs_are_disjoint_triangles": self.triangles_ok,
         }
 
 
@@ -322,11 +313,7 @@ def build_counterexample(n: int, m: int, seed: int = 0) -> ConstructionReport:
         raise ConstructionError(
             f"complement of the triple system on {n} vertices has no perfect matching")
     system = Hypergraph(n, 3, list(base.edges) + list(matching))
-    pairs = subset_degrees(system, 2)
-    tri_ok, _ = _codegree_m_triangles(system, pairs, m)
-    return ConstructionReport(system, m, len(base), matching,
-                              max(pairs.values(), default=0), _pair_histogram(pairs, n),
-                              tri_ok)
+    return ConstructionReport(system, m, len(base), matching, codegree_histogram(system))
 
 
 @dataclass(frozen=True)

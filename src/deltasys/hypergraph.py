@@ -24,8 +24,9 @@ _BIT = [0] + [1 << v for v in range(MAX_VERTICES)]
 
 def vertex_tuple(vertices: Iterable[int]) -> Edge:
     """Normalize a vertex collection to a sorted duplicate-free tuple; each
-    vertex must first pass `check_int` as a "vertex label" of at least 1."""
-    return tuple(sorted({check_int("vertex label", v, 1) for v in vertices}))
+    vertex must first pass `check_int` as a "vertex label" in
+    1..MAX_VERTICES, so no mask built from it outgrows the cap."""
+    return tuple(sorted({check_int("vertex label", v, 1, MAX_VERTICES) for v in vertices}))
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -275,15 +276,6 @@ def _pair_table(h: Hypergraph, what: str) -> Counter[Edge]:
     return subset_degrees(h, 2)
 
 
-def _pair_histogram(table: Counter[Edge], n: int) -> dict[int, int]:
-    """Codegree histogram of a pair table on n vertices; uncovered pairs under 0."""
-    hist = dict(Counter(table.values()))
-    uncovered = comb(n, 2) - len(table)
-    if uncovered:
-        hist[0] = uncovered
-    return hist
-
-
 def max_codegree2(h: Hypergraph) -> int:
     """Maximum codegree over vertex pairs, 0 without edges; defined for 3-graphs only."""
     return max(_pair_table(h, "maximum").values(), default=0)
@@ -295,7 +287,12 @@ def codegree_histogram(h: Hypergraph) -> dict[int, int]:
     Pairs covered by no edge, C(n, 2) minus the pairs in the table, are
     counted under 0.
     """
-    return _pair_histogram(_pair_table(h, "histogram"), h.n)
+    table = _pair_table(h, "histogram")
+    hist = dict(Counter(table.values()))
+    uncovered = comb(h.n, 2) - len(table)
+    if uncovered:
+        hist[0] = uncovered
+    return hist
 
 
 def edge_weight(h: Hypergraph, edge: Iterable[int]) -> Fraction:

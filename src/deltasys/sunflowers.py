@@ -318,11 +318,20 @@ def _host_partitions(host: Edge, sizes: Sequence[int]):
     yield from rec(host, 0)
 
 
-def _compositions(total: int, parts: int):
-    """Compositions of `total` into `parts` positive integers, lex order: the
-    gaps between parts - 1 cut points taken from 1..total-1."""
-    for cuts in combinations(range(1, total), parts - 1):
-        yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+def _compositions(total: int, caps: Sequence[int]):
+    """Compositions of `total` into len(caps) positive integers, part i at
+    most caps[i], in lexicographic order. Each first part tried leaves a
+    total the later parts can take, so every prefix ends in a composition."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    if min(caps) < 1:
+        return
+    room = sum(caps) - caps[0]
+    for first in range(max(1, total - room), min(caps[0], total - len(caps) + 1) + 1):
+        for rest in _compositions(total - first, caps[1:]):
+            yield (first,) + rest
 
 
 def _group_picks(cands: Sequence[Sequence[tuple[Any, int]]], sizes: Sequence[int],
@@ -344,9 +353,9 @@ def disjoint_clusters(masks: Sequence[int], part_sizes: Sequence[int], d: int,
     Indices refer to positions in `masks`, which must be in the caller's
     deterministic order. Hosts run in index order, then the host's ordered
     partitions, then the compositions of d into group sizes, then the
-    petals group by group; a composition that asks a group for more members
-    than it has candidates is skipped. The same member set may come more
-    than once. Each host indexes the other members, in index order, by
+    petals group by group; only compositions that ask no group for more
+    members than it has candidates are listed. The same member set may come
+    more than once. Each host indexes the other members, in index order, by
     their meet with it once, and a block's candidates are the members that
     meet the host in the rest of the host. `counter` ticks once per host,
     once per partition walked and once per petal picked.
@@ -360,9 +369,7 @@ def disjoint_clusters(masks: Sequence[int], part_sizes: Sequence[int], d: int,
         for blocks in _host_partitions(vertices_of(host_mask), part_sizes):
             counter.tick()
             cands = [by_meet.get(host_mask & ~mask_of(b), []) for b in blocks]
-            for sizes in _compositions(d, len(blocks)):
-                if any(len(c) < b for c, b in zip(cands, sizes)):
-                    continue
+            for sizes in _compositions(d, [len(c) for c in cands]):
                 for groups in _group_picks(cands, sizes, 0, counter):
                     yield hi, blocks, groups
 

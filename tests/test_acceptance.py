@@ -25,6 +25,7 @@ from deltasys import (
     is_d_simplex,
     is_homogeneous,
     max_avoiding,
+    max_codegree2,
     verify_counterexample,
     weight_identity,
 )
@@ -43,8 +44,9 @@ def test_acceptance_01_dense_construction_on_nine_vertices():
     started = time.perf_counter()
     rep = build_counterexample(9, 4, seed=0)
     assert rep.size == 39
-    assert rep.max_codegree == 4
-    assert rep.triangles_ok
+    assert max_codegree2(rep.system) == 4
+    assert all(c.ok for c in
+               verify_counterexample(rep.system, 4, mode="degree-argument").checks)
     heavy = [
         p for p in combinations(range(1, 10), 2)
         if sum(1 for e in rep.system.edges if set(p) <= set(e)) == 4
@@ -290,13 +292,15 @@ def test_acceptance_13_codegree_reports_and_one_pass_weight_check(tmp_path, caps
     # onto one subset-degree table
     started = time.perf_counter()
     code, out = run_cli(["build-counterexample", "--n", "15", "--m", "5"], capsys)
-    res = json.loads(out)["result"]
+    report = json.loads(out)
+    res = report["result"]
     assert code == 0
-    assert res["max_codegree"] == 5
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["max-codegree"]["detail"] == "measured 5"
+    assert checks["codegree-triangles"]["verdict"] == "pass"
     assert res["codegree_histogram"] == {"4": 90, "5": 15}
-    assert res["codegree_m_pairs_are_disjoint_triangles"]
     digest = hashlib.sha256(json.dumps(res, sort_keys=True).encode()).hexdigest()
-    assert digest == "6cd632adc1e505913cb5475500c8007506c3eb81ec1a55bd82c3a58bb92b87d4"
+    assert digest == "c448f4fe4ffd7c33bc18bac5e01c7c412559abd98816b3a1f2999ea4f4dd6b1f"
     # 4000 of the 4-subsets of 1..30, drawn as the benchmark's weight-4g job
     # draws them at seed 0
     rng = random.Random(14)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, report schema, artifacts."""
 
 import argparse
+import ast
 import hashlib
 import importlib
 import json
@@ -27,7 +28,7 @@ from deltasys import (
     serialize_hypergraph,
 )
 import deltasys
-from deltasys import Check, cli, constructions, search
+from deltasys import Check, cli, constructions, search, sunflowers
 from deltasys.cli import _build_parser
 from conftest import random_semi_cluster, run_cli
 
@@ -133,6 +134,13 @@ class TestFindSunflower:
         assert code == 1
         assert report_of(out)["verdict"] == "none"
 
+    @pytest.mark.parametrize("label", [129, 10 ** 20])
+    def test_center_above_the_vertex_cap_is_an_input_error(self, star9, label, capsys):
+        # refused before a mask of `label` bits is built
+        code = cli.main(["find-sunflower", star9, "--center", str(label), "--size", "2"])
+        assert (code, *capsys.readouterr()) == (
+            3, "", f"deltasys: error: vertex label must be an integer in 1..128, got {label}\n")
+
 
 class TestFindAvd:
     def test_star_is_clean(self, star9, capsys):
@@ -170,6 +178,28 @@ class TestFindAvd:
         )
         assert code == 2
         assert report_of(out)["verdict"] == "budget-exhausted"
+
+
+    def test_budget_bounds_a_petal_count_no_group_can_fill(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # each group has at most 3 candidates, so no composition of d = 2000
+        # is listed, and none costs time without a tick
+        listed = []
+        real = sunflowers._compositions
+
+        def counted(total, caps):
+            for sizes in real(total, caps):
+                listed.append(sizes)
+                yield sizes
+
+        monkeypatch.setattr(sunflowers, "_compositions", counted)
+        hpath = tmp_path / "k4.txt"
+        save_hypergraph(Hypergraph(4, 3, combinations(range(1, 5), 3)), hpath)
+        code, out = run_cli(["find-avd", str(hpath), "--a", "1,1,1", "--d", "2000",
+                             "--budget", "5"], capsys)
+        assert code == 2
+        assert report_of(out)["result"]["nodes"] == 6
+        assert listed == []
 
 
 class TestCompleteSemi:
@@ -230,6 +260,17 @@ class TestCompleteSemi:
         # group 1 only has 2 candidates, so b=(2,...) needs more in group 2
         code, _ = run_cli(["complete-semi", str(path), "--b", "2,5"], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("label", [129, 10 ** 20])
+    def test_witness_label_above_the_vertex_cap_is_an_input_error(
+            self, tmp_path, label, capsys):
+        path, cluster = self._write_semi(tmp_path)
+        witness = json.loads(path.read_text())
+        witness["groups"][0][0][0] = label
+        path.write_text(json.dumps(witness))
+        code = cli.main(["complete-semi", str(path), "--b", "1,1"])
+        assert (code, *capsys.readouterr()) == (
+            3, "", f"deltasys: error: vertex label must be an integer in 1..128, got {label}\n")
 
     def test_junk_witness_file(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
@@ -717,7 +758,7 @@ class TestReportLayout:
             text = "\n".join(lines).replace(str(tmp_path), "<tmp>")
             digest.update(f"{name} {code}\n{text}\n".encode())
         assert digest.hexdigest() == (
-            "df6791bddd1ac8b4dc26d61cee9f2943afaba606826be0eeddbf0941ae6ef425")
+            "bafe97944d7e11bf8e2ed1f5c920fcb22e11f3d501938f0f71fd76a297757fa2")
 
     def test_each_fact_is_written_once(self, every_command, capsys):
         # the command is the report's own key and the checks its own list;
@@ -728,6 +769,10 @@ class TestReportLayout:
             assert "command" not in rep["params"], name
             assert "checks" not in rep["result"], name
             assert rep["result"].get("status", rep["verdict"]) == rep["verdict"], name
+            if name == "build-counterexample":
+                # the max-codegree and codegree-triangles checks say these
+                assert "max_codegree" not in rep["result"]
+                assert "codegree_m_pairs_are_disjoint_triangles" not in rep["result"]
 
     def test_certificate_artifact_only_with_output(self, star9, tmp_path, serialized, capsys):
         argv = ["homogeneous-extract", star9, "--size", "2"]
@@ -980,6 +1025,23 @@ def test_every_benchmark_job_parses(tmp_path, monkeypatch):
         workdir.mkdir()
         for job in setup(str(workdir), 0, "tiny"):
             assert parser.parse_args(list(job.argv)).command == job.argv[0], job.name
+
+
+def test_readme_python_example_runs():
+    # every statement runs, and each bare expression's value, as repr,
+    # begins the comment on its line: `rep.size  # (39, 4)`
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    lines = block.splitlines()
+    namespace = {}
+    for stmt in ast.parse(block).body:
+        code = ast.Module([stmt], [])
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(code, "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        comment = lines[stmt.end_lineno - 1].split("#", 1)[1].strip()
+        assert comment.startswith(repr(value)), (ast.unparse(stmt), value)
 
 
 def test_readme_exit_table_matches_the_code():

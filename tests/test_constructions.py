@@ -185,12 +185,11 @@ class TestCounterexampleConstruction:
         rep = build_counterexample(9, 4, seed=0)
         assert rep.size == 39
         assert rep.design_size == 36
-        assert rep.max_codegree == 4
         assert rep.histogram == {3: 27, 4: 9}
-        assert rep.triangles_ok
         assert len(rep.matching) == 3
         h = rep.system
         assert max_codegree2(h) == 4
+        assert all(c.ok for c in verify_counterexample(h, 4, mode="degree-argument").checks)
         # matching edges are the complement part: disjoint, covering [9]
         used = [v for e in rep.matching for v in e]
         assert sorted(used) == list(range(1, 10))
@@ -202,13 +201,20 @@ class TestCounterexampleConstruction:
             tabulated.append((len(h), size))
             return subset_degrees(h, size)
 
-        monkeypatch.setattr(constructions, "subset_degrees", counted)
         monkeypatch.setattr(hypergraph, "subset_degrees", counted)
         rep = build_counterexample(9, 4, seed=0)
         assert tabulated.count((rep.size, 2)) == 1
         tabulated.clear()
         verify_counterexample(rep.system, 4, mode="degree-argument")
         assert tabulated == [(rep.size, 2)]
+
+    def test_the_build_runs_no_triangle_test(self, monkeypatch):
+        # the codegree claims are verify_counterexample's alone
+        def refuse(*args):
+            raise AssertionError("build_counterexample ran the triangle test")
+
+        monkeypatch.setattr(constructions, "_codegree_m_triangles", refuse)
+        assert build_counterexample(9, 4).size == 39
 
     def test_codegree_m_pairs_form_triangles(self):
         rep = build_counterexample(9, 4, seed=0)
@@ -229,8 +235,10 @@ class TestCounterexampleConstruction:
         js = rep.to_json()
         assert js["size"] == rep.size
         assert js["m"] == 4
-        assert js["max_codegree"] == 4
-        assert js["codegree_m_pairs_are_disjoint_triangles"] is True
+        # the codegree claims are verify_counterexample's checks, not the build's
+        assert "max_codegree" not in js
+        assert "codegree_m_pairs_are_disjoint_triangles" not in js
+        assert js["codegree_histogram"] == {"3": 27, "4": 9}
         assert js["matching"] is rep.matching
 
     def test_parameter_checks(self):
@@ -252,8 +260,9 @@ class TestCounterexampleConstruction:
     def test_larger_instance(self):
         rep = build_counterexample(15, 5, seed=0)
         assert rep.size == DesignSpec(15, 4).block_count + 5
-        assert rep.max_codegree == 5
-        assert rep.triangles_ok
+        assert max_codegree2(rep.system) == 5
+        assert all(c.ok for c in
+                   verify_counterexample(rep.system, 5, mode="degree-argument").checks)
 
 
 class TestVerification:

@@ -17,7 +17,9 @@ from deltasys import (
     build_counterexample,
     build_star,
     build_triple_system,
+    check_cluster,
     check_nontrivial,
+    codegree,
     complete_cluster,
     extract_homogeneous,
     find_cluster,
@@ -95,6 +97,28 @@ def test_entry_point_refuses_a_bad_integer(entry, value):
     with pytest.raises(ParameterError, match=f"^{name} must be an integer") as err:
         call(value)
     # a subclass such as AdmissibilityError would misname the fault
+    assert type(err.value) is ParameterError
+
+
+# entry points that build a vertex mask from labels they are given
+LABELLED = {
+    "codegree": lambda v: codegree(STAR, (1, v)),
+    "check_nontrivial": lambda v: check_nontrivial([(1, v), (1, 2), (2, v)], 2),
+    "is_d_simplex": lambda v: is_d_simplex([(1, v), (1, 2), (2, v)], 2),
+    "check_cluster": lambda v: check_cluster(
+        SunflowerCluster((1, 2, v), ((1, 2), (v,)), (((v, 4, 5),), ((1, 2, 6),))), 2),
+    "find_sunflower": lambda v: find_sunflower(STAR, (v,), 2),
+    "Hypergraph": lambda v: Hypergraph(3, 2, [(v, 2)]),
+}
+
+
+@pytest.mark.parametrize("label", [129, 10 ** 20])
+@pytest.mark.parametrize("entry", sorted(LABELLED))
+def test_a_vertex_label_above_the_cap_is_refused(entry, label):
+    # refused before a mask of `label` bits is built
+    with pytest.raises(ParameterError,
+                       match=f"^vertex label must be an integer in 1..128, got {label}$") as err:
+        LABELLED[entry](label)
     assert type(err.value) is ParameterError
 
 

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -24,7 +24,7 @@ from deltasys import (
     is_sunflower,
     mask_of,
 )
-from deltasys.sunflowers import disjoint_clusters
+from deltasys.sunflowers import _compositions, disjoint_clusters
 from conftest import (block_shapes, forms_cluster, random_full_cluster, random_hypergraph,
                       random_semi_cluster)
 
@@ -416,6 +416,21 @@ class TestFindCluster:
         # so no composition gets as far as picking a petal
         out = find_cluster(build_star(12, 3), (2, 1), 3, budget=1000)
         assert out.status is SearchStatus.NONE
+
+    def test_capped_compositions_match_the_filtered_cut_points(self):
+        # the generator before the caps: every composition from the cut
+        # points, with those that ask a group for too much skipped after
+        def filtered(total, caps):
+            for cuts in combinations(range(1, total), len(caps) - 1):
+                sizes = tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+                if not any(c < b for c, b in zip(caps, sizes)):
+                    yield sizes
+
+        for total in range(1, 12):
+            for parts in (2, 3, 4):
+                for caps in product(range(6), repeat=parts):
+                    assert list(_compositions(total, caps)) == list(filtered(total, caps)), (
+                        total, caps)
 
     def test_sub_count_monotone(self):
         # a found (a, d)-cluster with d > #groups also yields d-1
