@@ -13,7 +13,9 @@ what makes extracted homogeneous subgraphs useful.
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
@@ -21,7 +23,6 @@ from typing import Sequence
 from .errors import ParameterError, check_int
 from .hypergraph import Edge, Hypergraph, holders_of, mask_of, shadow, vertices_of
 from .patterns import IntersectionPattern, rank, validate_vertex_partition
-from .sunflowers import disjoint_picks
 
 # (edge, center, petals): the edge's sunflower witness for one intersection
 SunflowerWitness = tuple[Edge, Edge, tuple[Edge, ...]]
@@ -60,27 +61,30 @@ class HomogeneousCheck:
 class _MaskIndex:
     """Bitmask view of one subgraph under one vertex partition.
 
-    `meets[i]` maps each mask of edge i's intersections with the other
-    edges, the set `intersection_structure` lists, to the bitset of the
-    edges that meet edge i in exactly that mask (bit j for edge j). It
-    comes from splitting the other edges' bitset by each vertex v of edge i
-    in turn, into the part inside v's holders (`holders_of` the edge
-    tuples) and the part outside; empty parts are dropped, and each part
-    left is one entry. That is at most k * min(2^k, |E|) big-int ANDs per
-    edge, not |E|. `project(mask)` is the part mask of a vertex mask, bit
-    p-1 for each part p it meets, and `pattern(i)` is the set of the part
-    masks of edge i's meets (`vertices_of` decodes a part mask). A part
-    mask and a meet's vertex tuple are computed once per distinct mask.
+    `meets[i]` maps each mask of edge i's intersections with the other live
+    edges, the set `intersection_structure` lists, to a bitset that holds,
+    read through `live`, the edges that meet edge i in exactly that mask
+    (bit j for edge j). It comes from splitting the other edges' bitset by
+    each vertex v of edge i in turn, into the part inside v's holders
+    (`holders_of` the edge tuples) and the part outside; empty parts are
+    dropped, and each part left is one entry. That is at most
+    k * min(2^k, |E|) big-int ANDs per edge, not |E|. `project(mask)` is the
+    part mask of a vertex mask, bit p-1 for each part p it meets, and
+    `pattern(i)` is the set of the part masks of edge i's meets
+    (`vertices_of` decodes a part mask). A part mask and a meet's vertex
+    tuple are computed once per distinct mask. Every edge is live until
+    `drop` removes it.
     """
 
-    __slots__ = ("edges", "masks", "meets", "project", "_vertices")
+    __slots__ = ("edges", "masks", "holders", "meets", "live", "reach", "project",
+                 "_vertices")
 
     def __init__(self, edges: Sequence[Edge], masks: Sequence[int],
                  parts: Sequence[Edge]):
         self.edges = edges
         self.masks = masks
-        holders = holders_of(edges)
-        everything = (1 << len(edges)) - 1
+        self.holders = holders = holders_of(edges)
+        self.live = everything = (1 << len(edges)) - 1
         self.meets: list[dict[int, int]] = []
         for i, e in enumerate(edges):
             # meet so far -> edges, starting from every edge but i; the leaf
@@ -99,6 +103,10 @@ class _MaskIndex:
                         split[m] = bits ^ inside
                 branches = split
             self.meets.append(branches)
+        # the most other edges any edge meets: an edge's empty meet can only
+        # empty once at most reach + 1 edges are live
+        far = min((m.get(0, 0).bit_count() for m in self.meets), default=0)
+        self.reach = len(edges) - 1 - far
         part_bits = tuple((1 << p, mask_of(part)) for p, part in enumerate(parts))
         self.project = cache(lambda mask: sum(bit for bit, pm in part_bits if mask & pm))
         self._vertices = cache(vertices_of)
@@ -110,22 +118,85 @@ class _MaskIndex:
         """Edge i's intersections as (vertex tuple, mask), in vertex-tuple order."""
         return sorted((self._vertices(x), x) for x in self.meets[i])
 
-    def petals(self, i: int, center: int, s: int) -> tuple[Edge, ...] | None:
-        """The lex-first s-petal sunflower through edge i at its meet `center`.
+    def witness(self, i: int, center: int, s: int) -> int | None:
+        """The bitset of the other s - 1 petals of the lex-first s-petal
+        sunflower through edge i at its meet `center`, or None.
 
-        Its other petals meet edge i in exactly the center, so they are
-        picked from `meets[i][center]`: the lowest edge for s = 2.
+        Those petals meet edge i in exactly the center, so they are picked
+        from `meets[i][center]`: the lowest edge for s = 2.
         """
-        bits = self.meets[i][center]
-        if s == 2:
-            j = (bits & -bits).bit_length() - 1
-            return tuple(sorted((self.edges[i], self.edges[j])))
-        # `vertices_of` lists the set bits 1-based: j for edge j - 1
-        cands = [(self.edges[j - 1], self.masks[j - 1] & ~center) for j in vertices_of(bits)]
-        pick = next(disjoint_picks(cands, 0, s - 1, 0, None), None)
-        if pick is None:
+        bits = self.meets[i][center] & self.live
+        return bits & -bits if s == 2 else self._picks(bits, s - 1, center)
+
+    def _picks(self, bits: int, need: int, center: int) -> int | None:
+        """The first `need` edges of `bits`, in lexicographic order of their
+        positions, whose residues outside `center` are pairwise disjoint.
+
+        The order is that of `disjoint_picks`. Taking an edge strikes every
+        later candidate that holds a vertex of its residue.
+        """
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            if need == 1:
+                return low
+            blocked = 0
+            for v in self.edges[low.bit_length() - 1]:
+                if not center >> (v - 1) & 1:
+                    blocked |= self.holders[v]
+            rest = self._picks(bits & ~blocked, need - 1, center)
+            if rest is not None:
+                return low | rest
+        return None
+
+    def petals(self, i: int, center: int, s: int) -> tuple[Edge, ...] | None:
+        """The petals of `witness(i, center, s)`, edge i among them, in order."""
+        w = self.witness(i, center, s)
+        if w is None:
             return None
-        return tuple(sorted((self.edges[i],) + pick[0]))
+        if s == 2:
+            return tuple(sorted((self.edges[i], self.edges[w.bit_length() - 1])))
+        return tuple(sorted([self.edges[i]] + [self.edges[j - 1] for j in vertices_of(w)]))
+
+    def drop(self, gone: int) -> list[int]:
+        """Remove the live edges of bitset `gone`; return the live edges
+        that lost a meet.
+
+        A meet's bitset changes only when it empties, as it is read through
+        `live`. With one edge j gone, that can happen to the meet e_i & e_j
+        of an edge i through one of e_j's vertices, and to the empty meet of
+        an edge disjoint from e_j, once at most `reach` + 1 edges are left.
+        With more edges gone (a class drop), every meet of a live edge is
+        masked to the live edges.
+        """
+        live = self.live = self.live & ~gone
+        meets, masks = self.meets, self.masks
+        lost = []
+        if gone & (gone - 1):
+            for i in vertices_of(live):
+                mi = meets[i - 1]
+                kept = {m: bits & live for m, bits in mi.items() if bits & live}
+                if len(kept) < len(mi):
+                    lost.append(i - 1)
+                meets[i - 1] = kept
+            return lost
+        j = gone.bit_length() - 1
+        near = 0
+        for v in self.edges[j]:
+            near |= self.holders[v]
+        for i in vertices_of(near & live):
+            mi = meets[i - 1]
+            m = masks[i - 1] & masks[j]
+            if not mi[m] & live:
+                del mi[m]
+                lost.append(i - 1)
+        if live.bit_count() <= self.reach + 1:
+            for i in vertices_of(live & ~near):
+                mi = meets[i - 1]
+                if 0 in mi and not mi[0] & live:
+                    del mi[0]
+                    lost.append(i - 1)
+        return lost
 
 
 def is_homogeneous(h: Hypergraph, s: int, parts) -> HomogeneousCheck:
@@ -177,70 +248,68 @@ def homogeneous_size_bound(cert: HomogeneousCertificate) -> int:
     return len(shadow(cert.subgraph, cert.subgraph.k - r))
 
 
-def _co_members(h: Hypergraph) -> dict[int, list[Edge]]:
-    """others[v]: each edge through vertex v as the tuple of its other vertices."""
-    others: dict[int, list[Edge]] = {v: [] for v in range(1, h.n + 1)}
-    for e in h.edges:
+def _edges_through(h: Hypergraph) -> list[list[int]]:
+    """through[v]: the positions in `h.edges` of the edges through vertex v."""
+    through: list[list[int]] = [[] for _ in range(h.n + 1)]
+    for pos, e in enumerate(h.edges):
         for v in e:
-            others[v].append(tuple(u for u in e if u != v))
-    return others
+            through[v].append(pos)
+    return through
 
 
 def _climb_partition(h: Hypergraph, rng: random.Random,
-                     others: dict[int, list[Edge]]) -> dict[int, int]:
+                     through: list[list[int]]) -> dict[int, int]:
     """Random part assignment improved by single-vertex moves, best gain first.
 
-    An edge in `others[v]` (from `_co_members`) is rainbow exactly when its
-    members take k-1 distinct parts and v takes the one part left.
-    `counts[v][p]` is the number of v's edges that would be rainbow with v
-    in part p; it is built once, with one pass over v's tuples. A move of w
-    changes only the counts of w's co-members: through each edge of w, every
-    other member u loses the edge's contribution under w's old part and
-    gains it under the new one.
+    `sums[pos]` adds up `1 << part` over the members of edge pos. Leaving out
+    member v, the other members take k-1 distinct parts exactly when the
+    rest of the sum has k-1 bits set, as a repeated part carries; the edge
+    is then rainbow with v in the one part left, `free[rest]`. `counts[v][p]`
+    is the number of the edges through v (`through[v]`, from
+    `_edges_through`) that would be rainbow with v in part p. A move of w
+    changes only the counts of w's co-members: through each edge of w,
+    every other member u loses the edge's contribution under the old sum
+    and gains it under the new one. The scan takes the first vertex, and
+    its first part, of strictly best gain.
     """
-    assign = {v: rng.randrange(h.k) for v in range(1, h.n + 1)}
-    part_sum = h.k * (h.k - 1) // 2
-
-    def rainbow_by_part(v: int) -> list[int]:
-        counts = [0] * h.k
-        for rest in others[v]:
-            taken = {assign[u] for u in rest}
-            if len(taken) == h.k - 1:
-                counts[part_sum - sum(taken)] += 1
-        return counts
-
-    counts = {v: rainbow_by_part(v) for v in others}
+    k = h.k
+    assign = {v: rng.randrange(k) for v in range(1, h.n + 1)}
+    free = {(1 << k) - 1 - (1 << p): p for p in range(k)}
+    sums = [sum(1 << assign[u] for u in e) for e in h.edges]
+    counts = {}
+    for v in assign:
+        mine = counts[v] = [0] * k
+        bit = 1 << assign[v]
+        for pos in through[v]:
+            p = free.get(sums[pos] - bit)
+            if p is not None:
+                mine[p] += 1
 
     while True:
         best_gain = 0
         best_move: tuple[int, int] | None = None
-        for v in range(1, h.n + 1):
-            cur = assign[v]
-            mine = counts[v]
-            for p in range(h.k):
-                if p == cur:
-                    continue
-                gain = mine[p] - mine[cur]
-                if gain > best_gain:
-                    best_gain = gain
-                    best_move = (v, p)
+        for v, mine in counts.items():
+            top = max(mine)
+            if top - mine[assign[v]] > best_gain:
+                best_gain = top - mine[assign[v]]
+                best_move = (v, mine.index(top))
         if best_move is None:
             return assign
         w, new = best_move
-        old = assign[w]
+        delta = (1 << new) - (1 << assign[w])
         assign[w] = new
-        for rest in others[w]:
-            for u in rest:
-                # the parts of the edge's members other than u and w; the
-                # edge is rainbow for u only if they are distinct, and then
-                # u takes the part that neither they nor w take
-                base = {assign[x] for x in rest if x != u}
-                if len(base) == h.k - 2:
-                    missing = part_sum - sum(base)
-                    if old not in base:
-                        counts[u][missing - old] -= 1
-                    if new not in base:
-                        counts[u][missing - new] += 1
+        for pos in through[w]:
+            before = sums[pos]
+            after = sums[pos] = before + delta
+            for u in h.edges[pos]:
+                if u != w:
+                    bit = 1 << assign[u]
+                    p = free.get(before - bit)
+                    if p is not None:
+                        counts[u][p] -= 1
+                    p = free.get(after - bit)
+                    if p is not None:
+                        counts[u][p] += 1
 
 
 def _refine(k: int, edges: list[Edge], mask: dict[Edge, int], parts: tuple[Edge, ...],
@@ -248,40 +317,76 @@ def _refine(k: int, edges: list[Edge], mask: dict[Edge, int], parts: tuple[Edge,
     """Cut rainbow `edges` down until they are homogeneous under `parts`.
 
     Alternately unify the projected pattern, keeping the biggest pattern
-    class, and delete edges breaking closure or the sunflower condition.
-    Each step builds one `_MaskIndex` of the current edges, at most
-    k * min(2^k, |E|) bitset ANDs per edge; it gives the patterns and the
-    sunflower witnesses. Classes are keyed by sets of part masks, and only
-    the class left and tied classes are decoded to patterns. With s = 2
-    every meet is a sunflower center, so only s > 2 scans for a center
-    without petals. The result may be empty.
+    class, and delete edges breaking closure (the last edge) or the
+    sunflower condition (the first bad edge). One `_MaskIndex` of `edges`
+    is built and updated in place by `_MaskIndex.drop`, and an edge's
+    pattern is recomputed only when it loses a meet. Classes are counted by
+    sets of part masks, and only the class left and tied classes are
+    decoded to patterns. With s = 2 every meet is a sunflower center. For
+    s > 2, `found[i]` keeps the petal bitset of each meet's lex-first
+    witness, or None for none. A lex-first pick stays lex-first when a
+    candidate it does not use leaves, and none stays none, so a witness is
+    searched again only when one of its petals leaves; `users[j]` lists the
+    edges whose witnesses used edge j. `suspects` is a heap that holds every
+    live edge not yet known to be good (and may hold others), so the lowest
+    bad edge is found without rescanning the good ones. The result may be
+    empty.
     """
-    while edges:
-        idx = _MaskIndex(edges, [mask[e] for e in edges], parts)
-        groups: dict[frozenset[int], list[Edge]] = {}
-        for i, e in enumerate(edges):
-            groups.setdefault(idx.pattern(i), []).append(e)
-        if len(groups) > 1:
+    if not edges:
+        return edges
+    idx = _MaskIndex(edges, [mask[e] for e in edges], parts)
+    patterns = [idx.pattern(i) for i in range(len(edges))]
+    classes = Counter(patterns)
+    found: list[dict[int, int | None]] = [{} for _ in edges]
+    users: list[list[int]] = [[] for _ in edges]
+    suspects = list(range(len(edges)))
+
+    def drop(gone: int) -> None:
+        for j in vertices_of(gone):
+            classes[patterns[j - 1]] -= 1
+            for i in users[j - 1]:
+                heapq.heappush(suspects, i)
+        for i in idx.drop(gone):
+            classes[patterns[i]] -= 1
+            patterns[i] = idx.pattern(i)
+            classes[patterns[i]] += 1
+        for key in [key for key, c in classes.items() if not c]:
+            del classes[key]
+
+    def lowest_bad() -> int | None:
+        while suspects:
+            i = suspects[0]
+            if idx.live >> i & 1:
+                mine = found[i]
+                for m in idx.meets[i]:
+                    # -1: not searched yet, and unequal to its AND with live
+                    w = mine.get(m, -1)
+                    if w is not None and w & idx.live != w:
+                        w = mine[m] = idx.witness(i, m, s)
+                        for j in vertices_of(w or 0):
+                            users[j - 1].append(i)
+                    if w is None:
+                        return i
+            heapq.heappop(suspects)
+        return None
+
+    while idx.live:
+        if len(classes) > 1:
             # keep the biggest pattern class; tie-break on the pattern itself
-            size = max(len(g) for g in groups.values())
-            first = min((key for key, g in groups.items() if len(g) == size),
+            size = max(classes.values())
+            first = min((key for key, c in classes.items() if c == size),
                         key=lambda pat: IntersectionPattern.of(
                             k, map(vertices_of, pat)).sorted_sets())
-            edges = groups[first]
+            drop(sum(1 << (j - 1) for j in vertices_of(idx.live) if patterns[j - 1] != first))
             continue
-        pattern = IntersectionPattern.of(k, map(vertices_of, next(iter(groups))))
-        if not pattern.is_closed:
-            edges = edges[:-1]
+        if not IntersectionPattern.of(k, map(vertices_of, next(iter(classes)))).is_closed:
+            drop(1 << (idx.live.bit_length() - 1))
             continue
-        if s > 2:
-            bad = next((e for i, e in enumerate(edges)
-                        if any(idx.petals(i, cm, s) is None for cm in idx.meets[i])),
-                       None)
-            if bad is not None:
-                edges = [e for e in edges if e != bad]
-                continue
-        break
-    return edges
+        bad = lowest_bad() if s > 2 else None
+        if bad is None:
+            break
+        drop(1 << bad)
+    return [edges[j - 1] for j in vertices_of(idx.live)]
 
 
 def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
@@ -293,9 +398,10 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
     `_refine` until they are homogeneous. The largest subgraph over all
     restarts wins, the earlier restart on ties; a single edge with its
     tailor-made partition is the fallback, so the result is never empty.
-    Deterministic for fixed seed and restarts. The climb's co-member table
-    is built once for all restarts, and `is_homogeneous` checks the winner
-    once, on an index of its own, and gives its certificate.
+    Deterministic for fixed seed and restarts. The climb's lists of the
+    edges through each vertex are built once for all restarts, and
+    `is_homogeneous` checks the winner once, on an index of its own, and
+    gives its certificate.
     """
     check_int("petal count s", s, 2)
     check_int("seed", seed, None)
@@ -303,11 +409,11 @@ def extract_homogeneous(h: Hypergraph, s: int, seed: int = 0,
     if len(h) == 0:
         raise ParameterError("hypergraph must be nonempty")
     mask = dict(zip(h.edges, h.edge_masks))
-    others = _co_members(h)
+    through = _edges_through(h)
     best: tuple[list[Edge], tuple[Edge, ...]] | None = None
     for r in range(restarts):
         rng = random.Random(seed * 1_000_003 + r)
-        assign = _climb_partition(h, rng, others)
+        assign = _climb_partition(h, rng, through)
         parts = tuple(tuple(v for v in range(1, h.n + 1) if assign[v] == i)
                       for i in range(h.k))
         edges = _refine(h.k, [e for e in h.edges if len({assign[v] for v in e}) == h.k],

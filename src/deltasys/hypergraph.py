@@ -224,8 +224,9 @@ class Hypergraph:
         return Hypergraph._checked(self.n, self.k, _sorted_distinct(sub))
 
     def degree(self, v: int) -> int:
-        """Number of edges containing vertex v."""
-        bit = 1 << (v - 1)
+        """Number of edges containing vertex v, a "vertex label" in
+        1..MAX_VERTICES as for `vertex_tuple`; a label above n has none."""
+        bit = 1 << (check_int("vertex label", v, 1, MAX_VERTICES) - 1)
         return sum(1 for m in self.edge_masks if m & bit)
 
 

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -24,7 +26,7 @@ from deltasys import (
     vertices_of,
 )
 from deltasys import homogeneous
-from deltasys.homogeneous import _MaskIndex, _climb_partition, _co_members
+from deltasys.homogeneous import _MaskIndex, _climb_partition, _edges_through, _refine
 from conftest import random_hypergraph
 
 
@@ -254,6 +256,33 @@ class TestExtraction:
         text = json.dumps(cert.to_json(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("seed, size, witnesses, digest", [
+        (0, 328, 2296, "26ff267d95389d0c"),
+        (1, 1, 0, "0e6b56617f91bcbb"),
+    ])
+    def test_pinned_with_three_petals_on_the_benchmark_input_shape(
+            self, seed, size, witnesses, digest, monkeypatch):
+        # the input of `test_pinned_on_the_benchmark_input_shape` with s = 3:
+        # hundreds of bad edges leave one at a time, and seed 1 cuts both
+        # restarts down to a single edge; each restart builds one index, and
+        # the check of the winner one more
+        builds = []
+
+        class Counted(_MaskIndex):
+            def __init__(self, *args):
+                builds.append(len(args[0]))
+                super().__init__(*args)
+
+        monkeypatch.setattr(homogeneous, "_MaskIndex", Counted)
+        rng = random.Random(seed * 1_000_003 + 13)
+        h = Hypergraph(30, 3, sorted(rng.sample(list(combinations(range(1, 31), 3)), 1500)))
+        cert = extract_homogeneous(h, 3, seed=seed, restarts=2)
+        assert len(builds) == 3
+        assert len(cert.subgraph) == size
+        assert len(cert.witnesses) == witnesses
+        text = json.dumps(cert.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     def test_tied_classes_keep_the_first_in_canonical_order(self):
         # two 3-edge sunflowers on disjoint vertices, one with center {1}
         # and one with center {8, 9}; when a partition makes all six edges
@@ -397,6 +426,12 @@ class TestMaskIndex:
                 # the reference pattern
                 assert (len(set(patterns)) == len({p for p, _ in patterns})
                         == len({ref for _, ref in patterns}) > 1)
+        # s = 4: the petal search picks three petals beside the edge
+        deep = random.Random(5170)
+        for k in (3, 4):
+            for _ in range(12):
+                h = random_hypergraph(deep, n=deep.randint(k + 1, 11), k=k, max_edges=30)
+                compare(h, random_partition(deep, h.n, k), 4)
         assert checked > 1000
         assert empty_centers > 0
 
@@ -431,12 +466,135 @@ class TestMaskIndex:
         for trial in range(30):
             k = (2, 3, 4)[trial % 3]
             h = random_hypergraph(rng, n=rng.randint(k + 1, 14), k=k, max_edges=60)
-            climbed = _climb_partition(h, random.Random(trial), _co_members(h))
+            climbed = _climb_partition(h, random.Random(trial), _edges_through(h))
             assert climbed == recount_climb(h, random.Random(trial))
         # dense inputs: each move (8 and 4 here) updates the counts of every
         # co-member through a hundred or more edges
         for trial, (n, k, size) in enumerate(((30, 3, 1500), (20, 4, 1000))):
             rng = random.Random(4040 + trial)
             h = Hypergraph(n, k, rng.sample(list(combinations(range(1, n + 1), k)), size))
-            climbed = _climb_partition(h, random.Random(trial), _co_members(h))
+            climbed = _climb_partition(h, random.Random(trial), _edges_through(h))
             assert climbed == recount_climb(h, random.Random(trial))
+
+
+def rebuild_refine(k, edges, mask, parts, s, drops):
+    """`_refine` as first written: each step builds a new index of the edges
+    left and rescans them from the first; `drops` counts the steps by kind."""
+    while edges:
+        idx = _MaskIndex(edges, [mask[e] for e in edges], parts)
+        groups = {}
+        for i, e in enumerate(edges):
+            groups.setdefault(idx.pattern(i), []).append(e)
+        if len(groups) > 1:
+            size = max(len(g) for g in groups.values())
+            first = min((key for key, g in groups.items() if len(g) == size),
+                        key=lambda pat: IntersectionPattern.of(
+                            k, map(vertices_of, pat)).sorted_sets())
+            drops["class"] += 1
+            edges = groups[first]
+            continue
+        pattern = IntersectionPattern.of(k, map(vertices_of, next(iter(groups))))
+        if not pattern.is_closed:
+            drops["closure"] += 1
+            edges = edges[:-1]
+            continue
+        if s > 2:
+            bad = next((e for i, e in enumerate(edges)
+                        if any(idx.petals(i, cm, s) is None for cm in idx.meets[i])),
+                       None)
+            if bad is not None:
+                drops["bad"] += 1
+                edges = [e for e in edges if e != bad]
+                continue
+        break
+    return edges
+
+
+class TestRefine:
+    """The in-place refinement against the rebuild-per-step reference."""
+
+    # four codewords pairwise agreeing in exactly one coordinate: as edges on
+    # three parts of two vertices, every edge meets the others in one vertex
+    # of each part, a pattern without the empty meet, which is not closed
+    CODE = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+
+    def planted(self, rng, k):
+        """Random rainbow edges on k small parts, plus the code on the last
+        three parts (behind a hub vertex of the first part when k = 4)."""
+        parts, v = [], 1
+        for size in (rng.randint(2, 3) for _ in range(k)):
+            parts.append(tuple(range(v, v + size)))
+            v += size
+        pool = list(product(*parts))
+        edges = set(rng.sample(pool, rng.randint(0, len(pool) // 3)))
+        hub = parts[0][:1] if k == 4 else ()
+        edges |= {hub + tuple(parts[p - 3][c] for p, c in enumerate(w)) for w in self.CODE}
+        h = Hypergraph(v - 1, k, sorted(edges))
+        return h, tuple(parts), list(h.edges)
+
+    def climbed(self, rng, n, k, size):
+        """A dense random graph, cut to its rainbow edges under a climbed
+        partition, as `extract_homogeneous` does."""
+        h = Hypergraph(n, k, rng.sample(list(combinations(range(1, n + 1), k)), size))
+        assign = _climb_partition(h, rng, _edges_through(h))
+        parts = tuple(tuple(v for v in range(1, n + 1) if assign[v] == p) for p in range(k))
+        return h, parts, [e for e in h.edges if len({assign[v] for v in e}) == k]
+
+    def test_drop_matches_a_fresh_index(self):
+        def by_edge(idx, i):
+            return {m: {idx.edges[j - 1] for j in vertices_of(bits & idx.live)}
+                    for m, bits in idx.meets[i].items()}
+
+        rng = random.Random(2727)
+        drops = 0
+        for trial in range(40):
+            k = (3, 4)[trial % 2]
+            h = random_hypergraph(rng, n=rng.randint(k + 1, 10), k=k, max_edges=30)
+            parts = random_partition(rng, h.n, k)
+            idx = _MaskIndex(h.edges, h.edge_masks, parts)
+            while idx.live:
+                live = [j - 1 for j in vertices_of(idx.live)]
+                before = {i: set(idx.meets[i]) for i in live}
+                size = rng.choice((1, 1, 1, 2, len(live) // 2))
+                gone = rng.sample(live, min(len(live), max(size, 1)))
+                lost = idx.drop(sum(1 << j for j in gone))
+                drops += 1
+                left = [i for i in live if i not in gone]
+                assert sorted(lost) == [i for i in left if set(idx.meets[i]) != before[i]]
+                fresh = _MaskIndex([h.edges[i] for i in left], [h.edge_masks[i] for i in left],
+                                   parts)
+                for pos, i in enumerate(left):
+                    assert by_edge(idx, i) == by_edge(fresh, pos)
+        assert drops > 200
+        # the last edge disjoint from (1, 2, 3) leaves, with as many edges
+        # left as (1, 2, 3) meets, plus itself: its empty meet empties
+        edges = ((1, 2, 3), (1, 4, 5), (2, 6, 7), (8, 9, 10))
+        idx = _MaskIndex(edges, [mask_of(e) for e in edges], ((1,), (2,), (3,)))
+        assert idx.reach == 2
+        assert idx.drop(1 << 3) == [0] and 0 not in idx.meets[0]
+
+    def test_kept_edges_match_the_rebuild_per_step_reference(self):
+        rng = random.Random(3131)
+        inputs = [(self.planted(rng, (3, 4)[t % 2]), (2, 3, 4)[t // 2 % 3]) for t in range(60)]
+        # small inputs, where a drop often leaves an edge meeting every other
+        # edge, so that its empty meet empties
+        for t in range(60):
+            k = (3, 4)[t % 2]
+            n = rng.randint(k + 1, 10)
+            inputs.append((self.climbed(rng, n, k, rng.randint(2, min(comb(n, k), 30))),
+                           (2, 3, 4)[t // 2 % 3]))
+        # long runs of bad-edge drops, down to a few edges
+        for n, k, size, s in ((15, 3, 400, 3), (15, 3, 400, 4), (15, 3, 300, 3),
+                              (18, 3, 500, 3), (16, 4, 1200, 3), (12, 4, 400, 4)):
+            inputs.append((self.climbed(rng, n, k, size), s))
+        total = Counter()
+        seen = set()
+        for (h, parts, rainbow), s in inputs:
+            mask = dict(zip(h.edges, h.edge_masks))
+            drops = Counter()
+            expected = rebuild_refine(h.k, rainbow, mask, parts, s, drops)
+            assert _refine(h.k, rainbow, mask, parts, s) == expected, (h.edges, parts, s)
+            total += drops
+            seen.add((h.k, s))
+        assert seen == {(k, s) for k in (3, 4) for s in (2, 3, 4)}
+        assert total["class"] > 100 and total["closure"] > 10 and total["bad"] > 100, total

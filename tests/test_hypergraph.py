@@ -84,6 +84,16 @@ class TestConstruction:
         assert h.degree(2) == 3
         assert h.degree(5) == 3
 
+    @pytest.mark.parametrize("vertex", [0, 2.5, True, 1000])
+    def test_degree_refuses_a_bad_vertex_label(self, vertex):
+        with pytest.raises(ParameterError, match="vertex label"):
+            build_star(5, 3).degree(vertex)
+
+    def test_degree_of_a_label_above_n_is_zero(self):
+        # as `codegree` counts it: a valid label that no edge holds
+        h = build_star(5, 3)
+        assert h.degree(6) == h.degree(128) == codegree(h, (128,)) == 0
+
 
 class TestShadow:
     def test_star_first_shadow_is_all_pairs(self):
