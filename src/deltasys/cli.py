@@ -238,14 +238,19 @@ def cmd_verify_counterexample(args, h) -> _Answer:
     return _Answer(vr.verdict, vr.to_json(), vr.checks)
 
 
+# the flags of `extremal` that each --config reads
+_EXTREMAL_FLAGS = {"nontrivial-intersecting": ("size", "wise"), "d-simplex": ("wise",),
+                   "avd-system": ("a", "d")}
+
+
 def cmd_extremal(args, h) -> _Answer:
     # d comes from --wise for the intersecting kinds and from --d for
-    # avd-system; ForbiddenConfig rejects a t or block sizes its kind does
-    # not take
+    # avd-system; a flag its kind does not read is named as typed, before
+    # ForbiddenConfig would name it by its field
     avd = args.config == "avd-system"
-    if (args.wise if avd else args.d) is not None:
-        raise ParameterError(f"--{'wise' if avd else 'd'} does not apply "
-                             f"to --config {args.config}")
+    for flag in ("size", "wise", "a", "d"):
+        if flag not in _EXTREMAL_FLAGS[args.config] and getattr(args, flag) is not None:
+            raise ParameterError(f"--{flag} does not apply to --config {args.config}")
     config = ForbiddenConfig(args.config, t=args.size,
                              d=args.d if avd else args.wise, part_sizes=args.a)
     res = max_avoiding(args.n, args.k, config, budget=args.budget)

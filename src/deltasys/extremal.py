@@ -281,9 +281,11 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     the orbit maps under G to one that holds x, so no size is lost, and
     since only branches strictly below the incumbent are cut, every
     isomorphism class of maximum families is reached. A live candidate can
-    always be added, so |chosen| + |live| bounds the branch. Both branches
-    remove the lowest live x, so every live candidate lies above every
-    chosen member: members still arrive in index order.
+    always be added, so |chosen| + |live| bounds the branch; the parent ticks
+    each branch and tests that bound before it spends a call, a cell
+    refinement or an orbit on it. Both branches remove the lowest live x, so
+    every live candidate lies above every chosen member: members still
+    arrive in index order.
 
     With exactly d+1 members (avd-system, and nontrivial-intersecting with
     t = d+1, the d-simplex) the kills are read from the conflict table of
@@ -336,13 +338,15 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
     exact = True
 
     def record():
+        # reached only by a branch its parent let through, so size >= best
         nonlocal best
         size = len(chosen)
         if size > best:
             best = size
             found.clear()
-        if size == best:
-            found.setdefault(frozenset(chosen), tuple(cand[i] for i in chosen))
+        key = frozenset(chosen)
+        if key not in found:
+            found[key] = tuple(cand[i] for i in chosen)
 
     def refine(cells: list[int], m: int) -> list[int]:
         # the cells once member m is chosen: each splits into its part in m
@@ -350,29 +354,41 @@ def max_avoiding(n: int, k: int, config: ForbiddenConfig,
         return [part for c in cells for part in (c & m, c & ~m) if part]
 
     def dfs(live: int, chosen_mask: int, cells: list[int]):
-        counter.tick()
-        if len(chosen) + live.bit_count() < best:
-            return
-        if not live:
-            record()
-            return
-        low = live & -live
-        x = low.bit_length() - 1
-        m = masks[x]
-        orbit = live
-        for c in cells:
-            orbit &= by_meet[c][(m & c).bit_count()]
-        rest = live ^ low
-        chosen.append(x)
-        dfs(rest & ~killed(chosen_mask | low, rest), chosen_mask | low, refine(cells, m))
-        chosen.pop()
-        dfs(live & ~orbit, chosen_mask, cells)
+        # the parent ticked this branch and found it not below the bound;
+        # each child is ticked and bounded here before it costs a call, a
+        # refinement or an orbit, and the drop branch is this loop
+        size = len(chosen)
+        while live:
+            low = live & -live
+            x = low.bit_length() - 1
+            m = masks[x]
+            rest = live ^ low
+            chosen.append(x)
+            keep = rest & ~killed(chosen_mask | low, rest)
+            counter.tick()
+            if size + 1 + keep.bit_count() >= best:
+                dfs(keep, chosen_mask | low, refine(cells, m))
+            chosen.pop()
+            counter.tick()
+            # the orbit holds x, so what the drop leaves lies inside rest
+            if size + rest.bit_count() < best:
+                return
+            orbit = live
+            for c in cells:
+                orbit &= by_meet[c][(m & c).bit_count()]
+            live &= ~orbit
+            if size + live.bit_count() < best:
+                return
+        record()
 
     try:
         kills = conflict_kills(masks, config, meeting, counter)
         chosen.append(0)
         live = (1 << total) - 2
-        dfs(live & ~killed(1, live), 1, refine([(1 << n) - 1], masks[0]))
+        live &= ~killed(1, live)
+        counter.tick()
+        if 1 + live.bit_count() >= best:
+            dfs(live, 1, refine([(1 << n) - 1], masks[0]))
     except BudgetExceeded:
         exact = False
     families = tuple(sorted(found.values()))

@@ -460,3 +460,23 @@ def test_acceptance_19_found_searches_read_their_last_member():
         f"criterion 19: PASS - 30 seeded FOUND searches for 6 3-wise intersecting "
         f"4-sets without a common vertex in {total} nodes ({elapsed:.2f}s)"
     )
+
+
+def test_acceptance_20_tetrahedron_at_n7_settles_each_branch_in_its_parent():
+    # the 3-simplex on 7 points, where most branches end at the bound: each
+    # is ticked and cut in its parent before its call, cell refinement or
+    # orbit; nodes and families are those of the search that ticked and cut
+    # each branch on entry
+    started = time.perf_counter()
+    res = max_avoiding(7, 3, ForbiddenConfig("d-simplex", d=3))
+    elapsed = time.perf_counter() - started
+    assert res.exact and res.max_size == 23
+    assert res.nodes == 580_968
+    assert len(res.families) == 237
+    digest = hashlib.sha256(json.dumps(res.families).encode()).hexdigest()[:16]
+    assert digest == "17f3024849e5f8d9"
+    assert elapsed < 10.0, elapsed
+    print(
+        f"criterion 20: PASS - maximum 23 at n=7, k=3 with no tetrahedron, "
+        f"237 families ({res.nodes} nodes, {elapsed:.2f}s)"
+    )

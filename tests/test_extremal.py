@@ -236,6 +236,31 @@ class TestAgainstBruteForce:
         digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()[:16]
         assert digest == "841260dd502fe779"
 
+    # the table kinds at d = 3, whose pins above all have d = 2; recorded
+    # while each branch still ticked and tested its own bound on entry
+    D3_TABLES = [(6, ForbiddenConfig("d-simplex", d=3), 14, 2993),
+                 (7, ForbiddenConfig("avd-system", part_sizes=(2, 1), d=3), 20, 9006),
+                 (6, ForbiddenConfig("avd-system", part_sizes=(1, 1, 1), d=3), 12, 625)]
+
+    @pytest.mark.parametrize("n,config,value,nodes", D3_TABLES,
+                             ids=["simplex-6-3-d3", "avd21-7-3-d3", "avd111-6-3-d3"])
+    def test_d3_table_values_and_nodes_are_pinned(self, n, config, value, nodes):
+        res = max_avoiding(n, 3, config)
+        assert (res.max_size, res.nodes, res.exact) == (value, nodes, True)
+
+    def test_d3_table_budget_outcomes_are_pinned(self):
+        # sampled as in test_budget_outcomes_are_pinned, for the two smaller
+        # configurations above
+        outcomes = []
+        for n, config, _, total in (self.D3_TABLES[0], self.D3_TABLES[2]):
+            for budget in sorted(set(range(1, 201)) | set(range(200, total + 2, 13))
+                                 | {total, total + 1}):
+                res = max_avoiding(n, 3, config, budget=budget)
+                outcomes.append([budget, res.max_size, res.families, res.nodes, res.exact])
+        assert len(outcomes) == 650
+        digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()[:16]
+        assert digest == "62cc8dde8f7295ab"
+
     def test_result_json(self):
         res = max_avoiding(5, 3, ForbiddenConfig("d-simplex", d=2))
         js = res.to_json()
