@@ -38,8 +38,8 @@ from typing import NamedTuple, Sequence
 from .constructions import (DesignSpec, build_counterexample,
                             build_triple_system, verify_counterexample)
 from .errors import ConstructionError, ParameterError
-from .extremal import (CONFIG_KINDS, ForbiddenConfig, max_avoiding,
-                       stability_scan)
+from .extremal import (CONFIG_FIELDS, CONFIG_KINDS, ForbiddenConfig,
+                       max_avoiding, stability_scan)
 from .hgio import load_hypergraph, serialize_hypergraph
 from .homogeneous import extract_homogeneous, homogeneous_size_bound
 from .hypergraph import Hypergraph, shadow, weight_identity
@@ -238,21 +238,21 @@ def cmd_verify_counterexample(args, h) -> _Answer:
     return _Answer(vr.verdict, vr.to_json(), vr.checks)
 
 
-# the flags of `extremal` that each --config reads
-_EXTREMAL_FLAGS = {"nontrivial-intersecting": ("size", "wise"), "d-simplex": ("wise",),
-                   "avd-system": ("a", "d")}
-
-
 def cmd_extremal(args, h) -> _Answer:
-    # d comes from --wise for the intersecting kinds and from --d for
-    # avd-system; a flag its kind does not read is named as typed, before
-    # ForbiddenConfig would name it by its field
-    avd = args.config == "avd-system"
+    # each field the kind takes comes from one flag, d from --d for
+    # avd-system and from --wise otherwise; a stray or missing flag is named
+    # as typed, before ForbiddenConfig would name its field
+    flag_of = {"t": "size", "part_sizes": "a",
+               "d": "d" if args.config == "avd-system" else "wise"}
+    fields = CONFIG_FIELDS[args.config]
+    flags = [flag_of[f] for f in fields]
     for flag in ("size", "wise", "a", "d"):
-        if flag not in _EXTREMAL_FLAGS[args.config] and getattr(args, flag) is not None:
+        if flag not in flags and getattr(args, flag) is not None:
             raise ParameterError(f"--{flag} does not apply to --config {args.config}")
-    config = ForbiddenConfig(args.config, t=args.size,
-                             d=args.d if avd else args.wise, part_sizes=args.a)
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise ParameterError(f"--config {args.config} needs {' and '.join(missing)}")
+    config = ForbiddenConfig(args.config, **{f: getattr(args, flag_of[f]) for f in fields})
     res = max_avoiding(args.n, args.k, config, budget=args.budget)
     return _Answer("exact" if res.exact else "budget-exhausted", res.to_json())
 
@@ -291,6 +291,8 @@ def _build_parser() -> _Parser:
                         help="search node budget (default 10^8)")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    infile = argparse.ArgumentParser(add_help=False)
+    infile.add_argument("input")
 
     parser = _Parser(prog="deltasys",
                      description="Exact search and verification for sunflowers, "
@@ -304,24 +306,20 @@ def _build_parser() -> _Parser:
         return p
 
     p = add("shadow", cmd_shadow, "list the subsets obtained by removing "
-                                  "--order vertices from every edge")
-    p.add_argument("input")
+                                  "--order vertices from every edge", infile)
     p.add_argument("--order", type=int, required=True)
 
-    p = add("weight-check", cmd_weight_check,
-            "verify the exact degree-weight identity on a hypergraph")
-    p.add_argument("input")
+    add("weight-check", cmd_weight_check,
+        "verify the exact degree-weight identity on a hypergraph", infile)
 
     p = add("find-sunflower", cmd_find_sunflower,
-            "search for --size edges through --center with disjoint residues")
-    p.add_argument("input")
+            "search for --size edges through --center with disjoint residues", infile)
     p.add_argument("--center", type=_int_list, default=(),
                    help="comma-separated center vertices (default: empty)")
     p.add_argument("--size", type=int, required=True)
 
     p = add("find-avd", cmd_find_avd,
-            "search for a host-partitioned sunflower cluster", budget)
-    p.add_argument("input")
+            "search for a host-partitioned sunflower cluster", infile, budget)
     p.add_argument("--a", type=_int_list, required=True,
                    help="comma-separated block sizes, summing to k")
     p.add_argument("--d", type=int, required=True, help="total petal count")
@@ -334,20 +332,17 @@ def _build_parser() -> _Parser:
 
     p = add("find-nontrivial", cmd_find_nontrivial,
             "search for --size edges, --wise-wise intersecting, "
-            "with no common vertex", budget)
-    p.add_argument("input")
+            "with no common vertex", infile, budget)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--wise", type=int, required=True)
 
     p = add("check-intersecting", cmd_check_intersecting,
-            "check the whole family for --wise-wise intersection", budget)
-    p.add_argument("input")
+            "check the whole family for --wise-wise intersection", infile, budget)
     p.add_argument("--wise", type=int, required=True)
 
-    p = add("classify-km", cmd_classify_km,
-            "match a pairwise-intersecting triple family against the "
-            "known templates")
-    p.add_argument("input")
+    add("classify-km", cmd_classify_km,
+        "match a pairwise-intersecting triple family against the known templates",
+        infile)
 
     p = add("build-steiner", cmd_build_steiner,
             "construct a pair-exact triple system", seed)
@@ -362,8 +357,8 @@ def _build_parser() -> _Parser:
                    help="target maximum pair codegree")
 
     p = add("verify-counterexample", cmd_verify_counterexample,
-            "verify the codegree-capped family against forbidden subfamilies", budget)
-    p.add_argument("input")
+            "verify the codegree-capped family against forbidden subfamilies",
+            infile, budget)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mode", choices=("degree-argument", "exhaustive", "both"),
                    default="both")
@@ -383,14 +378,12 @@ def _build_parser() -> _Parser:
                    help="petal count (avd-system)")
 
     p = add("stability-scan", cmd_stability_scan,
-            "how close a near-full family is to a star")
-    p.add_argument("input")
+            "how close a near-full family is to a star", infile)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, default=None)
 
     p = add("homogeneous-extract", cmd_homogeneous_extract,
-            "extract a large homogeneous subgraph with a certificate", seed)
-    p.add_argument("input")
+            "extract a large homogeneous subgraph with a certificate", infile, seed)
     p.add_argument("--size", type=int, required=True,
                    help="required petal count s for every intersection")
     p.add_argument("--restarts", type=int, default=8)

@@ -290,14 +290,12 @@ def _codegree_m_triangles(h: Hypergraph, pairs: dict[Edge, int],
     for v in range(1, h.n + 1):
         if len(adj[v]) != 2:
             return False, f"vertex {v} lies in {len(adj[v])} codegree-{m} pairs, expected 2"
-    seen: set[int] = set()
+    # each vertex has two partners now, so its pairs close a triangle
+    # exactly when each partner's partners are it and the other partner
     for v in range(1, h.n + 1):
-        if v in seen:
-            continue
-        comp = {v} | adj[v]
-        if len(comp) != 3 or any(adj[u] != comp - {u} for u in comp):
+        a, b = adj[v]
+        if adj[a] != {v, b} or adj[b] != {v, a}:
             return False, f"codegree-{m} pairs around vertex {v} do not close a triangle"
-        seen |= comp
     return True, None
 
 

@@ -39,7 +39,10 @@ from .hypergraph import (NO_MEETS, Edge, Hypergraph, Meeting, Meets, check_order
 from .search import NodeCounter
 from .sunflowers import cluster_blocks, disjoint_clusters
 
-CONFIG_KINDS = ("nontrivial-intersecting", "d-simplex", "avd-system")
+# the fields of ForbiddenConfig that each kind takes, all of them and no other
+CONFIG_FIELDS = {"nontrivial-intersecting": ("t", "d"), "d-simplex": ("d",),
+                 "avd-system": ("part_sizes", "d")}
+CONFIG_KINDS = tuple(CONFIG_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -61,30 +64,23 @@ class ForbiddenConfig:
     part_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in CONFIG_KINDS:
+        if self.kind not in CONFIG_FIELDS:
             raise ParameterError(f"unknown configuration kind {self.kind!r}")
         for name, value in (("t", self.t), ("d", self.d)):
             if value is not None:
                 check_int(name, value, 1)
+        fields = CONFIG_FIELDS[self.kind]
+        if {f for f in ("t", "d", "part_sizes") if getattr(self, f) is not None} != set(fields):
+            raise ParameterError(f"{self.kind} takes exactly {' and '.join(fields)}")
         if self.kind == "d-simplex":
-            if self.d is None or self.t is not None or self.part_sizes is not None:
-                raise ParameterError("d-simplex takes exactly d")
             object.__setattr__(self, "kind", "nontrivial-intersecting")
             object.__setattr__(self, "t", self.d + 1)
         if self.kind == "nontrivial-intersecting":
-            if self.t is None or self.d is None:
-                raise ParameterError("nontrivial-intersecting needs t and d")
             if self.d == 1 and self.t != 2:
                 raise ParameterError(f"d must be at least 2, or 1 with t=2, got d={self.d}")
             if self.t < self.d + 1:
                 raise ParameterError(f"t must be at least d+1, got t={self.t}, d={self.d}")
-            if self.part_sizes is not None:
-                raise ParameterError("part_sizes only applies to avd-system")
         else:
-            if self.part_sizes is None or self.d is None:
-                raise ParameterError("avd-system needs part_sizes and d")
-            if self.t is not None:
-                raise ParameterError("avd-system takes only part_sizes and d")
             object.__setattr__(self, "part_sizes", cluster_blocks(self.part_sizes, self.d))
 
     def describe(self) -> str:

@@ -649,6 +649,19 @@ def test_extremal_flag_of_another_config_is_an_input_error(config, flag, capsys)
         3, "", f"deltasys: error: {flag} does not apply to --config {config}\n")
 
 
+# a missing flag is named as typed too, each one that is missing
+@pytest.mark.parametrize("config, missing", [
+    (config, " and ".join(flags)) for config, own in CONFIG_FLAGS.items()
+    for flags in dict.fromkeys([*((flag,) for flag in own[::2]), tuple(own[::2])])])
+def test_extremal_missing_flag_is_an_input_error(config, missing, capsys):
+    own = CONFIG_FLAGS[config]
+    given = [a for flag, value in zip(own[::2], own[1::2])
+             if flag not in missing.split(" and ") for a in (flag, value)]
+    code = cli.main(["extremal", "--n", "5", "--k", "3", "--config", config] + given)
+    assert (code, *capsys.readouterr()) == (
+        3, "", f"deltasys: error: --config {config} needs {missing}\n")
+
+
 class TestStabilityScan:
     def test_plain_scan(self, star9, capsys):
         code, out = run_cli(["stability-scan", star9, "--epsilon", "0.0"], capsys)
@@ -919,6 +932,36 @@ class TestGlobalFlags:
             if name not in users:
                 assert run_cli([name] + tail + [flag, value], capsys) == (3, ""), name
 
+    # sha256 prefixes of each subcommand's --help at 80 columns, as CPython
+    # 3.11's argparse lays it out; a change to how the parser is assembled
+    # must leave every one of them as it is
+    HELP_DIGESTS = {
+        "shadow": "1685917b33b19cc9",
+        "weight-check": "35243d126ae3ca75",
+        "find-sunflower": "cc83dba8a6deb768",
+        "find-avd": "b400f04641a934c9",
+        "complete-semi": "085ed21bb93ad086",
+        "find-nontrivial": "001cba7e8fc99f36",
+        "check-intersecting": "0d8cafda2d1e4615",
+        "classify-km": "a983f14df0b15862",
+        "build-steiner": "a25c5ea83807cc03",
+        "build-counterexample": "ca2a756d0694851e",
+        "verify-counterexample": "45f431283adcf2fd",
+        "extremal": "f0d694b77d7977d7",
+        "stability-scan": "963f988a2e1adfb1",
+        "homogeneous-extract": "2bf219d2466cc720",
+    }
+
+    def test_help_text_is_pinned(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert set(self.HELP_DIGESTS) == set(SUBCOMMANDS)
+        for name, digest in self.HELP_DIGESTS.items():
+            with pytest.raises(SystemExit) as exc:
+                cli.main([name, "--help"])
+            out, err = capsys.readouterr()
+            assert (exc.value.code, err) == (0, ""), name
+            assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, name
+
     def test_unknown_command(self, capsys):
         code, _ = run_cli(["frobnicate"], capsys)
         assert code == 3
@@ -972,7 +1015,7 @@ class TestParserReuse:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         cli._build_parser.cache_clear()
         assert run_cli(["shadow", star5, "--order", "1"], capsys)[0] == 0
-        assert len(built) == 3 + 1 + len(SUBCOMMANDS)  # parents, top level, commands
+        assert len(built) == 4 + 1 + len(SUBCOMMANDS)  # parents, top level, commands
         del built[:]
         assert run_cli(["weight-check", star5], capsys)[0] == 0
         assert built == []

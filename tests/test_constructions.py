@@ -257,6 +257,18 @@ class TestCounterexampleConstruction:
         assert not ok
         assert reason == "codegree-4 pairs around vertex 1 do not close a triangle"
 
+    # the partner count is checked at every vertex before any triangle, so
+    # vertex 3's third pair is named rather than the open triangle at vertex 1
+    @pytest.mark.parametrize("pairs, vertex, count", [
+        ([(1, 2), (1, 3), (2, 3), (4, 5)], 4, 1),
+        ([(1, 2), (1, 3), (2, 3), (3, 4)], 3, 3),
+    ])
+    def test_codegree_m_pairs_two_at_every_vertex(self, pairs, vertex, count):
+        h = Hypergraph(6, 3, [])
+        ok, reason = constructions._codegree_m_triangles(h, dict.fromkeys(pairs, 4), 4)
+        assert not ok
+        assert reason == f"vertex {vertex} lies in {count} codegree-4 pairs, expected 2"
+
     def test_larger_instance(self):
         rep = build_counterexample(15, 5, seed=0)
         assert rep.size == DesignSpec(15, 4).block_count + 5

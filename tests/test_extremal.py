@@ -10,6 +10,7 @@ import pytest
 
 from deltasys import (
     BudgetExceeded,
+    CONFIG_KINDS,
     ForbiddenConfig,
     Hypergraph,
     NodeCounter,
@@ -79,6 +80,22 @@ class TestConfigValidation:
         ForbiddenConfig("avd-system", part_sizes=(2, 1), d=2)
         with pytest.raises(ParameterError):
             ForbiddenConfig("nope", d=2)
+
+    # a value each field may take in every kind that takes it
+    FIELD_VALUES = {"t": 3, "d": 2, "part_sizes": (2, 1)}
+    TAKES = {"nontrivial-intersecting": "t and d", "d-simplex": "d",
+             "avd-system": "part_sizes and d"}
+
+    @pytest.mark.parametrize("kind", CONFIG_KINDS)
+    def test_each_kind_takes_exactly_its_fields(self, kind):
+        fields = set(self.TAKES[kind].split(" and "))
+        ForbiddenConfig(kind, **{f: self.FIELD_VALUES[f] for f in fields})
+        for field in self.FIELD_VALUES:
+            # leave out a field the kind takes, or give one it does not
+            given = fields ^ {field}
+            with pytest.raises(ParameterError,
+                               match=f"^{kind} takes exactly {self.TAKES[kind]}$"):
+                ForbiddenConfig(kind, **{f: self.FIELD_VALUES[f] for f in given})
 
     def test_nontrivial_shape(self):
         with pytest.raises(ParameterError):
